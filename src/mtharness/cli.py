@@ -131,6 +131,11 @@ def _build_config(ns: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
             raise ConfigError("agg requires exactly two --ref flags")
         if not options["refs"]:
             raise ConfigError("multiref needs at least one --ref")
+        if options["backend"][0] == "precomputed":
+            raise ConfigError(
+                "multiref cannot use a precomputed backend: its scores are keyed by segment,"
+                " not by (segment, reference) request"
+            )
     elif subcommand == "meta":
         options["scores_a"] = _existing_file(ns.scores[0], "score")
         options["scores_b"] = _existing_file(ns.scores[1], "score")
@@ -293,11 +298,7 @@ def run_meta(config: RunConfig) -> int:
         tau_c=metastats.kendall_tau_c(a, b) if len(a) >= 2 else None,
         pairwise_acc=pairwise,
     )
-    if config.tsv:
-        body = "".join(row + "\n" for row in metastats.meta_report_rows(report))
-    else:
-        body = metastats.format_meta_report(report)
-    lines = body.splitlines() + _trailer(config, model="meta")
+    lines = metastats.format_meta_report(report, tsv=config.tsv).splitlines() + _trailer(config, model="meta")
     _emit("".join(line + "\n" for line in lines), config.out)
     if config.hist_bins is not None:
         lo, hi = config.hist_range
@@ -531,8 +532,17 @@ _BIASLAB_DEFAULTS = {
 }
 
 
+# Characters that would break the one-line `# command` trailer: all of
+# C0 plus the other separators str.splitlines() breaks on.
+_TRAILER_BREAKERS = frozenset(map(chr, range(0x20))) | {"\x85", "\u2028", "\u2029"}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     raw_args = list(sys.argv[1:] if argv is None else argv)
+    for arg in raw_args:
+        if not _TRAILER_BREAKERS.isdisjoint(arg):
+            print(f"mtharness: error: argument {arg!r} contains a control character", file=sys.stderr)
+            return EXIT_CONFIG
     parser = build_parser()
     ns = parser.parse_args(raw_args)
     if ns.subcommand == "biaslab":

@@ -1,15 +1,21 @@
 """Meta-evaluation statistics over segment scores and system rankings.
 
-MAE and run comparison work on paired segment vectors; Kendall tau-a,
-tau-c and pairwise accuracy compare orderings (ties matter, see each
-docstring); histograms and worse-than-empty counts describe score
-distributions. Everything here is a pure function.
+MAE works on paired segment vectors; Kendall tau-a, tau-c and pairwise
+accuracy compare orderings (ties matter, see each docstring);
+histograms and worse-than-empty counts describe score distributions.
+Everything here is a pure function.
+
+Kendall tau takes O(n log n) time and O(n) memory: concordant minus
+discordant pairs comes from tie counts over sorted runs plus a
+merge-sort count of discordant pairs (Knight 1966), as an exact
+integer, so both tau variants match the all-pairs definition bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -74,15 +80,73 @@ def mae(pred: Sequence[float], gold: Sequence[float]) -> float:
     return math.fsum(abs(p - g) for p, g in zip(pred, gold)) / len(pred)
 
 
-def _pair_counts(x: Sequence[float], y: Sequence[float]) -> tuple[int, int]:
-    """Concordant/discordant counts over all unordered index pairs."""
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """True where a row differs (by ``!=``) from the row before it in
+    any column; ``-0.0`` and ``0.0`` are the same value here."""
+    starts = np.zeros(columns[0].size, dtype=bool)
+    starts[0] = True
+    for column in columns:
+        starts[1:] |= column[1:] != column[:-1]
+    return starts
+
+
+def _tied_pairs(starts: np.ndarray) -> int:
+    """Pairs inside the same run, for runs marked by ``_run_starts``."""
+    sizes = np.diff(np.flatnonzero(np.append(starts, True)))
+    return int((sizes * (sizes - 1) // 2).sum())
+
+
+def _inversions(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], by bottom-up merge sort.
+
+    Each level stably sorts the array by (block of 2 * width, rank),
+    which merges the two sorted halves of every block. The merge moves
+    each right-half element left past exactly the left-half elements
+    greater than it, and moves no left-half element left, so the
+    level's inversions are half the total displacement.
+    """
+    index = np.arange(ranks.size)
+    span = int(ranks.max()) + 1
+    inversions = 0
+    width = 1
+    while width < ranks.size:
+        order = np.argsort(index // (2 * width) * span + ranks, kind="stable")
+        inversions += int(np.abs(order - index).sum()) // 2
+        ranks = ranks[order]
+        width *= 2
+    return inversions
+
+
+def _concordance(x: Sequence[float], y: Sequence[float]) -> int:
+    """Concordant minus discordant pairs over all unordered index pairs.
+
+    The pairs tied in neither x nor y number n0 - n1 - n2 + n3: all
+    pairs, minus the x-tied and the y-tied, plus the jointly tied that
+    were subtracted twice. With rows sorted by (x, y), every strict
+    inversion of y is a pair with x strictly increasing, so the
+    inversions are exactly the discordant pairs. A pair with a NaN is
+    neither.
+    """
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
-    sign_x = np.sign(xs[:, None] - xs[None, :])
-    sign_y = np.sign(ys[:, None] - ys[None, :])
-    upper = np.triu_indices(len(xs), k=1)
-    product = (sign_x * sign_y)[upper]
-    return int(np.count_nonzero(product > 0)), int(np.count_nonzero(product < 0))
+    comparable = ~(np.isnan(xs) | np.isnan(ys))
+    xs, ys = xs[comparable], ys[comparable]
+    n = xs.size
+    if n < 2:
+        return 0
+    order = np.lexsort((ys, xs))
+    xs, ys = xs[order], ys[order]
+    by_y = np.argsort(ys, kind="stable")
+    y_starts = _run_starts(ys[by_y])
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[by_y] = np.cumsum(y_starts) - 1
+    return (
+        n * (n - 1) // 2
+        - _tied_pairs(_run_starts(xs))
+        - _tied_pairs(y_starts)
+        + _tied_pairs(_run_starts(xs, ys))
+        - 2 * _inversions(ranks)
+    )
 
 
 def _check_tau_input(x: Sequence[float], y: Sequence[float]) -> None:
@@ -94,9 +158,8 @@ def _check_tau_input(x: Sequence[float], y: Sequence[float]) -> None:
 def kendall_tau_a(x: Sequence[float], y: Sequence[float]) -> float:
     """(C - D) / (n(n-1)/2); tied pairs count toward neither C nor D."""
     _check_tau_input(x, y)
-    c, d = _pair_counts(x, y)
     n = len(x)
-    return (c - d) / (n * (n - 1) / 2)
+    return _concordance(x, y) / (n * (n - 1) / 2)
 
 
 def kendall_tau_c(x: Sequence[float], y: Sequence[float]) -> float:
@@ -105,9 +168,8 @@ def kendall_tau_c(x: Sequence[float], y: Sequence[float]) -> float:
     m = min(np.unique(np.asarray(x, dtype=float)).size, np.unique(np.asarray(y, dtype=float)).size)
     if m == 1:
         return 0.0
-    c, d = _pair_counts(x, y)
     n = len(x)
-    return (c - d) * 2 * m / (n * n * (m - 1))
+    return _concordance(x, y) * 2 * m / (n * n * (m - 1))
 
 
 def pairwise_accuracy(metric: SystemRanking, human: SystemRanking) -> float:
@@ -141,10 +203,6 @@ def worse_than_empty(sys_scores: Sequence[float], empty_scores: Sequence[float])
     return count, len(sys_scores)
 
 
-def format_fraction(count: int, total: int) -> str:
-    return f"{count} / {total}"
-
-
 def histogram(scores: Sequence[float], bin_count: int, lo: float, hi: float) -> list[tuple[float, int]]:
     """Counts over uniform bins on [lo, hi]; out-of-range values clamp
     to the end bins, so the counts always sum to len(scores)."""
@@ -160,31 +218,11 @@ def histogram(scores: Sequence[float], bin_count: int, lo: float, hi: float) -> 
     return [(lo + (k + 0.5) * width, counts[k]) for k in range(bin_count)]
 
 
-def compare_runs(scores_a: Sequence[float], scores_b: Sequence[float]) -> tuple[float, float]:
-    """(MAE, max absolute difference) between two runs on the same set."""
-    _check_paired(scores_a, scores_b, "compare_runs")
-    if not scores_a:
-        raise ValueError("compare_runs: empty input")
-    diffs = [abs(a - b) for a, b in zip(scores_a, scores_b)]
-    return math.fsum(diffs) / len(diffs), max(diffs)
-
-
-def format_meta_report(report: MetaReport) -> str:
-    """Aligned key-value text; absent statistics are omitted."""
-    rows = [("n", str(report.n)), ("mae", repr(report.mae))]
-    for key in ("tau_a", "tau_c", "pairwise_acc"):
-        value = getattr(report, key)
-        if value is not None:
-            rows.append((key, repr(value)))
+def format_meta_report(report: MetaReport, tsv: bool = False) -> str:
+    """Aligned ``key  value`` lines, or ``key<TAB>value`` rows with
+    ``tsv``; absent statistics are omitted."""
+    rows = [(f.name, repr(value)) for f in fields(report) if (value := getattr(report, f.name)) is not None]
+    if tsv:
+        return "".join(f"{key}\t{value}\n" for key, value in rows)
     width = max(len(key) for key, _ in rows)
     return "".join(f"{key.ljust(width)}  {value}\n" for key, value in rows)
-
-
-def meta_report_rows(report: MetaReport) -> list[str]:
-    """The same report as TSV rows."""
-    rows = [f"n\t{report.n}", f"mae\t{report.mae!r}"]
-    for key in ("tau_a", "tau_c", "pairwise_acc"):
-        value = getattr(report, key)
-        if value is not None:
-            rows.append(f"{key}\t{value!r}")
-    return rows

@@ -142,7 +142,9 @@ class PrecomputedBackend:
     """Serves stored scores keyed by batch position (= segment index).
 
     Index keys avoid any text-normalization ambiguity: request i of the
-    batch is answered with the stored score for index i.
+    batch is answered with the stored score for index i. The batch must
+    have exactly one request per stored score; a longer or shorter
+    table is misaligned and is an error, never truncated.
     """
 
     def __init__(self, table: ScoreTable | str | Path) -> None:
@@ -157,7 +159,11 @@ class PrecomputedBackend:
             raise ScorerError(
                 f"precomputed table {self._source} has {len(self._scores)} scores but index {len(requests) - 1} was requested"
             )
-        return list(self._scores[: len(requests)])
+        if len(requests) < len(self._scores):
+            raise ScorerError(
+                f"precomputed table {self._source} has {len(self._scores)} scores but only {len(requests)} were requested"
+            )
+        return list(self._scores)
 
     def describe(self) -> str:
         return f"precomputed:{self._source}"
@@ -180,7 +186,7 @@ class ExternalBackend:
         self.command = tuple(command)
         self.shard_size = shard_size
 
-    def _run_shard(self, lines: list[str]) -> list[float]:
+    def _run_shard(self, lines: list[str], start: int) -> list[float]:
         payload = "".join(line + "\n" for line in lines).encode("utf-8")
         try:
             proc = subprocess.run(self.command, input=payload, capture_output=True)
@@ -190,7 +196,13 @@ class ExternalBackend:
         if proc.returncode != 0:
             detail = f": {stderr}" if stderr else ""
             raise ScorerError(f"external scorer exited with status {proc.returncode}{detail}")
-        out_lines = proc.stdout.decode("utf-8").split("\n")
+        try:
+            out_lines = proc.stdout.decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise ScorerError(
+                f"external scorer output for requests {start}..{start + len(lines) - 1}"
+                f" is not valid UTF-8 ({exc.reason})"
+            ) from None
         if out_lines and out_lines[-1] == "":
             out_lines.pop()
         if len(out_lines) != len(lines):
@@ -200,7 +212,9 @@ class ExternalBackend:
             try:
                 score = float(line.strip())
             except ValueError:
-                raise ScorerError(f"external scorer output line {lineno} is not a number: {line!r}") from None
+                score = None
+            if score is None or "_" in line:  # float() also accepts digit groups such as 1_0
+                raise ScorerError(f"external scorer output line {lineno} is not a number: {line!r}")
             if not math.isfinite(score):
                 raise ScorerError(f"external scorer output line {lineno} is not finite: {line!r}")
             scores.append(score)
@@ -214,7 +228,7 @@ class ExternalBackend:
         size = self.shard_size or len(lines)
         scores: list[float] = []
         for start in range(0, len(lines), size):
-            scores.extend(self._run_shard(lines[start : start + size]))
+            scores.extend(self._run_shard(lines[start : start + size], start))
         return scores
 
     def describe(self) -> str:

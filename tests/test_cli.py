@@ -153,6 +153,37 @@ class TestConfigErrors:
         assert main(["multiref", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
                      "--direction", "en-de", "--multiref", "agg"]) == EXIT_CONFIG
 
+    def test_multiref_rejects_precomputed_backend(self, corpus, capsys):
+        (corpus / "pre.tsv").write_text("".join(f"{i}\t0.5\n" for i in range(6)), encoding="utf-8")
+        assert main(["multiref", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
+                     "--ref", "ref.txt", "--direction", "en-de", "--multiref", "max",
+                     "--backend", "precomputed:pre.tsv", "--out", "scores.tsv"]) == EXIT_CONFIG
+        assert not (corpus / "scores.tsv").exists()
+        assert "precomputed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "char", ["\n", "\r", "\t", "\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                 "\x85", "\u2028", "\u2029"],
+        ids=lambda char: f"U+{ord(char):04X}",
+    )
+    def test_control_character_in_argument_exits_2(self, corpus, capsys, char):
+        assert main(["score", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
+                     "--direction", "en-de", "--system", f"sys{char}tem", "--out", "scores.tsv"]) == EXIT_CONFIG
+        assert not (corpus / "scores.tsv").exists()
+        assert "control character" in capsys.readouterr().err
+
+    def test_printable_unicode_argument_is_accepted(self, corpus):
+        args = ["score", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
+                "--direction", "en-de", "--system", "système\x7f", "--out", "scores.tsv"]
+        assert main(args) == EXIT_OK
+        assert trailer_of(corpus / "scores.tsv")[-1] == f"# command {shlex.join(['mtharness', *args])}"
+
+    def test_newline_in_existing_file_name_exits_2(self, corpus):
+        (corpus / "h\nyp.txt").write_text("".join(line + "\n" for line in HYP_LINES), encoding="utf-8")
+        assert main(["score", "--src", "src.txt", "--hyp", "h\nyp.txt", "--ref", "ref.txt",
+                     "--direction", "en-de", "--out", "scores.tsv"]) == EXIT_CONFIG
+        assert not (corpus / "scores.tsv").exists()
+
     def test_score_rejects_multiple_refs(self, corpus):
         assert main(["score", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
                      "--ref", "ref.txt", "--direction", "en-de"]) == EXIT_CONFIG
@@ -178,6 +209,14 @@ class TestRuntimeErrors:
         assert main(["score", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
                      "--direction", "en-de", "--backend", "precomputed:pre.tsv"]) == EXIT_RUNTIME
         assert "1 scores" in capsys.readouterr().err
+
+    def test_long_precomputed_table_exits_1(self, corpus, capsys):
+        (corpus / "pre.tsv").write_text("0\t0.5\n1\t0.6\n2\t0.7\n3\t0.8\n", encoding="utf-8")
+        assert main(["score", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
+                     "--direction", "en-de", "--backend", "precomputed:pre.tsv",
+                     "--out", "scores.tsv"]) == EXIT_RUNTIME
+        assert not (corpus / "scores.tsv").exists()
+        assert "pre.tsv has 4 scores but only 3 were requested" in capsys.readouterr().err
 
 
 class TestMultiref:

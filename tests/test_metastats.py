@@ -2,25 +2,25 @@
 
 The Kendall statistics are checked against a brute-force oracle that
 enumerates index pairs with plain Python loops, independently of the
-vectorised implementation.
+merge-sort implementation, and must equal it exactly.
 """
 
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtharness.metastats import (
     MetaReport,
     SystemRanking,
-    compare_runs,
-    format_fraction,
     format_meta_report,
     histogram,
     kendall_tau_a,
     kendall_tau_c,
     mae,
-    meta_report_rows,
     pairwise_accuracy,
     read_ranking,
     worse_than_empty,
@@ -58,6 +58,38 @@ def brute_tau_c(x, y):
 def tied_vectors(rng, n):
     # small integer draws so ties actually occur
     return [float(rng.randrange(0, 4)) for _ in range(n)]
+
+
+# -0.0 and 0.0 are distinct draws that must tie, as IEEE == says.
+TIE_VALUES = st.sampled_from([-0.0, 0.0, 0.25, 1.0, -3.5, 7.0])
+
+
+@st.composite
+def few_valued_list(draw, n):
+    """n values drawn from a pool of 1 to 4 distinct floats."""
+    pool = draw(st.lists(TIE_VALUES, min_size=1, max_size=4, unique_by=repr))
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@st.composite
+def tied_pair(draw):
+    n = draw(st.integers(2, 80))
+    x = draw(few_valued_list(n))
+    shape = draw(st.sampled_from(["independent", "x_constant", "y_constant", "reversed", "sorted_reversed"]))
+    if shape == "x_constant":
+        return [x[0]] * n, draw(few_valued_list(n))
+    if shape == "y_constant":
+        return x, [x[0]] * n
+    if shape == "reversed":
+        return x, x[::-1]
+    if shape == "sorted_reversed":
+        return sorted(x), sorted(x, reverse=True)
+    return x, draw(few_valued_list(n))
+
+
+def assert_matches_oracle(x, y):
+    assert kendall_tau_a(x, y) == brute_tau_a(x, y)
+    assert kendall_tau_c(x, y) == brute_tau_c(x, y)
 
 
 class TestMae:
@@ -107,6 +139,56 @@ class TestKendall:
             x, y = tied_vectors(rng, n), tied_vectors(rng, n)
             assert kendall_tau_a(x, y) == pytest.approx(brute_tau_a(x, y), abs=1e-12)
             assert kendall_tau_c(x, y) == pytest.approx(brute_tau_c(x, y), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_pair())
+    def test_property_equals_oracle_exactly(self, pair):
+        assert_matches_oracle(*pair)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(TIE_VALUES, TIE_VALUES), min_size=2, max_size=80))
+    def test_property_signed_zeros_tie(self, rows):
+        x, y = [a for a, _ in rows], [b for _, b in rows]
+        flipped = [0.0 if v == 0.0 else v for v in x]
+        assert kendall_tau_a(x, y) == kendall_tau_a(flipped, y)
+        assert kendall_tau_c(x, y) == kendall_tau_c(flipped, y)
+        assert_matches_oracle(x, y)
+
+    def test_long_mixed_input_equals_oracle_exactly(self):
+        # deep enough for ten merge levels, with both unique and tied values
+        rng = random.Random(57)
+        x = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(600)]
+        y = [round(v + rng.gauss(0, 0.3), 1) for v in x]
+        assert_matches_oracle(x, y)
+
+    def test_nan_pairs_count_as_neither(self):
+        x = [float("nan"), 1.0, 2.0, 3.0, float("inf"), float("inf")]
+        y = [1.0, float("nan"), 2.0, 1.0, float("-inf"), 5.0]
+        assert kendall_tau_a(x, y) == brute_tau_a(x, y)
+
+    def test_matches_scipy_tau_c(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(59)
+        for _ in range(50):
+            n = rng.randrange(2, 300)
+            x, y = tied_vectors(rng, n), [rng.choice([0.0, rng.random()]) for _ in range(n)]
+            if min(len(set(x)), len(set(y))) == 1:
+                continue
+            expected = stats.kendalltau(x, y, variant="c").statistic
+            assert kendall_tau_c(x, y) == pytest.approx(expected, abs=1e-12)
+
+    def test_memory_stays_linear(self):
+        # the all-pairs sign matrices needed about 320 MB at this size
+        rng = random.Random(61)
+        x = [rng.random() for _ in range(3000)]
+        y = [round(v + rng.gauss(0, 0.2), 1) for v in x]
+        tracemalloc.start()
+        try:
+            kendall_tau_a(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_antisymmetric_under_negation(self):
         rng = random.Random(37)
@@ -192,9 +274,6 @@ class TestWorseThanEmpty:
         with pytest.raises(ValueError, match="length mismatch"):
             worse_than_empty([0.1], [])
 
-    def test_fraction_format(self):
-        assert format_fraction(2, 558) == "2 / 558"
-
 
 class TestHistogram:
     def test_all_at_lo(self):
@@ -229,33 +308,6 @@ class TestHistogram:
             histogram([0.5], 0, 0.0, 1.0)
 
 
-class TestCompareRuns:
-    def test_identical_runs(self):
-        scores = [0.1, 0.5, 0.9]
-        assert compare_runs(scores, scores) == (0.0, 0.0)
-
-    def test_uniform_offset(self):
-        a = [0.1, 0.2, 0.3]
-        b = [v + 1e-7 for v in a]
-        got_mae, got_max = compare_runs(a, b)
-        assert got_mae == pytest.approx(1e-7, rel=1e-6)
-        assert got_max == pytest.approx(1e-7, rel=1e-6)
-
-    def test_matches_recomputation(self):
-        rng = random.Random(53)
-        a = [rng.uniform(0, 1) for _ in range(100)]
-        b = [rng.uniform(0, 1) for _ in range(100)]
-        got_mae, got_max = compare_runs(a, b)
-        assert got_mae == pytest.approx(sum(abs(x - y) for x, y in zip(a, b)) / 100, abs=1e-12)
-        assert got_max == max(abs(x - y) for x, y in zip(a, b))
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            compare_runs([0.1], [0.1, 0.2])
-        with pytest.raises(ValueError, match="empty"):
-            compare_runs([], [])
-
-
 class TestMetaReportFormat:
     def test_aligned_and_skips_absent(self):
         text = format_meta_report(MetaReport(n=4, mae=0.25))
@@ -266,10 +318,26 @@ class TestMetaReportFormat:
 
     def test_full_report_tsv(self):
         report = MetaReport(n=4, mae=0.25, tau_a=0.5, tau_c=0.4, pairwise_acc=0.75)
-        rows = meta_report_rows(report)
+        rows = format_meta_report(report, tsv=True).splitlines()
         assert rows[0] == "n\t4"
         assert "tau_a\t0.5" in rows
         assert "pairwise_acc\t0.75" in rows
+
+    def test_both_formats_exact_bytes(self):
+        report = MetaReport(n=4, mae=0.25, tau_a=0.5, tau_c=-0.4, pairwise_acc=0.75)
+        assert format_meta_report(report) == (
+            "n             4\n"
+            "mae           0.25\n"
+            "tau_a         0.5\n"
+            "tau_c         -0.4\n"
+            "pairwise_acc  0.75\n"
+        )
+        assert format_meta_report(report, tsv=True) == (
+            "n\t4\nmae\t0.25\ntau_a\t0.5\ntau_c\t-0.4\npairwise_acc\t0.75\n"
+        )
+        short = MetaReport(n=2, mae=0.5)
+        assert format_meta_report(short) == "n    2\nmae  0.5\n"
+        assert format_meta_report(short, tsv=True) == "n\t2\nmae\t0.5\n"
 
 
 class TestReadRanking:

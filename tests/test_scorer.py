@@ -53,6 +53,14 @@ for line in lines:
 
 ECHO_HALF_CHILD = "import sys\nfor _ in sys.stdin.buffer.read().split(b'\\n')[:-1]:\n    print('0.5')\n"
 
+# Answers 0.5 per request, but a request mentioning "bad" gets the
+# Latin-1 byte for "é", which is not UTF-8.
+LATIN1_ON_BAD_CHILD = r"""
+import sys
+for line in sys.stdin.buffer.read().split(b"\n")[:-1]:
+    sys.stdout.buffer.write(b"0.5\xe9\n" if b"bad" in line else b"0.5\n")
+"""
+
 
 def checksum(fields):
     total = sum(ord(c) for f in fields for c in f)
@@ -157,6 +165,11 @@ class TestPrecomputed:
         with pytest.raises(ScorerError, match="index 2"):
             backend.score_batch(reqs)
 
+    def test_extra_scores_are_error(self):
+        backend = PrecomputedBackend(ScoreTable("stored.tsv", (0.5, 0.6, 0.7, 0.8)))
+        with pytest.raises(ScorerError, match=r"stored\.tsv has 4 scores but only 2 were requested"):
+            backend.score_batch([ScoreRequest("s", "h", "r")] * 2)
+
     def test_loads_from_tsv(self, tmp_path):
         p = tmp_path / "scores.tsv"
         p.write_text("0\t0.25\n1\t0.75\n# trailer\n")
@@ -205,6 +218,20 @@ class TestExternal:
         cmd = child(tmp_path, "print('0.5')\nprint('oops')\n")
         backend = ExternalBackend(cmd)
         with pytest.raises(ScorerError, match="line 2"):
+            backend.score_batch([ScoreRequest("s", "h")] * 2)
+
+    def test_non_utf8_output_names_shard(self, tmp_path):
+        cmd = child(tmp_path, LATIN1_ON_BAD_CHILD)
+        backend = ExternalBackend(cmd, shard_size=2)
+        reqs = [ScoreRequest("s", "h"), ScoreRequest("s", "h"), ScoreRequest("s", "h"), ScoreRequest("s", "bad")]
+        with pytest.raises(ScorerError, match=r"requests 2\.\.3 is not valid UTF-8"):
+            backend.score_batch(reqs)
+
+    def test_digit_group_underscore_rejected(self, tmp_path):
+        assert float("1_0") == 10.0  # what a bare float() would accept
+        cmd = child(tmp_path, "print('0.5')\nprint('1_0')\n")
+        backend = ExternalBackend(cmd)
+        with pytest.raises(ScorerError, match="line 2 is not a number: '1_0'"):
             backend.score_batch([ScoreRequest("s", "h")] * 2)
 
     def test_empty_batch_spawns_nothing(self):
