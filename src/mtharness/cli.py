@@ -285,6 +285,10 @@ def run_meta(config: RunConfig) -> int:
     table_a = read_score_table(config.scores_a)
     table_b = read_score_table(config.scores_b)
     a, b = table_a.scores, table_b.scores
+    if len(a) != len(b):
+        raise ValueError(
+            f"score tables are not paired: {config.scores_a} has {len(a)} rows but {config.scores_b} has {len(b)}"
+        )
     pairwise = None
     if config.ranking_metric is not None:
         pairwise = metastats.pairwise_accuracy(

@@ -121,19 +121,28 @@ class LanguageProfile:
 
 
 def _count_ngrams(lines: Iterable[str]) -> Counter:
+    """n-gram counts over space-padded tokens, counted at C level.
+
+    Each line's padded tokens are joined with LF, which str.split()
+    never leaves inside a token, so the n-grams that contain an LF are
+    exactly those that cross a token boundary; they are dropped at the
+    end.
+    """
     counts: Counter = Counter()
     for line in lines:
-        for token in line.split():
-            padded = f" {token} "
-            for n in NGRAM_ORDERS:
-                for i in range(len(padded) - n + 1):
-                    counts[padded[i : i + n]] += 1
+        text = "\n".join(f" {token} " for token in line.split())
+        for n in NGRAM_ORDERS:
+            counts.update(text if n == 1 else map("".join, zip(*(text[i:] for i in range(n)))))
+    for gram in [gram for gram in counts if "\n" in gram]:
+        counts.pop(gram)
     return counts
 
 
 def _ranked(counts: Counter, k: int) -> tuple[str, ...]:
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return tuple(gram for gram, _ in ordered[:k])
+    """Top k grams by descending count, ties in lexicographic order."""
+    grams = sorted(counts)
+    grams.sort(key=counts.__getitem__, reverse=True)  # stable: ties keep gram order
+    return tuple(grams[:k])
 
 
 def build_language_profile(corpus_lines: Sequence[str], lang: str, k: int = DEFAULT_PROFILE_SIZE) -> LanguageProfile:

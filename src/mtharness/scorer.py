@@ -13,6 +13,7 @@ import math
 import subprocess
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -86,25 +87,75 @@ def _check_homogeneous(requests: Sequence[ScoreRequest]) -> None:
 
 # --- surrogate ---------------------------------------------------------
 
+NGRAM_ORDERS = (1, 2, 3, 4)
 
-def _ngram_f1(a: str, b: str, n: int) -> float | None:
-    """Multiset F1 over character n-grams; None when both sides lack them."""
-    grams_a = Counter(a[i : i + n] for i in range(len(a) - n + 1))
-    grams_b = Counter(b[i : i + n] for i in range(len(b) - n + 1))
-    if not grams_a and not grams_b:
-        return None
-    if not grams_a or not grams_b:
-        return 0.0
-    overlap = sum(min(count, grams_b[gram]) for gram, count in grams_a.items())
-    return 2.0 * overlap / (sum(grams_a.values()) + sum(grams_b.values()))
+# Per n: the character n-gram counts of a text and their total.
+Profile = list[tuple[Counter, int]]
 
 
-def _similarity(a: str, b: str) -> float:
-    """Mean char n-gram F1 for n = 1..4, skipping orders absent on both sides."""
-    values = [f1 for n in range(1, 5) if (f1 := _ngram_f1(a, b, n)) is not None]
+def _ngram_profile(text: str) -> Profile:
+    """Character n-gram counts for n = 1..4, counted at C level."""
+    profile = []
+    for n in NGRAM_ORDERS:
+        grams = text if n == 1 else map("".join, zip(*(text[i:] for i in range(n))))
+        profile.append((Counter(grams), max(len(text) - n + 1, 0)))
+    return profile
+
+
+def _overlap(a: Counter, b: Counter) -> int:
+    """Multiset intersection size, iterating over the smaller side."""
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(map(min, a.values(), map(b.get, a, repeat(0))))
+
+
+def _profile_similarity(a: Profile, b: Profile) -> float:
+    """Mean char n-gram F1 for n = 1..4, skipping orders absent on both sides.
+
+    All counting is integer; the division and fsum are the only float
+    steps, in order n = 1..4, so equal inputs give bit-identical scores.
+    """
+    values = []
+    for (grams_a, total_a), (grams_b, total_b) in zip(a, b):
+        if not total_a and not total_b:
+            continue
+        if not total_a or not total_b:
+            values.append(0.0)
+        else:
+            values.append(2.0 * _overlap(grams_a, grams_b) / (total_a + total_b))
     if not values:
         return 0.0
     return math.fsum(values) / len(values)
+
+
+class _PairMemo:
+    """Per-batch hypothesis↔other similarities, each computed once.
+
+    The memo holds floats only. The one n-gram profile kept across
+    calls is that of the latest hypothesis, since a segment's requests
+    arrive together, so memory grows with the number of distinct pairs,
+    not with the n-grams of every text in the batch.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple[str, str], float] = {}
+        self._hyp: str | None = None
+        self._hyp_profile: Profile = []
+
+    def __call__(self, hyp: str, other: str) -> float:
+        key = (hyp, other)
+        value = self._memo.get(key)
+        if value is None:
+            if hyp != self._hyp:
+                self._hyp, self._hyp_profile = hyp, _ngram_profile(hyp)
+            value = self._memo[key] = _profile_similarity(self._hyp_profile, _ngram_profile(other))
+        return value
+
+
+def _blend(request: ScoreRequest, w_ref: float, w_src: float, similarity: _PairMemo) -> float:
+    if request.reference is None:
+        return similarity(request.hypothesis, request.source)
+    return w_ref * similarity(request.hypothesis, request.reference) + w_src * similarity(request.hypothesis, request.source)
 
 
 def surrogate_score(request: ScoreRequest, w_ref: float = 0.9, w_src: float = 0.1) -> float:
@@ -114,9 +165,7 @@ def surrogate_score(request: ScoreRequest, w_ref: float = 0.9, w_src: float = 0.
     similarity (the source term makes reference/source swaps visibly
     change the score); QE mode is hypothesis↔source only.
     """
-    if request.reference is None:
-        return _similarity(request.hypothesis, request.source)
-    return w_ref * _similarity(request.hypothesis, request.reference) + w_src * _similarity(request.hypothesis, request.source)
+    return _blend(request, w_ref, w_src, _PairMemo())
 
 
 class SurrogateBackend:
@@ -132,10 +181,8 @@ class SurrogateBackend:
 
     def score_batch(self, requests: Sequence[ScoreRequest]) -> list[float]:
         _check_homogeneous(requests)
-        return [surrogate_score(req, self.w_ref, self.w_src) for req in requests]
-
-    def describe(self) -> str:
-        return "surrogate"
+        similarity = _PairMemo()
+        return [_blend(req, self.w_ref, self.w_src, similarity) for req in requests]
 
 
 class PrecomputedBackend:
@@ -164,9 +211,6 @@ class PrecomputedBackend:
                 f"precomputed table {self._source} has {len(self._scores)} scores but only {len(requests)} were requested"
             )
         return list(self._scores)
-
-    def describe(self) -> str:
-        return f"precomputed:{self._source}"
 
 
 class ExternalBackend:
@@ -208,7 +252,8 @@ class ExternalBackend:
         if len(out_lines) != len(lines):
             raise ScorerError(f"external scorer answered {len(out_lines)} lines for {len(lines)} requests")
         scores: list[float] = []
-        for lineno, line in enumerate(out_lines, start=1):
+        # number lines across the whole batch, as an unsharded run would
+        for lineno, line in enumerate(out_lines, start=start + 1):
             try:
                 score = float(line.strip())
             except ValueError:
@@ -231,14 +276,6 @@ class ExternalBackend:
             scores.extend(self._run_shard(lines[start : start + size], start))
         return scores
 
-    def describe(self) -> str:
-        return f"external:{self.command[0]}"
-
-
-def score_batch(backend, requests: Sequence[ScoreRequest]) -> list[float]:
-    """Score requests in order with any backend; one finite score each."""
-    return backend.score_batch(requests)
-
 
 def requests_from_evalset(evalset: EvalSet) -> list[ScoreRequest]:
     """Plain single-pass requests: first reference if any, else QE."""
@@ -255,5 +292,5 @@ def requests_from_evalset(evalset: EvalSet) -> list[ScoreRequest]:
 
 
 def score_evalset(backend, evalset: EvalSet) -> ScoreTable:
-    scores = score_batch(backend, requests_from_evalset(evalset))
+    scores = backend.score_batch(requests_from_evalset(evalset))
     return ScoreTable(system_name=evalset.system_name, scores=tuple(scores))

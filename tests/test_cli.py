@@ -218,6 +218,21 @@ class TestRuntimeErrors:
         assert not (corpus / "scores.tsv").exists()
         assert "pre.tsv has 4 scores but only 3 were requested" in capsys.readouterr().err
 
+    def test_sharded_bad_answer_names_its_line_in_the_batch(self, corpus, capsys):
+        (corpus / "src.txt").write_text("s0\ns1\ns2\ns3\n", encoding="utf-8")
+        (corpus / "hyp.txt").write_text("h0\nh1\nh2\nh3\n", encoding="utf-8")
+        (corpus / "ref.txt").write_text("r0\nr1\nr2\nr3\n", encoding="utf-8")
+        # answers 0.5, except "oops" for the request whose hypothesis is h2
+        (corpus / "child.py").write_text(
+            "import sys\nfor line in sys.stdin:\n    print('oops' if '\\th2\\t' in line else 0.5)\n",
+            encoding="utf-8",
+        )
+        assert main(["score", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
+                     "--direction", "en-de", "--backend", f"external:{sys.executable} child.py",
+                     "--shard-size", "2", "--out", "scores.tsv"]) == EXIT_RUNTIME
+        assert not (corpus / "scores.tsv").exists()
+        assert "output line 3 is not a number: 'oops'" in capsys.readouterr().err
+
 
 class TestMultiref:
     def test_agg_matches_library(self, corpus):
@@ -267,6 +282,15 @@ class TestMeta:
                      if not l.startswith("#")]
         assert [row.split("\t")[0] for row in hist_rows] == ["0.25", "0.75"]
         assert sum(int(row.split("\t")[1]) for row in hist_rows) == 3
+
+    def test_unpaired_tables_name_both_files(self, corpus, capsys):
+        (corpus / "a.tsv").write_text("0\t0.1\n1\t0.9\n", encoding="utf-8")
+        (corpus / "b.tsv").write_text("0\t0.1\n1\t0.9\n2\t0.5\n", encoding="utf-8")
+        assert main(["meta", "a.tsv", "b.tsv", "--out", "report.txt"]) == EXIT_RUNTIME
+        assert not (corpus / "report.txt").exists()
+        err = capsys.readouterr().err
+        assert "a.tsv has 2 rows but b.tsv has 3" in err
+        assert "mae" not in err
 
 
 class TestProvenanceCommands:

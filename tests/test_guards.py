@@ -1,9 +1,24 @@
-"""Tests for the empty-hypothesis and wrong-language guards."""
+"""Tests for the empty-hypothesis and wrong-language guards.
+
+Profile building and language identification are checked against an
+oracle that counts n-grams with plain Python loops over every padded
+token, ranks with a (-count, gram) sort key and walks the profile ranks
+one gram at a time; the guards must equal it exactly.
+"""
+
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from mtharness.cli import EXIT_OK, main
 from mtharness.evalset import GUARD_EMPTY, GUARD_LANG, Direction, EvalSet, ScoreTable, Segment, system_score
 from mtharness.guards import (
+    BUNDLED_SEED_LANGS,
+    DEFAULT_MIN_LEN,
+    DEFAULT_PROFILE_SIZE,
+    LanguageProfile,
     apply_empty_guard,
     apply_lang_guard,
     build_language_profile,
@@ -15,6 +30,51 @@ from mtharness.guards import (
     parse_profile,
     serialize_profile,
 )
+
+
+def oracle_count_ngrams(lines):
+    counts = Counter()
+    for line in lines:
+        for token in line.split():
+            padded = f" {token} "
+            for n in (1, 2, 3, 4):
+                for i in range(len(padded) - n + 1):
+                    counts[padded[i : i + n]] += 1
+    return counts
+
+
+def oracle_ranked(counts, k):
+    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return tuple(gram for gram, _ in ordered[:k])
+
+
+def oracle_profile(lines, k=DEFAULT_PROFILE_SIZE):
+    return oracle_ranked(oracle_count_ngrams(lines), k)
+
+
+def oracle_distance(text_grams, ranked_ngrams, penalty):
+    ranks = {gram: i for i, gram in enumerate(ranked_ngrams)}
+    return sum(abs(i - ranks[gram]) if gram in ranks else penalty for i, gram in enumerate(text_grams))
+
+
+def oracle_identify(text, profiles, min_len=DEFAULT_MIN_LEN):
+    if len(text.strip()) < min_len:
+        return None, 0.0
+    penalty = max(len(p.ranked_ngrams) for p in profiles)
+    text_grams = oracle_ranked(oracle_count_ngrams([text]), penalty)
+    best = {}
+    for profile in profiles:
+        d = oracle_distance(text_grams, profile.ranked_ngrams, penalty)
+        if profile.lang not in best or d < best[profile.lang]:
+            best[profile.lang] = d
+    (best_lang, d1), (_, d2) = sorted(best.items(), key=lambda item: (item[1], item[0]))[:2]
+    return best_lang, (d2 - d1) / d2 if d2 > 0 else 0.0
+
+
+# Every kind of whitespace str.split() breaks on (LF included, which
+# the counting code uses internally), plus combining, non-BMP and CJK
+# characters, from a small alphabet so that n-grams and counts tie.
+LINES = st.text(alphabet="ab c\t\n\r\x0b\x85\u2028\u3000e\u0301😀𝔸雨я", max_size=30)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +171,32 @@ class TestProfiles:
         with pytest.raises(ValueError, match="promises"):
             parse_profile("xx\t3\na\n")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(LINES, min_size=1, max_size=6), st.integers(1, 60))
+    def test_property_equals_oracle_exactly(self, lines, k):
+        expected = oracle_profile(lines, k)
+        if not expected:
+            with pytest.raises(ValueError, match="no tokens"):
+                build_language_profile(lines, "xx", k)
+        else:
+            assert build_language_profile(lines, "xx", k).ranked_ngrams == expected
+
+    @pytest.mark.parametrize("lang", BUNDLED_SEED_LANGS)
+    def test_seed_profiles_equal_oracle_exactly(self, lang):
+        lines = load_seed_lines(lang)
+        for k in (DEFAULT_PROFILE_SIZE, 5000):
+            assert build_language_profile(lines, lang, k).ranked_ngrams == oracle_profile(lines, k)
+
+    @pytest.mark.parametrize("lang", BUNDLED_SEED_LANGS)
+    def test_profiles_command_writes_oracle_profile(self, lang, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "corpus.txt").write_text("".join(line + "\n" for line in load_seed_lines(lang)), encoding="utf-8")
+        assert main(["profiles", "build", "--lang", lang, "--input", "corpus.txt", "--out", "p.txt"]) == EXIT_OK
+        expected = serialize_profile(LanguageProfile(lang, oracle_profile(load_seed_lines(lang))))
+        written = (tmp_path / "p.txt").read_text(encoding="utf-8")
+        assert written.startswith(expected)
+        assert all(line.startswith("# ") for line in written[len(expected) :].splitlines())
+
     def test_parse_ignores_comment_trailer(self):
         profile = build_language_profile(["ab ab ab"], "xx", k=10)
         text = serialize_profile(profile) + "# signature whatever\n# command mtharness profiles build\n"
@@ -135,6 +221,25 @@ class TestIdentifyLanguage:
     def test_duplicate_profiles_do_not_change_result(self, profiles):
         text = "The ferry crosses the strait twice a day in winter."
         assert identify_language(text, profiles) == identify_language(text, list(profiles) * 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(LINES, st.integers(0, 6))
+    def test_property_equals_oracle_exactly(self, profiles, text, min_len):
+        assert identify_language(text, profiles, min_len) == oracle_identify(text, profiles, min_len)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["p", "q", "r"]), st.lists(LINES, min_size=1, max_size=3)), min_size=2, max_size=4),
+           st.integers(1, 40), LINES)
+    def test_small_profiles_equal_oracle_exactly(self, corpora, k, text):
+        built = [(lang, oracle_profile(lines, k)) for lang, lines in corpora]
+        small = [LanguageProfile(lang, grams) for lang, grams in built if grams]
+        assume(len({p.lang for p in small}) >= 2)
+        assert identify_language(text, small, 0) == oracle_identify(text, small, 0)
+
+    def test_seed_lines_equal_oracle_exactly(self, profiles):
+        for lang in BUNDLED_SEED_LANGS:
+            for line in load_seed_lines(lang)[:40]:
+                assert identify_language(line, profiles) == oracle_identify(line, profiles)
 
     def test_needs_two_profiles(self, profiles):
         with pytest.raises(ValueError, match="at least two"):

@@ -1,11 +1,22 @@
-"""Tests for the scorer backends and the external wire protocol."""
+"""Tests for the scorer backends and the external wire protocol.
 
+The surrogate is checked against an oracle that rebuilds every n-gram
+Counter per pair with plain Python loops, independently of the shared
+profiles and the per-batch pair memo, and must equal it exactly.
+"""
+
+import math
 import random
 import sys
+import tracemalloc
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtharness.evalset import Direction, EvalSet, ScoreTable, Segment
+from mtharness.guards import load_seed_lines
 from mtharness.scorer import (
     ExternalBackend,
     PrecomputedBackend,
@@ -14,7 +25,6 @@ from mtharness.scorer import (
     SurrogateBackend,
     escape_field,
     format_request_line,
-    score_batch,
     score_evalset,
     surrogate_score,
     unescape_field,
@@ -76,6 +86,54 @@ def child(tmp_path, source, name="child.py"):
 def nasty_strings(rng, n):
     alphabet = "ab\\\t\n xyzäöü雨 \\n"
     return ["".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 30))) for _ in range(n)]
+
+
+def oracle_ngram_f1(a, b, n):
+    """Multiset F1 over character n-grams; None when both sides lack them."""
+    grams_a = Counter(a[i : i + n] for i in range(len(a) - n + 1))
+    grams_b = Counter(b[i : i + n] for i in range(len(b) - n + 1))
+    if not grams_a and not grams_b:
+        return None
+    if not grams_a or not grams_b:
+        return 0.0
+    overlap = sum(min(count, grams_b[gram]) for gram, count in grams_a.items())
+    return 2.0 * overlap / (sum(grams_a.values()) + sum(grams_b.values()))
+
+
+def oracle_similarity(a, b):
+    values = [f1 for n in range(1, 5) if (f1 := oracle_ngram_f1(a, b, n)) is not None]
+    if not values:
+        return 0.0
+    return math.fsum(values) / len(values)
+
+
+def oracle_score(request, w_ref=0.9, w_src=0.1):
+    if request.reference is None:
+        return oracle_similarity(request.hypothesis, request.source)
+    return w_ref * oracle_similarity(request.hypothesis, request.reference) + w_src * oracle_similarity(
+        request.hypothesis, request.source
+    )
+
+
+# Empty, whitespace-only, shorter than 4 characters, non-BMP, combining
+# and CJK text, plus characters drawn from a small alphabet so that
+# n-grams repeat within and across texts.
+EDGE_TEXTS = ["", " ", "\t \n", "a", "ab", "abc", "e\u0301", "😀", "😀😀a", "𝔸𝔹", "雨が降る", "aaaa", "abab ab"]
+TEXTS = st.one_of(
+    st.sampled_from(EDGE_TEXTS),
+    st.text(alphabet="ab \te\u0301😀雨", max_size=12),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def batches(draw, qe):
+    """Requests over a small pool of texts, so texts and pairs repeat."""
+    pool = draw(st.lists(TEXTS, min_size=1, max_size=5))
+    pick = st.sampled_from(pool)
+    n = draw(st.integers(0, 12))
+    requests = [ScoreRequest(draw(pick), draw(pick), None if qe else draw(pick)) for _ in range(n)]
+    return requests + requests[: draw(st.integers(0, n))]
 
 
 class TestWireEscaping:
@@ -154,6 +212,64 @@ class TestSurrogate:
             backend.score_batch([ScoreRequest("s", "h", "r"), ScoreRequest("s", "h")])
 
 
+class TestSurrogateOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(batches(qe=False))
+    def test_reference_mode_equals_oracle_exactly(self, requests):
+        assert SurrogateBackend().score_batch(requests) == [oracle_score(req) for req in requests]
+
+    @settings(max_examples=300, deadline=None)
+    @given(batches(qe=True))
+    def test_qe_mode_equals_oracle_exactly(self, requests):
+        assert SurrogateBackend().score_batch(requests) == [oracle_score(req) for req in requests]
+
+    @settings(deadline=None)
+    @given(batches(qe=False), st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.25, 0.75)]))
+    def test_weights_equal_oracle_exactly(self, requests, weights):
+        backend = SurrogateBackend(*weights)
+        assert backend.score_batch(requests) == [oracle_score(req, *weights) for req in requests]
+
+    @settings(deadline=None)
+    @given(TEXTS, TEXTS, TEXTS)
+    def test_single_request_equals_oracle_exactly(self, source, hypothesis, reference):
+        for req in (ScoreRequest(source, hypothesis, reference), ScoreRequest(source, hypothesis)):
+            assert surrogate_score(req) == oracle_score(req)
+
+    def test_agg_batch_equals_oracle_exactly(self):
+        # the six arrangements of multiref agg share three pairs per segment
+        rng = random.Random(8)
+        requests = []
+        for src, hyp, ref, alt in zip(*(nasty_strings(rng, 30) for _ in range(4))):
+            requests += [
+                ScoreRequest(src, hyp, ref), ScoreRequest(ref, hyp, src), ScoreRequest(src, hyp, alt),
+                ScoreRequest(alt, hyp, src), ScoreRequest(ref, hyp, alt), ScoreRequest(alt, hyp, ref),
+            ]
+        assert SurrogateBackend().score_batch(requests) == [oracle_score(req) for req in requests]
+
+    def test_memory_stays_bounded(self):
+        # 4000 distinct ~70-character requests; holding every text's n-gram
+        # Counters for the whole batch would take hundreds of MB.
+        rng = random.Random(4)
+        words = [w for line in load_seed_lines("de") + load_seed_lines("en") for w in line.split()]
+
+        def sentence():
+            text = ""
+            while len(text) < 70:
+                text += rng.choice(words) + " "
+            return text.strip()
+
+        requests = [ScoreRequest(sentence(), sentence(), sentence()) for _ in range(4000)]
+        assert len({text for req in requests for text in (req.source, req.hypothesis, req.reference)}) == 12000
+        backend = SurrogateBackend()
+        tracemalloc.start()
+        try:
+            backend.score_batch(requests)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
 class TestPrecomputed:
     def test_lookup_by_index(self):
         backend = PrecomputedBackend(ScoreTable("stored", (0.837,)))
@@ -227,6 +343,14 @@ class TestExternal:
         with pytest.raises(ScorerError, match=r"requests 2\.\.3 is not valid UTF-8"):
             backend.score_batch(reqs)
 
+    def test_sharded_errors_name_the_line_in_the_batch(self, tmp_path):
+        # the third request (index 2) opens the second shard of two
+        reqs = [ScoreRequest("s", f"h{i}") for i in range(4)]
+        for answer, problem in (("oops", "not a number"), ("inf", "not finite")):
+            cmd = child(tmp_path, f"import sys\nfor line in sys.stdin:\n    print({answer!r} if 'h2' in line else 0.5)\n")
+            with pytest.raises(ScorerError, match=f"output line 3 is {problem}: '{answer}'"):
+                ExternalBackend(cmd, shard_size=2).score_batch(reqs)
+
     def test_digit_group_underscore_rejected(self, tmp_path):
         assert float("1_0") == 10.0  # what a bare float() would accept
         cmd = child(tmp_path, "print('0.5')\nprint('1_0')\n")
@@ -262,6 +386,3 @@ class TestScoreEvalset:
         es = EvalSet(Direction("en", "de"), "sys", segs)
         with pytest.raises(ValueError, match="multi-reference"):
             score_evalset(SurrogateBackend(), es)
-
-    def test_score_batch_function(self):
-        assert score_batch(SurrogateBackend(), [ScoreRequest("x", "x", "x")]) == [1.0]
