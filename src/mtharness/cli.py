@@ -13,7 +13,6 @@ import argparse
 import platform
 import shlex
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +25,7 @@ from .evalset import (
     read_score_table,
     system_score,
 )
-from .provenance import check_reporting, cite, make_signature
+from .provenance import Signature, check_reporting, cite, make_signature
 from .scorer import ExternalBackend, PrecomputedBackend, ScorerError, SurrogateBackend, score_evalset
 
 EXIT_OK = 0
@@ -70,148 +69,109 @@ def _parse_backend_spec(spec: str) -> tuple[str, tuple[str, ...]]:
     )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully validated invocation; constructing it does no work yet."""
-
-    subcommand: str
-    argv: tuple[str, ...]  # raw arguments, reproduced verbatim in trailers
-    options: dict = field(default_factory=dict)
-
-    def __getattr__(self, name: str):
-        try:
-            return self.options[name]
-        except KeyError:
-            raise AttributeError(name) from None
+# --- validation: each subparser's `validate` runs before its handler ------
+#
+# A ValueError raised here exits 2 before anything is written. The checks
+# replace file arguments by Paths and the direction by a Direction.
 
 
-def _validate_scoring_args(ns: argparse.Namespace, options: dict) -> None:
-    options["src"] = _existing_file(ns.src, "source")
-    options["hyp"] = _existing_file(ns.hyp, "hypothesis")
-    options["refs"] = tuple(_existing_file(ref, "reference") for ref in ns.ref or [])
-    options["direction"] = Direction.parse(ns.direction)
-    options["system"] = ns.system
-    options["backend"] = _parse_backend_spec(ns.backend)
-    options["backend_spec"] = ns.backend
+def _check_scoring(ns: argparse.Namespace) -> None:
+    ns.src = _existing_file(ns.src, "source")
+    ns.hyp = _existing_file(ns.hyp, "hypothesis")
+    ns.ref = [_existing_file(ref, "reference") for ref in ns.ref or []]
+    ns.direction = Direction.parse(ns.direction)
+    ns.backend_kind, ns.backend_args = _parse_backend_spec(ns.backend)
     if ns.shard_size is not None:
-        if options["backend"][0] != "external":
+        if ns.backend_kind != "external":
             raise ConfigError("--shard-size only applies to an external backend")
         if ns.shard_size < 1:
             raise ConfigError("--shard-size must be at least 1")
-    options["shard_size"] = ns.shard_size
-    options["out"] = Path(ns.out) if ns.out else None
 
 
-def _build_config(ns: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
-    subcommand = ns.subcommand
-    options: dict = {}
-    if subcommand == "score":
-        _validate_scoring_args(ns, options)
-        if len(options["refs"]) > 1:
-            raise ConfigError("score takes at most one --ref; use the multiref subcommand")
-        options["guard_empty"] = ns.guard_empty
-        options["guard_lang"] = ns.guard_lang
-        options["profiles"] = tuple(_existing_file(p, "profile") for p in ns.profile or [])
-        if ns.min_len < 0:
-            raise ConfigError("--min-len must be nonnegative")
-        if not 0.0 <= ns.min_margin <= 1.0:
-            raise ConfigError("--min-margin must be in [0, 1]")
-        options["min_len"] = ns.min_len
-        options["min_margin"] = ns.min_margin
-        if ns.guard_lang and not ns.profile:
-            expected = options["direction"].tgt_lang
-            if expected not in guards.BUNDLED_SEED_LANGS:
-                raise ConfigError(
-                    f"no bundled language profile for {expected!r}; pass --profile files"
-                )
-    elif subcommand == "multiref":
-        _validate_scoring_args(ns, options)
-        options["strategy"] = ns.strategy
-        if ns.strategy == "agg" and len(options["refs"]) != 2:
-            raise ConfigError("agg requires exactly two --ref flags")
-        if not options["refs"]:
-            raise ConfigError("multiref needs at least one --ref")
-        if options["backend"][0] == "precomputed":
-            raise ConfigError(
-                "multiref cannot use a precomputed backend: its scores are keyed by segment,"
-                " not by (segment, reference) request"
-            )
-    elif subcommand == "meta":
-        options["scores_a"] = _existing_file(ns.scores[0], "score")
-        options["scores_b"] = _existing_file(ns.scores[1], "score")
-        if (ns.ranking_metric is None) != (ns.ranking_human is None):
-            raise ConfigError("--ranking-metric and --ranking-human must be given together")
-        options["ranking_metric"] = (
-            _existing_file(ns.ranking_metric, "ranking") if ns.ranking_metric else None
+def _check_score(ns: argparse.Namespace) -> None:
+    _check_scoring(ns)
+    if len(ns.ref) > 1:
+        raise ConfigError("score takes at most one --ref; use the multiref subcommand")
+    ns.profile = [_existing_file(path, "profile") for path in ns.profile or []]
+    if ns.min_len < 0:
+        raise ConfigError("--min-len must be nonnegative")
+    if not 0.0 <= ns.min_margin <= 1.0:
+        raise ConfigError("--min-margin must be in [0, 1]")
+    expected = ns.direction.tgt_lang
+    if ns.guard_lang and not ns.profile and expected not in guards.BUNDLED_SEED_LANGS:
+        raise ConfigError(f"no bundled language profile for {expected!r}; pass --profile files")
+
+
+def _check_multiref(ns: argparse.Namespace) -> None:
+    _check_scoring(ns)
+    if ns.strategy == "agg" and len(ns.ref) != 2:
+        raise ConfigError("agg requires exactly two --ref flags")
+    if not ns.ref:
+        raise ConfigError("multiref needs at least one --ref")
+    if ns.backend_kind == "precomputed":
+        raise ConfigError(
+            "multiref cannot use a precomputed backend: its scores are keyed by segment,"
+            " not by (segment, reference) request"
         )
-        options["ranking_human"] = (
-            _existing_file(ns.ranking_human, "ranking") if ns.ranking_human else None
-        )
-        options["tsv"] = ns.tsv
-        options["out"] = Path(ns.out) if ns.out else None
-        if (ns.hist_bins is None) != (ns.hist_out is None):
-            raise ConfigError("--hist-bins and --hist-out must be given together")
-        if ns.hist_bins is not None and ns.hist_bins < 1:
+
+
+def _check_meta(ns: argparse.Namespace) -> None:
+    ns.scores = [_existing_file(path, "score") for path in ns.scores]
+    if (ns.ranking_metric is None) != (ns.ranking_human is None):
+        raise ConfigError("--ranking-metric and --ranking-human must be given together")
+    if ns.ranking_metric:
+        ns.ranking_metric = _existing_file(ns.ranking_metric, "ranking")
+    if ns.ranking_human:
+        ns.ranking_human = _existing_file(ns.ranking_human, "ranking")
+    if (ns.hist_bins is None) != (ns.hist_out is None):
+        raise ConfigError("--hist-bins and --hist-out must be given together")
+    if ns.hist_bins is not None:
+        if ns.hist_bins < 1:
             raise ConfigError("--hist-bins must be at least 1")
         lo, hi = ns.hist_range
-        if ns.hist_bins is not None and lo >= hi:
+        if lo >= hi:
             raise ConfigError(f"--hist-range needs LO < HI, got {lo} {hi}")
-        options["hist_bins"] = ns.hist_bins
-        options["hist_range"] = (lo, hi)
-        options["hist_out"] = Path(ns.hist_out) if ns.hist_out else None
-    elif subcommand == "signature":
-        options.update(model=ns.model, prec=ns.prec, interp=ns.interp, framework=ns.framework)
-    elif subcommand == "cite":
-        options["model"] = ns.model
-    elif subcommand == "check-reporting":
-        options["document"] = _existing_file(ns.document, "document")
-    elif subcommand == "biaslab":
-        if ns.seeds < 1:
-            raise ConfigError("--seeds must be at least 1")
-        for knob in ("n_per_group", "n_test", "epochs"):
-            if getattr(ns, knob) < 1:
-                raise ConfigError(f"--{knob.replace('_', '-')} must be at least 1")
-        if ns.learning_rate <= 0:
-            raise ConfigError("--learning-rate must be positive")
-        options.update(
-            mode=ns.mode,
-            seeds=ns.seeds,
-            seed=ns.seed,
-            n_per_group=ns.n_per_group,
-            n_test=ns.n_test,
-            epochs=ns.epochs,
-            learning_rate=ns.learning_rate,
-            out=Path(ns.out) if ns.out else None,
-        )
-    elif subcommand == "profiles":
-        options["lang"] = ns.lang
-        options["input"] = _existing_file(ns.input, "corpus")
-        if ns.size < 1:
-            raise ConfigError("--size must be at least 1")
-        options["size"] = ns.size
-        options["out"] = Path(ns.out)
-    return RunConfig(subcommand=subcommand, argv=tuple(argv), options=options)
+
+
+def _check_signature(ns: argparse.Namespace) -> None:
+    ns.signature = Signature(ns.model, ns.interp, ns.framework, ns.prec)
+
+
+def _check_document(ns: argparse.Namespace) -> None:
+    ns.document = _existing_file(ns.document, "document")
+
+
+def _check_biaslab(ns: argparse.Namespace) -> None:
+    if ns.seeds < 1:
+        raise ConfigError("--seeds must be at least 1")
+    for knob in ("n_per_group", "n_test", "epochs"):
+        value = getattr(ns, knob)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{knob.replace('_', '-')} must be at least 1")
+    if ns.learning_rate is not None and ns.learning_rate <= 0:
+        raise ConfigError("--learning-rate must be positive")
+
+
+def _check_profiles(ns: argparse.Namespace) -> None:
+    ns.input = _existing_file(ns.input, "corpus")
+    if ns.size < 1:
+        raise ConfigError("--size must be at least 1")
 
 
 # --- output helpers --------------------------------------------------------
 
 
-def _run_signature(model: str) -> str:
-    return make_signature(model=model, interpreter_version=platform.python_version())
+def _trailer(ns: argparse.Namespace, model: str, extra: Sequence[str] = ()) -> list[str]:
+    signature = make_signature(model=model, interpreter_version=platform.python_version())
+    return [*extra, f"# signature {signature}", f"# command {shlex.join(['mtharness', *ns.argv])}"]
 
 
-def _trailer(config: RunConfig, model: str, extra: Sequence[str] = ()) -> list[str]:
-    lines = list(extra)
-    lines.append(f"# signature {_run_signature(model)}")
-    lines.append(f"# command {shlex.join(['mtharness', *config.argv])}")
-    return lines
-
-
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
+def _emit(lines: Sequence[str], out: str | None) -> None:
+    text = "".join(line + "\n" for line in lines)
+    if not out:
         sys.stdout.write(text)
     else:
-        out.write_text(text, encoding="utf-8", newline="\n")
+        Path(out).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _as_comments(block: str) -> list[str]:
@@ -221,79 +181,61 @@ def _as_comments(block: str) -> list[str]:
 # --- subcommands -----------------------------------------------------------
 
 
-def _build_backend(config: RunConfig):
-    kind, details = config.backend
-    if kind == "surrogate":
+def _build_backend(ns: argparse.Namespace):
+    if ns.backend_kind == "surrogate":
         return SurrogateBackend()
-    if kind == "precomputed":
-        return PrecomputedBackend(details[0])
-    return ExternalBackend(details, shard_size=config.shard_size)
+    if ns.backend_kind == "precomputed":
+        return PrecomputedBackend(ns.backend_args[0])
+    return ExternalBackend(ns.backend_args, shard_size=ns.shard_size)
 
 
-def _load_profiles(config: RunConfig) -> list[guards.LanguageProfile]:
-    """Bundled profiles plus any --profile files; a second profile for a
-    bundled language is fine (identification keeps the best match per
-    language)."""
-    extra = [guards.read_profile(path) for path in config.profiles]
-    return guards.bundled_profiles() + extra
-
-
-def run_score(config: RunConfig) -> int:
-    evalset = load_evalset(
-        config.src, config.hyp, config.refs, config.direction, config.system
-    )
-    table = score_evalset(_build_backend(config), evalset)
+def run_score(ns: argparse.Namespace) -> int:
+    expected = ns.direction.tgt_lang
+    if ns.guard_lang:
+        # Checked before any scoring. A --profile for a bundled language is
+        # fine: identification keeps the best match per language.
+        profiles = guards.bundled_profiles() + [guards.read_profile(path) for path in ns.profile]
+        if expected not in {p.lang for p in profiles}:
+            raise ConfigError(f"no language profile for expected language {expected!r}")
+    evalset = load_evalset(ns.src, ns.hyp, ns.ref, ns.direction, ns.system)
+    table = score_evalset(_build_backend(ns), evalset)
     guard_blocks: list[str] = []
-    if config.guard_empty:
+    if ns.guard_empty:
         table, report = guards.apply_empty_guard(evalset, table)
         guard_blocks.append("# guard empty")
         guard_blocks.extend(_as_comments(guards.format_guard_report(report)))
-    if config.guard_lang:
-        profiles = _load_profiles(config)
-        expected = config.direction.tgt_lang
-        if expected not in {p.lang for p in profiles}:
-            raise ConfigError(f"no language profile for expected language {expected!r}")
+    if ns.guard_lang:
         table, report = guards.apply_lang_guard(
-            evalset, table, profiles, expected,
-            min_len=config.min_len, min_margin=config.min_margin,
+            evalset, table, profiles, expected, min_len=ns.min_len, min_margin=ns.min_margin
         )
         guard_blocks.append("# guard lang")
         guard_blocks.extend(_as_comments(guards.format_guard_report(report)))
-    rows = format_score_rows(table)
     extra = [f"# system-score {system_score(table)!r}", *guard_blocks]
-    lines = rows + _trailer(config, model=config.backend_spec, extra=extra)
-    _emit("".join(line + "\n" for line in lines), config.out)
+    _emit(format_score_rows(table) + _trailer(ns, model=ns.backend, extra=extra), ns.out)
     return EXIT_OK
 
 
-def run_multiref(config: RunConfig) -> int:
-    evalset = load_evalset(
-        config.src, config.hyp, config.refs, config.direction, config.system
-    )
-    table = multiref.evaluate_system_multiref(config.strategy, evalset, _build_backend(config))
-    rows = format_score_rows(table)
+def run_multiref(ns: argparse.Namespace) -> int:
+    evalset = load_evalset(ns.src, ns.hyp, ns.ref, ns.direction, ns.system)
+    table = multiref.evaluate_system_multiref(ns.strategy, evalset, _build_backend(ns))
     extra = [
         f"# system-score {system_score(table)!r}",
-        f"# multiref {config.strategy} over {evalset.n_references} references",
+        f"# multiref {ns.strategy} over {evalset.n_references} references",
     ]
-    lines = rows + _trailer(config, model=config.backend_spec, extra=extra)
-    _emit("".join(line + "\n" for line in lines), config.out)
+    _emit(format_score_rows(table) + _trailer(ns, model=ns.backend, extra=extra), ns.out)
     return EXIT_OK
 
 
-def run_meta(config: RunConfig) -> int:
-    table_a = read_score_table(config.scores_a)
-    table_b = read_score_table(config.scores_b)
-    a, b = table_a.scores, table_b.scores
+def run_meta(ns: argparse.Namespace) -> int:
+    path_a, path_b = ns.scores
+    a = read_score_table(path_a).scores
+    b = read_score_table(path_b).scores
     if len(a) != len(b):
-        raise ValueError(
-            f"score tables are not paired: {config.scores_a} has {len(a)} rows but {config.scores_b} has {len(b)}"
-        )
+        raise ValueError(f"score tables are not paired: {path_a} has {len(a)} rows but {path_b} has {len(b)}")
     pairwise = None
-    if config.ranking_metric is not None:
+    if ns.ranking_metric:
         pairwise = metastats.pairwise_accuracy(
-            metastats.read_ranking(config.ranking_metric),
-            metastats.read_ranking(config.ranking_human),
+            metastats.read_ranking(ns.ranking_metric), metastats.read_ranking(ns.ranking_human)
         )
     report = metastats.MetaReport(
         n=len(a),
@@ -302,60 +244,51 @@ def run_meta(config: RunConfig) -> int:
         tau_c=metastats.kendall_tau_c(a, b) if len(a) >= 2 else None,
         pairwise_acc=pairwise,
     )
-    lines = metastats.format_meta_report(report, tsv=config.tsv).splitlines() + _trailer(config, model="meta")
-    _emit("".join(line + "\n" for line in lines), config.out)
-    if config.hist_bins is not None:
-        lo, hi = config.hist_range
-        bins = metastats.histogram(a, config.hist_bins, lo, hi)
+    _emit(metastats.format_meta_report(report, tsv=ns.tsv).splitlines() + _trailer(ns, model="meta"), ns.out)
+    if ns.hist_bins is not None:
+        bins = metastats.histogram(a, ns.hist_bins, *ns.hist_range)
         hist_rows = [f"{center!r}\t{count}" for center, count in bins]
-        hist_lines = hist_rows + _trailer(config, model="meta", extra=["# histogram of first score file"])
-        _emit("".join(line + "\n" for line in hist_lines), config.hist_out)
+        _emit(hist_rows + _trailer(ns, model="meta", extra=["# histogram of first score file"]), ns.hist_out)
     return EXIT_OK
 
 
-def run_signature(config: RunConfig) -> int:
-    print(
-        make_signature(
-            model=config.model,
-            interpreter_version=config.interp,
-            framework_version=config.framework,
-            precision=config.prec,
-        )
-    )
+def run_signature(ns: argparse.Namespace) -> int:
+    print(ns.signature.render())
     return EXIT_OK
 
 
-def run_cite(config: RunConfig) -> int:
-    record = cite(config.model)
+def run_cite(ns: argparse.Namespace) -> int:
+    record = cite(ns.model)
     print(record.url)
     print(record.bibtex)
     return EXIT_OK
 
 
-def run_check_reporting(config: RunConfig) -> int:
-    text = config.document.read_text(encoding="utf-8")
-    matches = check_reporting(text)
+def run_check_reporting(ns: argparse.Namespace) -> int:
+    matches = check_reporting(ns.document.read_text(encoding="utf-8"))
     for match in matches:
         print(match)
     return EXIT_OK if matches else EXIT_NO_MATCH
 
 
-def run_biaslab(config: RunConfig) -> int:
-    seeds = [config.seed + i for i in range(config.seeds)]
+def run_biaslab(ns: argparse.Namespace) -> int:
+    seeds = [ns.seed + i for i in range(ns.seeds)]
+    # only the knobs given on the command line; the experiments own the defaults
+    given = {
+        "n_per_direction" if ns.mode == "dist" else "n_per_tag": ns.n_per_group,
+        "n_test": ns.n_test,
+        "epochs": ns.epochs,
+        "learning_rate": ns.learning_rate,
+    }
+    knobs = {name: value for name, value in given.items() if value is not None}
     rows: list[str] = []
-    if config.mode == "dist":
+    if ns.mode == "dist":
         rows.append("seed\tconfig\tmean_en-de\tmean_en-zh")
         up = down = 0
         touched_shifts: list[float] = []
         untouched_shifts: list[float] = []
         for seed in seeds:
-            report = biaslab.distribution_bias_experiment(
-                seed,
-                n_per_direction=config.n_per_group,
-                n_test=config.n_test,
-                epochs=config.epochs,
-                learning_rate=config.learning_rate,
-            )
+            report = biaslab.distribution_bias_experiment(seed, **knobs)
             means = {name: (a, b) for name, a, b in report.rows}
             for name, mean_a, mean_b in report.rows:
                 rows.append(f"{seed}\t{name}\t{mean_a!r}\t{mean_b!r}")
@@ -384,13 +317,7 @@ def run_biaslab(config: RunConfig) -> int:
         nondecreasing = 0
         unseen_above = 0
         for seed in seeds:
-            report = biaslab.tag_bias_experiment(
-                seed,
-                n_per_tag=config.n_per_group,
-                n_test=config.n_test,
-                epochs=config.epochs,
-                learning_rate=config.learning_rate,
-            )
+            report = biaslab.tag_bias_experiment(seed, **knobs)
             means = {tag: mean for tag, mean, _ in report.rows}
             for tag, mean, seen in report.rows:
                 rows.append(f"{seed}\t{tag}\t{mean!r}\t{int(seen)}")
@@ -401,33 +328,17 @@ def run_biaslab(config: RunConfig) -> int:
             f"score non-decreasing across seen tags 2019->2021 in {nondecreasing}/{len(seeds)} seeds",
             f"an unseen tag (2022-2025) beat the 2019 tag in {unseen_above}/{len(seeds)} seeds",
         ]
-    lines = rows + _trailer(config, model=f"biaslab-{config.mode}", extra=[f"# {s}" for s in summary])
-    _emit("".join(line + "\n" for line in lines), config.out)
-    if config.out is not None:
+    _emit(rows + _trailer(ns, model=f"biaslab-{ns.mode}", extra=[f"# {s}" for s in summary]), ns.out)
+    if ns.out:
         for line in summary:
             print(line)
     return EXIT_OK
 
 
-def run_profiles(config: RunConfig) -> int:
-    corpus = read_lines(config.input)
-    profile = guards.build_language_profile(corpus, config.lang, k=config.size)
-    text = guards.serialize_profile(profile)
-    lines = text.splitlines() + _trailer(config, model="profiles-build")
-    _emit("".join(line + "\n" for line in lines), config.out)
+def run_profiles(ns: argparse.Namespace) -> int:
+    profile = guards.build_language_profile(read_lines(ns.input), ns.lang, k=ns.size)
+    _emit(guards.serialize_profile(profile).splitlines() + _trailer(ns, model="profiles-build"), ns.out)
     return EXIT_OK
-
-
-_HANDLERS = {
-    "score": run_score,
-    "multiref": run_multiref,
-    "meta": run_meta,
-    "signature": run_signature,
-    "cite": run_cite,
-    "check-reporting": run_check_reporting,
-    "biaslab": run_biaslab,
-    "profiles": run_profiles,
-}
 
 
 # --- argument parsing -------------------------------------------------------
@@ -458,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     score = sub.add_parser("score", help="score one system and write a segment TSV")
+    score.set_defaults(handler=run_score, validate=_check_score)
     _add_scoring_args(score)
     score.add_argument("--guard-empty", action="store_true", help="zero empty hypotheses")
     score.add_argument(
@@ -474,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     mref = sub.add_parser("multiref", help="score against several references")
+    mref.set_defaults(handler=run_multiref, validate=_check_multiref)
     _add_scoring_args(mref)
     mref.add_argument(
         "--multiref", dest="strategy", required=True, choices=multiref.STRATEGIES,
@@ -481,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     meta = sub.add_parser("meta", help="compare two score tables")
+    meta.set_defaults(handler=run_meta, validate=_check_meta)
     meta.add_argument("scores", nargs=2, help="two segment-score TSV files, paired by index")
     meta.add_argument("--ranking-metric", help="system<TAB>score TSV ranked by the metric")
     meta.add_argument("--ranking-human", help="system<TAB>score TSV ranked by humans")
@@ -494,20 +408,24 @@ def build_parser() -> argparse.ArgumentParser:
     meta.add_argument("--hist-out", help="histogram output file")
 
     signature = sub.add_parser("signature", help="print a provenance signature")
+    signature.set_defaults(handler=run_signature, validate=_check_signature)
     signature.add_argument("--model", default="unk")
     signature.add_argument("--prec", default="unk", help="fp32, fp16, qint8 or unk")
     signature.add_argument("--interp", default=platform.python_version())
     signature.add_argument("--framework", default="unk")
 
     cite_parser = sub.add_parser("cite", help="print URL and BibTeX for a model")
+    cite_parser.set_defaults(handler=run_cite, validate=lambda ns: None)
     cite_parser.add_argument("model")
 
     check = sub.add_parser(
         "check-reporting", help="scan a document for telltale metric names; exit 3 if none"
     )
+    check.set_defaults(handler=run_check_reporting, validate=_check_document)
     check.add_argument("document")
 
     bias = sub.add_parser("biaslab", help="run a training-data bias experiment")
+    bias.set_defaults(handler=run_biaslab, validate=_check_biaslab)
     bias.add_argument("mode", choices=("dist", "tags"))
     bias.add_argument("--seeds", type=int, default=5, help="number of consecutive seeds to run")
     bias.add_argument("--seed", type=int, default=0, help="first seed")
@@ -521,6 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     bias.add_argument("--out", help="TSV output file (default: stdout)")
 
     profiles = sub.add_parser("profiles", help="language profile tools")
+    profiles.set_defaults(handler=run_profiles, validate=_check_profiles)
     profiles.add_argument("action", choices=("build",))
     profiles.add_argument("--lang", required=True, help="language code the corpus is in")
     profiles.add_argument("--input", required=True, help="corpus file, one line per sentence")
@@ -528,12 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     profiles.add_argument("--out", required=True, help="profile output file")
 
     return parser
-
-
-_BIASLAB_DEFAULTS = {
-    "dist": {"n_per_group": 250, "epochs": 30, "learning_rate": 5e-4},
-    "tags": {"n_per_group": 400, "epochs": 150, "learning_rate": 1e-3},
-}
 
 
 # Characters that would break the one-line `# command` trailer: all of
@@ -547,19 +460,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not _TRAILER_BREAKERS.isdisjoint(arg):
             print(f"mtharness: error: argument {arg!r} contains a control character", file=sys.stderr)
             return EXIT_CONFIG
-    parser = build_parser()
-    ns = parser.parse_args(raw_args)
-    if ns.subcommand == "biaslab":
-        for knob, value in _BIASLAB_DEFAULTS[ns.mode].items():
-            if getattr(ns, knob) is None:
-                setattr(ns, knob, value)
+    ns = build_parser().parse_args(raw_args)
+    ns.argv = raw_args  # reproduced verbatim in trailers
     try:
-        config = _build_config(ns, raw_args)
+        ns.validate(ns)
     except ValueError as exc:
         print(f"mtharness: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _HANDLERS[config.subcommand](config)
+        return ns.handler(ns)
     except ConfigError as exc:
         print(f"mtharness: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

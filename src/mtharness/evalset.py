@@ -9,9 +9,9 @@ at load time: scorer backends must see the bytes the user supplied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # Guard annotations carried per segment in a ScoreTable.
 GUARD_EMPTY = "empty-guarded"
@@ -23,29 +23,26 @@ _VALID_FLAGS = (None, GUARD_EMPTY, GUARD_LANG)
 class Direction:
     """A translation direction such as en-de.
 
-    Codes are two-letter lowercase ASCII. Identical source and target
-    codes are rejected unless ``allow_same`` is set (the flag does not
-    take part in equality).
+    Codes are two-letter lowercase ASCII; source and target must differ.
     """
 
     src_lang: str
     tgt_lang: str
-    allow_same: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for code in (self.src_lang, self.tgt_lang):
             if len(code) != 2 or not code.isascii() or not code.isalpha() or not code.islower():
                 raise ValueError(f"invalid language code {code!r}: expected two lowercase ASCII letters")
-        if self.src_lang == self.tgt_lang and not self.allow_same:
-            raise ValueError(f"source and target language are both {self.src_lang!r}; pass allow_same to permit this")
+        if self.src_lang == self.tgt_lang:
+            raise ValueError(f"source and target language are both {self.src_lang!r}")
 
     @classmethod
-    def parse(cls, text: str, allow_same: bool = False) -> "Direction":
+    def parse(cls, text: str) -> "Direction":
         """Parse a direction written as ``src-tgt``, e.g. ``en-de``."""
         parts = text.split("-")
         if len(parts) != 2:
             raise ValueError(f"invalid direction {text!r}: expected the form src-tgt, e.g. en-de")
-        return cls(parts[0], parts[1], allow_same)
+        return cls(parts[0], parts[1])
 
     def __str__(self) -> str:
         return f"{self.src_lang}-{self.tgt_lang}"
@@ -197,37 +194,9 @@ def load_evalset(
     return EvalSet(direction=direction, system_name=system_name, segments=segments)
 
 
-def write_evalset(
-    evalset: EvalSet,
-    src_path: str | Path,
-    hyp_path: str | Path,
-    ref_paths: Sequence[str | Path],
-) -> None:
-    """Write an EvalSet's columns back to one-segment-per-line files."""
-    if len(ref_paths) != evalset.n_references:
-        raise ValueError(f"evalset has {evalset.n_references} references per segment but {len(ref_paths)} ref paths were given")
-
-    def write_column(path: str | Path, lines: Iterable[str]) -> None:
-        text = ""
-        for line in lines:
-            if "\n" in line or "\r" in line:
-                raise ValueError(f"segment text contains a line break and cannot round-trip through {path}")
-            text += line + "\n"
-        Path(path).write_text(text, encoding="utf-8")
-
-    write_column(src_path, (seg.source for seg in evalset.segments))
-    write_column(hyp_path, (seg.hypothesis for seg in evalset.segments))
-    for k, ref_path in enumerate(ref_paths):
-        write_column(ref_path, (seg.references[k] for seg in evalset.segments))
-
-
 def format_score_rows(table: ScoreTable) -> list[str]:
     """Render a score table as ``index<TAB>score`` rows."""
     return [f"{i}\t{score!r}" for i, score in enumerate(table.scores)]
-
-
-def write_score_table(table: ScoreTable, path: str | Path) -> None:
-    Path(path).write_text("".join(row + "\n" for row in format_score_rows(table)), encoding="utf-8")
 
 
 def read_score_table(path: str | Path, system_name: str = "") -> ScoreTable:

@@ -189,10 +189,6 @@ def parse_profile(text: str) -> LanguageProfile:
     return LanguageProfile(lang=lang, ranked_ngrams=tuple(grams))
 
 
-def write_profile(profile: LanguageProfile, path: str | Path) -> None:
-    Path(path).write_text(serialize_profile(profile), encoding="utf-8")
-
-
 def read_profile(path: str | Path) -> LanguageProfile:
     return parse_profile(Path(path).read_text(encoding="utf-8"))
 

@@ -2,8 +2,7 @@
 
 MAE works on paired segment vectors; Kendall tau-a, tau-c and pairwise
 accuracy compare orderings (ties matter, see each docstring);
-histograms and worse-than-empty counts describe score distributions.
-Everything here is a pure function.
+histograms describe score distributions. Everything here is a pure function.
 
 Kendall tau takes O(n log n) time and O(n) memory: concordant minus
 discordant pairs comes from tie counts over sorted runs plus a
@@ -194,13 +193,6 @@ def pairwise_accuracy(metric: SystemRanking, human: SystemRanking) -> float:
             agree += sign_m == sign_h
             total += 1
     return agree / total
-
-
-def worse_than_empty(sys_scores: Sequence[float], empty_scores: Sequence[float]) -> tuple[int, int]:
-    """How many segments score below the empty hypothesis on the same source."""
-    _check_paired(sys_scores, empty_scores, "worse_than_empty")
-    count = sum(1 for s, e in zip(sys_scores, empty_scores) if s < e)
-    return count, len(sys_scores)
 
 
 def histogram(scores: Sequence[float], bin_count: int, lo: float, hi: float) -> list[tuple[float, int]]:

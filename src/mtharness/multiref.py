@@ -14,14 +14,6 @@ from typing import Sequence
 from .evalset import EvalSet, ScoreTable
 from .scorer import ScoreRequest
 
-STRATEGIES = ("max", "avg", "agg")
-
-
-def _per_ref_requests(src: str, hyp: str, refs: Sequence[str]) -> list[ScoreRequest]:
-    if not refs:
-        raise ValueError("multi-reference scoring needs at least one reference")
-    return [ScoreRequest(src, hyp, ref) for ref in refs]
-
 
 def _agg_requests(src: str, hyp: str, ref: str, altref: str) -> list[ScoreRequest]:
     # the six (source, reference) arrangements, in fixed order
@@ -44,15 +36,13 @@ def _combine_agg(scores: Sequence[float]) -> float:
     return mu * (1.0 - math.sqrt(variance))
 
 
-def multiref_max(backend, src: str, hyp: str, refs: Sequence[str]) -> float:
-    """Maximum over per-reference scores."""
-    return max(backend.score_batch(_per_ref_requests(src, hyp, refs)))
-
-
-def multiref_avg(backend, src: str, hyp: str, refs: Sequence[str]) -> float:
-    """Arithmetic mean over per-reference scores."""
-    scores = backend.score_batch(_per_ref_requests(src, hyp, refs))
-    return math.fsum(scores) / len(scores)
+# How each strategy combines one segment's per-request scores.
+_COMBINERS = {
+    "max": max,
+    "avg": lambda scores: math.fsum(scores) / len(scores),
+    "agg": _combine_agg,
+}
+STRATEGIES = tuple(_COMBINERS)
 
 
 def multiref_agg(backend, src: str, hyp: str, ref: str, altref: str | None) -> float:
@@ -75,7 +65,8 @@ def evaluate_system_multiref(strategy: str, evalset: EvalSet, backend) -> ScoreT
     back per segment afterwards), so external scorers are spawned once,
     not per segment.
     """
-    if strategy not in STRATEGIES:
+    combine = _COMBINERS.get(strategy)
+    if combine is None:
         raise ValueError(f"unknown multi-reference strategy {strategy!r}; pick one of {', '.join(STRATEGIES)}")
     if strategy == "agg":
         if evalset.n_references != 2:
@@ -90,17 +81,7 @@ def evaluate_system_multiref(strategy: str, evalset: EvalSet, backend) -> ScoreT
         if len(evalset) > 0 and evalset.n_references < 1:
             raise ValueError("multi-reference scoring needs at least one reference")
         per_segment = evalset.n_references
-        requests = [
-            req for seg in evalset.segments for req in _per_ref_requests(seg.source, seg.hypothesis, seg.references)
-        ]
+        requests = [ScoreRequest(seg.source, seg.hypothesis, ref) for seg in evalset.segments for ref in seg.references]
     flat = backend.score_batch(requests)
-    scores = []
-    for i in range(len(evalset)):
-        chunk = flat[i * per_segment : (i + 1) * per_segment]
-        if strategy == "max":
-            scores.append(max(chunk))
-        elif strategy == "avg":
-            scores.append(math.fsum(chunk) / len(chunk))
-        else:
-            scores.append(_combine_agg(chunk))
+    scores = [combine(flat[i * per_segment : (i + 1) * per_segment]) for i in range(len(evalset))]
     return ScoreTable(system_name=evalset.system_name, scores=tuple(scores))

@@ -10,21 +10,15 @@ silent fallback to the base-framework paper.
 from __future__ import annotations
 
 import json
-import logging
 import re
-import subprocess
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
-
-logger = logging.getLogger(__name__)
 
 PRECISIONS = ("fp32", "fp16", "qint8", "unk")
 UNKNOWN = "unk"
 
 _CITATIONS_PATH = Path(__file__).parent / "data" / "citations.json"
-_VERSION_RE = re.compile(r"\d+(?:\.\d+)+")
 
 # All reporting patterns in one alternation so overlapping hits resolve
 # leftmost-first (e.g. "wmt22-comet-da" yields "wmt22-comet" once, not
@@ -83,41 +77,6 @@ def parse_signature(text: str) -> Signature:
         framework_version=framework[len("Comet") :],
         precision=precision,
     )
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Commands whose output is scanned for a dotted version number."""
-
-    interpreter_cmd: tuple[str, ...] | None = None
-    framework_cmd: tuple[str, ...] | None = None
-
-
-def _probe_version(command: Sequence[str], what: str) -> str:
-    try:
-        proc = subprocess.run(tuple(command), capture_output=True, timeout=30)
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        logger.warning("%s probe %r failed (%s); using %s", what, command[0], exc, UNKNOWN)
-        return UNKNOWN
-    if proc.returncode != 0:
-        logger.warning("%s probe exited with status %d; using %s", what, proc.returncode, UNKNOWN)
-        return UNKNOWN
-    text = proc.stdout.decode("utf-8", errors="replace") + proc.stderr.decode("utf-8", errors="replace")
-    match = _VERSION_RE.search(text)
-    if match is None:
-        logger.warning("%s probe printed no dotted version; using %s", what, UNKNOWN)
-        return UNKNOWN
-    return match.group(0)
-
-
-def detect_environment(config: ProbeConfig) -> dict[str, str]:
-    """Best-effort version detection; failures degrade to "unk", never raise."""
-    fields = {"interpreter_version": UNKNOWN, "framework_version": UNKNOWN}
-    if config.interpreter_cmd:
-        fields["interpreter_version"] = _probe_version(config.interpreter_cmd, "interpreter")
-    if config.framework_cmd:
-        fields["framework_version"] = _probe_version(config.framework_cmd, "framework")
-    return fields
 
 
 # --- citations ----------------------------------------------------------

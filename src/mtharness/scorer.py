@@ -152,37 +152,34 @@ class _PairMemo:
         return value
 
 
-def _blend(request: ScoreRequest, w_ref: float, w_src: float, similarity: _PairMemo) -> float:
+# Reference-mode weights of hypothesis↔reference and hypothesis↔source.
+W_REF = 0.9
+W_SRC = 0.1
+
+
+def _blend(request: ScoreRequest, similarity: _PairMemo) -> float:
     if request.reference is None:
         return similarity(request.hypothesis, request.source)
-    return w_ref * similarity(request.hypothesis, request.reference) + w_src * similarity(request.hypothesis, request.source)
+    return W_REF * similarity(request.hypothesis, request.reference) + W_SRC * similarity(request.hypothesis, request.source)
 
 
-def surrogate_score(request: ScoreRequest, w_ref: float = 0.9, w_src: float = 0.1) -> float:
+def surrogate_score(request: ScoreRequest) -> float:
     """Deterministic lexical stand-in score in [0, 1].
 
     Reference mode blends hypothesis↔reference with hypothesis↔source
     similarity (the source term makes reference/source swaps visibly
     change the score); QE mode is hypothesis↔source only.
     """
-    return _blend(request, w_ref, w_src, _PairMemo())
+    return _blend(request, _PairMemo())
 
 
 class SurrogateBackend:
     """In-process lexical scorer; pure, deterministic, freely parallel."""
 
-    def __init__(self, w_ref: float = 0.9, w_src: float = 0.1) -> None:
-        if w_ref < 0 or w_src < 0:
-            raise ValueError("surrogate weights must be nonnegative")
-        if abs((w_ref + w_src) - 1.0) > 1e-9:
-            raise ValueError("surrogate weights must sum to 1")
-        self.w_ref = w_ref
-        self.w_src = w_src
-
     def score_batch(self, requests: Sequence[ScoreRequest]) -> list[float]:
         _check_homogeneous(requests)
         similarity = _PairMemo()
-        return [_blend(req, self.w_ref, self.w_src, similarity) for req in requests]
+        return [_blend(req, similarity) for req in requests]
 
 
 class PrecomputedBackend:

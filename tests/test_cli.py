@@ -14,16 +14,28 @@ import pytest
 
 from mtharness.cli import EXIT_CONFIG, EXIT_NO_MATCH, EXIT_OK, EXIT_RUNTIME, main
 from mtharness.evalset import Direction, read_score_table
-from mtharness.guards import build_language_profile, load_seed_lines, read_profile, write_profile
+from mtharness.guards import build_language_profile, load_seed_lines, read_profile
 from mtharness.multiref import evaluate_system_multiref
 from mtharness.scorer import ScoreRequest, SurrogateBackend, surrogate_score
+
+from helpers import write_profile
 
 SRC_LINES = ["the cat sat on the mat", "a quick brown fox", "rain falls in autumn"]
 HYP_LINES = ["die katze sass auf der matte", "ein schneller brauner fuchs", "regen faellt im herbst"]
 REF_LINES = ["die katze sass auf matte", "ein flinker brauner fuchs", "im herbst faellt der regen"]
 
+SCORE_ARGS = ["--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt", "--direction", "en-de"]
+
 ECHO_CHILD = """\
 import sys
+for line in sys.stdin:
+    print(0.25)
+"""
+
+# answers 0.25 per request, leaving a child-ran file behind
+RECORDING_CHILD = """\
+import pathlib, sys
+pathlib.Path("child-ran").touch()
 for line in sys.stdin:
     print(0.25)
 """
@@ -184,6 +196,24 @@ class TestConfigErrors:
                      "--direction", "en-de", "--out", "scores.tsv"]) == EXIT_CONFIG
         assert not (corpus / "scores.tsv").exists()
 
+    def test_missing_expected_profile_exits_2_before_scoring(self, corpus, capsys):
+        (corpus / "child.py").write_text(RECORDING_CHILD, encoding="utf-8")
+        write_profile(build_language_profile(load_seed_lines("de"), "fr", k=50), corpus / "fr.profile")
+        assert main(["score", "--src", "src.txt", "--hyp", "hyp.txt", "--direction", "en-it",
+                     "--guard-lang", "--profile", "fr.profile",
+                     "--backend", f"external:{sys.executable} child.py", "--out", "scores.tsv"]) == EXIT_CONFIG
+        assert not (corpus / "child-ran").exists()
+        assert not (corpus / "scores.tsv").exists()
+        assert "no language profile for expected language 'it'" in capsys.readouterr().err
+
+    def test_malformed_profile_exits_1_before_scoring(self, corpus, capsys):
+        (corpus / "child.py").write_text(RECORDING_CHILD, encoding="utf-8")
+        (corpus / "bad.profile").write_text("not a profile\n", encoding="utf-8")
+        assert main(["score", *SCORE_ARGS, "--guard-lang", "--profile", "bad.profile",
+                     "--backend", f"external:{sys.executable} child.py", "--out", "scores.tsv"]) == EXIT_RUNTIME
+        assert not (corpus / "child-ran").exists()
+        assert not (corpus / "scores.tsv").exists()
+
     def test_score_rejects_multiple_refs(self, corpus):
         assert main(["score", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
                      "--ref", "ref.txt", "--direction", "en-de"]) == EXIT_CONFIG
@@ -196,6 +226,42 @@ class TestConfigErrors:
     def test_lone_ranking_flag_exits_2(self, corpus):
         (corpus / "a.tsv").write_text("0\t0.5\n", encoding="utf-8")
         assert main(["meta", "a.tsv", "a.tsv", "--ranking-metric", "a.tsv"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("args, message", [
+        (["score", *SCORE_ARGS, "--min-len", "-1"], "--min-len must be nonnegative"),
+        (["score", *SCORE_ARGS, "--min-margin", "1.5"], "--min-margin must be in [0, 1]"),
+        (["score", "--src", "src.txt", "--hyp", "hyp.txt", "--direction", "en-fr", "--guard-lang"],
+         "no bundled language profile for 'fr'"),
+        (["multiref", "--src", "src.txt", "--hyp", "hyp.txt", "--direction", "en-de", "--multiref", "max"],
+         "multiref needs at least one --ref"),
+        (["score", *SCORE_ARGS, "--backend", "external:child", "--shard-size", "0"],
+         "--shard-size must be at least 1"),
+        (["meta", "a.tsv", "a.tsv", "--hist-bins", "5"], "--hist-bins and --hist-out must be given together"),
+        (["meta", "a.tsv", "a.tsv", "--hist-bins", "0", "--hist-out", "h.tsv"], "--hist-bins must be at least 1"),
+        (["meta", "a.tsv", "a.tsv", "--hist-bins", "5", "--hist-out", "h.tsv", "--hist-range", "1", "0"],
+         "--hist-range needs LO < HI, got 1.0 0.0"),
+        (["biaslab", "dist", "--n-per-group", "0"], "--n-per-group must be at least 1"),
+        (["biaslab", "tags", "--n-test", "0"], "--n-test must be at least 1"),
+        (["biaslab", "dist", "--epochs", "0"], "--epochs must be at least 1"),
+        (["biaslab", "tags", "--learning-rate", "0"], "--learning-rate must be positive"),
+        (["profiles", "build", "--lang", "en", "--input", "src.txt", "--size", "0"], "--size must be at least 1"),
+        (["score", *SCORE_ARGS, "--guard-lang", "--profile", "missing.profile"],
+         "profile file not found: missing.profile"),
+        (["meta", "a.tsv", "a.tsv", "--ranking-metric", "missing.tsv", "--ranking-human", "a.tsv"],
+         "ranking file not found: missing.tsv"),
+        (["check-reporting", "missing.txt"], "document file not found: missing.txt"),
+    ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
+            "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
+            "missing-profile", "missing-ranking", "missing-document"])
+    def test_config_error_exits_2_without_output(self, corpus, capsys, args, message):
+        (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
+        before = sorted(corpus.iterdir())
+        out = [] if args[0] == "check-reporting" else ["--out", "out.txt"]
+        assert main([*args, *out]) == EXIT_CONFIG
+        assert sorted(corpus.iterdir()) == before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestRuntimeErrors:
@@ -302,6 +368,16 @@ class TestProvenanceCommands:
     def test_signature_defaults_to_live_interpreter(self, capsys):
         assert main(["signature"]) == EXIT_OK
         assert capsys.readouterr().out == f"Python{platform.python_version()}|Cometunk|unk|unk\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["--prec", "fp64"], "precision must be one of fp32, fp16, qint8, unk, got 'fp64'"),
+        (["--model", "a|b"], "signature field model must not contain '|'"),
+    ], ids=["prec", "model"])
+    def test_invalid_signature_field_exits_2(self, capsys, args, message):
+        assert main(["signature", *args]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_cite_prints_url_then_bibtex(self, capsys):
         assert main(["cite", "Unbabel/xcomet-xl"]) == EXIT_OK

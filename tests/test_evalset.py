@@ -17,9 +17,9 @@ from mtharness.evalset import (
     read_lines,
     read_score_table,
     system_score,
-    write_evalset,
-    write_score_table,
 )
+
+from helpers import write_evalset, write_score_table
 
 
 def make_evalset(n, n_refs=1, system="sysA"):
@@ -40,12 +40,6 @@ class TestDirection:
     def test_rejects_same_languages(self):
         with pytest.raises(ValueError):
             Direction.parse("en-en")
-
-    def test_allow_same_flag(self):
-        d = Direction.parse("en-en", allow_same=True)
-        assert str(d) == "en-en"
-        # the flag is not part of equality
-        assert Direction("en", "de", allow_same=True) == Direction("en", "de")
 
     @pytest.mark.parametrize("bad", ["en", "en-de-fr", "EN-de", "e1-de", "eng-de", "en-", "-de"])
     def test_rejects_malformed(self, bad):

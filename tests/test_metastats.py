@@ -23,7 +23,6 @@ from mtharness.metastats import (
     mae,
     pairwise_accuracy,
     read_ranking,
-    worse_than_empty,
 )
 
 
@@ -258,21 +257,6 @@ class TestPairwiseAccuracy:
             base = pairwise_accuracy(m, h)
             m2 = SystemRanking(tuple((n, 3 * s + 1) for n, s in zip(names, m_scores)))
             assert pairwise_accuracy(m2, h) == base
-
-
-class TestWorseThanEmpty:
-    def test_none_worse(self):
-        assert worse_than_empty([0.5, 0.6], [0.1, 0.2]) == (0, 2)
-
-    def test_known_case(self):
-        assert worse_than_empty([0.3, 0.8], [0.4, 0.2]) == (1, 2)
-
-    def test_equal_is_not_worse(self):
-        assert worse_than_empty([0.4], [0.4]) == (0, 1)
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            worse_than_empty([0.1], [])
 
 
 class TestHistogram:

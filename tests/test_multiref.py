@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 from mtharness.evalset import Direction, EvalSet, Segment, system_score
-from mtharness.multiref import evaluate_system_multiref, multiref_agg, multiref_avg, multiref_max
+from mtharness.multiref import STRATEGIES, evaluate_system_multiref, multiref_agg
 from mtharness.scorer import ScoreRequest, SurrogateBackend, score_evalset, surrogate_score
 
 
@@ -41,30 +41,37 @@ def two_ref_evalset(rng, n):
     return EvalSet(Direction("en", "de"), "sys", segs)
 
 
+def segment_score(strategy, backend, src, hyp, refs):
+    """One segment's score under a strategy, through the whole-set path."""
+    evalset = EvalSet(Direction("en", "de"), "sys", (Segment(0, src, hyp, tuple(refs)),))
+    (score,) = evaluate_system_multiref(strategy, evalset, backend).scores
+    return score
+
+
 class TestMaxAvg:
     def test_single_ref_equals_plain_score(self):
         backend = SurrogateBackend()
         req = ScoreRequest("src text", "hyp text", "ref text")
         plain = surrogate_score(req)
-        assert multiref_max(backend, req.source, req.hypothesis, [req.reference]) == plain
-        assert multiref_avg(backend, req.source, req.hypothesis, [req.reference]) == plain
+        assert segment_score("max", backend, req.source, req.hypothesis, [req.reference]) == plain
+        assert segment_score("avg", backend, req.source, req.hypothesis, [req.reference]) == plain
 
     def test_known_values(self):
-        assert multiref_max(QueueBackend([0.3, 0.7]), "s", "h", ["r1", "r2"]) == 0.7
-        assert multiref_avg(QueueBackend([0.3, 0.7]), "s", "h", ["r1", "r2"]) == pytest.approx(0.5)
+        assert segment_score("max", QueueBackend([0.3, 0.7]), "s", "h", ["r1", "r2"]) == 0.7
+        assert segment_score("avg", QueueBackend([0.3, 0.7]), "s", "h", ["r1", "r2"]) == pytest.approx(0.5)
 
     def test_identical_reference_wins_max(self):
         backend = SurrogateBackend()
         hyp = "xy"
         per_ref = {ref: surrogate_score(ScoreRequest("zz", hyp, ref)) for ref in ("ab", hyp)}
         assert per_ref[hyp] > per_ref["ab"]
-        assert multiref_max(backend, "zz", hyp, ["ab", hyp]) == per_ref[hyp]
+        assert segment_score("max", backend, "zz", hyp, ["ab", hyp]) == per_ref[hyp]
 
     def test_empty_refs_rejected(self):
         with pytest.raises(ValueError, match="at least one reference"):
-            multiref_max(SurrogateBackend(), "s", "h", [])
+            segment_score("max", SurrogateBackend(), "s", "h", [])
         with pytest.raises(ValueError, match="at least one reference"):
-            multiref_avg(SurrogateBackend(), "s", "h", [])
+            segment_score("avg", SurrogateBackend(), "s", "h", [])
 
     def test_avg_never_exceeds_max(self):
         rng = random.Random(5)
@@ -72,7 +79,7 @@ class TestMaxAvg:
         for _ in range(100):
             src, hyp = random_text(rng), random_text(rng)
             refs = [random_text(rng) for _ in range(rng.randrange(1, 5))]
-            assert multiref_avg(backend, src, hyp, refs) <= multiref_max(backend, src, hyp, refs) + 1e-15
+            assert segment_score("avg", backend, src, hyp, refs) <= segment_score("max", backend, src, hyp, refs) + 1e-15
 
 
 class TestAgg:
@@ -145,6 +152,7 @@ class TestEvaluateSystem:
         es = EvalSet(Direction("en", "de"), "sys", ())
         with pytest.raises(ValueError, match="unknown multi-reference strategy"):
             evaluate_system_multiref("median", es, SurrogateBackend())
+        assert STRATEGIES == ("max", "avg", "agg")
 
     def test_system_max_dominates_avg(self):
         rng = random.Random(21)

@@ -1,20 +1,15 @@
-"""Tests for signatures, environment probing, citations, and the
-model-reporting check."""
+"""Tests for signatures, citations, and the model-reporting check."""
 
-import logging
 import random
-import sys
 
 import pytest
 
 from mtharness.provenance import (
     PRECISIONS,
     CitationRecord,
-    ProbeConfig,
     Signature,
     check_reporting,
     cite,
-    detect_environment,
     known_models,
     make_signature,
     parse_signature,
@@ -61,34 +56,6 @@ class TestSignature:
             parse_signature("Python3.11|Comet2.2|fp32")
         with pytest.raises(ValueError, match="malformed"):
             parse_signature("Py3.11|Comet2.2|fp32|m")
-
-
-class TestDetectEnvironment:
-    def test_no_probes_all_unk(self):
-        assert detect_environment(ProbeConfig()) == {
-            "interpreter_version": "unk",
-            "framework_version": "unk",
-        }
-
-    def test_version_passthrough(self):
-        config = ProbeConfig(framework_cmd=(sys.executable, "-c", "print('comet 2.2.2 ready')"))
-        assert detect_environment(config)["framework_version"] == "2.2.2"
-
-    def test_crash_degrades_to_unk(self, caplog):
-        config = ProbeConfig(interpreter_cmd=(sys.executable, "-c", "raise SystemExit(3)"))
-        with caplog.at_level(logging.WARNING):
-            fields = detect_environment(config)
-        assert fields["interpreter_version"] == "unk"
-        assert any("status 3" in rec.message for rec in caplog.records)
-
-    def test_missing_binary_degrades_to_unk(self, caplog):
-        config = ProbeConfig(interpreter_cmd=("/no/such/binary",))
-        with caplog.at_level(logging.WARNING):
-            assert detect_environment(config)["interpreter_version"] == "unk"
-
-    def test_versionless_output_degrades_to_unk(self):
-        config = ProbeConfig(framework_cmd=(sys.executable, "-c", "print('hello')"))
-        assert detect_environment(config)["framework_version"] == "unk"
 
 
 class TestCite:

@@ -107,10 +107,10 @@ def oracle_similarity(a, b):
     return math.fsum(values) / len(values)
 
 
-def oracle_score(request, w_ref=0.9, w_src=0.1):
+def oracle_score(request):
     if request.reference is None:
         return oracle_similarity(request.hypothesis, request.source)
-    return w_ref * oracle_similarity(request.hypothesis, request.reference) + w_src * oracle_similarity(
+    return 0.9 * oracle_similarity(request.hypothesis, request.reference) + 0.1 * oracle_similarity(
         request.hypothesis, request.source
     )
 
@@ -190,12 +190,6 @@ class TestSurrogate:
         for text in ("a", "ab", "hello world", "雨が降る"):
             assert surrogate_score(ScoreRequest(text, text, text)) == 1.0
 
-    def test_weights_validated(self):
-        with pytest.raises(ValueError):
-            SurrogateBackend(w_ref=0.9, w_src=0.2)
-        with pytest.raises(ValueError):
-            SurrogateBackend(w_ref=-0.1, w_src=1.1)
-
     def test_permutation_equivariance(self):
         rng = random.Random(17)
         reqs = [ScoreRequest(s, h, r) for s, h, r in zip(nasty_strings(rng, 40), nasty_strings(rng, 40), nasty_strings(rng, 40))]
@@ -222,12 +216,6 @@ class TestSurrogateOracle:
     @given(batches(qe=True))
     def test_qe_mode_equals_oracle_exactly(self, requests):
         assert SurrogateBackend().score_batch(requests) == [oracle_score(req) for req in requests]
-
-    @settings(deadline=None)
-    @given(batches(qe=False), st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.25, 0.75)]))
-    def test_weights_equal_oracle_exactly(self, requests, weights):
-        backend = SurrogateBackend(*weights)
-        assert backend.score_batch(requests) == [oracle_score(req, *weights) for req in requests]
 
     @settings(deadline=None)
     @given(TEXTS, TEXTS, TEXTS)
