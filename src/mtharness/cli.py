@@ -10,13 +10,14 @@ byte-for-byte by re-running its own trailer. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import platform
 import shlex
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import biaslab, guards, metastats, multiref
+from . import guards, multiref
 from .evalset import (
     Direction,
     format_score_rows,
@@ -86,6 +87,11 @@ def _check_scoring(ns: argparse.Namespace) -> None:
             raise ConfigError("--shard-size only applies to an external backend")
         if ns.shard_size < 1:
             raise ConfigError("--shard-size must be at least 1")
+    if ns.timeout is not None:
+        if ns.backend_kind != "external":
+            raise ConfigError("--timeout only applies to an external backend")
+        if not (ns.timeout > 0 and math.isfinite(ns.timeout)):
+            raise ConfigError(f"--timeout must be positive and finite, got {ns.timeout}")
 
 
 def _check_score(ns: argparse.Namespace) -> None:
@@ -186,7 +192,7 @@ def _build_backend(ns: argparse.Namespace):
         return SurrogateBackend()
     if ns.backend_kind == "precomputed":
         return PrecomputedBackend(ns.backend_args[0])
-    return ExternalBackend(ns.backend_args, shard_size=ns.shard_size)
+    return ExternalBackend(ns.backend_args, shard_size=ns.shard_size, timeout=ns.timeout)
 
 
 def run_score(ns: argparse.Namespace) -> int:
@@ -227,6 +233,8 @@ def run_multiref(ns: argparse.Namespace) -> int:
 
 
 def run_meta(ns: argparse.Namespace) -> int:
+    from . import metastats  # imported here: only meta and biaslab load numpy
+
     path_a, path_b = ns.scores
     a = read_score_table(path_a).scores
     b = read_score_table(path_b).scores
@@ -272,6 +280,8 @@ def run_check_reporting(ns: argparse.Namespace) -> int:
 
 
 def run_biaslab(ns: argparse.Namespace) -> int:
+    from . import biaslab  # imported here: only meta and biaslab load numpy
+
     seeds = [ns.seed + i for i in range(ns.seeds)]
     # only the knobs given on the command line; the experiments own the defaults
     given = {
@@ -356,6 +366,10 @@ def _add_scoring_args(parser: argparse.ArgumentParser) -> None:
         help="surrogate, precomputed:PATH, or external:COMMAND",
     )
     parser.add_argument("--shard-size", type=int, help="external backend: requests per child process")
+    parser.add_argument(
+        "--timeout", type=float, metavar="SECONDS",
+        help="external backend: seconds each child process may run before it is killed",
+    )
     parser.add_argument("--out", help="output file (default: stdout)")
 
 
@@ -473,7 +487,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"mtharness: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, KeyError, ScorerError, OSError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
+        if isinstance(exc, OSError):
+            # its args[0] is the errno: name the file and the cause instead
+            message = f"{exc.filename}: {exc.strerror}" if exc.filename is not None and exc.strerror else str(exc)
+        else:
+            message = exc.args[0] if exc.args else str(exc)
         print(f"mtharness: error: {message}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -216,23 +216,33 @@ class ExternalBackend:
     Each batch (or each shard of ``shard_size`` requests) is served by
     one child process, run sequentially in order and reassembled, so
     results do not depend on scheduling. Any shortfall in the child's
-    output is an error — never a silent truncation.
+    output is an error — never a silent truncation. A child still running
+    ``timeout`` seconds after it started is killed and reaped, and the
+    shard fails; with no timeout the backend waits for as long as it takes.
     """
 
-    def __init__(self, command: Sequence[str], shard_size: int | None = None) -> None:
+    def __init__(self, command: Sequence[str], shard_size: int | None = None, timeout: float | None = None) -> None:
         if not command:
             raise ValueError("external backend needs a non-empty command")
         if shard_size is not None and shard_size < 1:
             raise ValueError("shard_size must be at least 1")
+        if timeout is not None and not (timeout > 0 and math.isfinite(timeout)):
+            raise ValueError("timeout must be positive and finite")
         self.command = tuple(command)
         self.shard_size = shard_size
+        self.timeout = timeout
 
     def _run_shard(self, lines: list[str], start: int) -> list[float]:
         payload = "".join(line + "\n" for line in lines).encode("utf-8")
         try:
-            proc = subprocess.run(self.command, input=payload, capture_output=True)
+            proc = subprocess.run(self.command, input=payload, capture_output=True, timeout=self.timeout)
         except OSError as exc:
             raise ScorerError(f"could not run external scorer {self.command[0]!r}: {exc}") from None
+        except subprocess.TimeoutExpired:
+            raise ScorerError(
+                f"external scorer for requests {start}..{start + len(lines) - 1}"
+                f" did not finish within {self.timeout:g} s and was killed"
+            ) from None
         stderr = proc.stderr.decode("utf-8", errors="replace").strip()
         if proc.returncode != 0:
             detail = f": {stderr}" if stderr else ""

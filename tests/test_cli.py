@@ -2,9 +2,11 @@
 trailers, exit codes, and rerun determinism."""
 
 import importlib.metadata
+import os
 import platform
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
@@ -250,9 +252,21 @@ class TestConfigErrors:
         (["meta", "a.tsv", "a.tsv", "--ranking-metric", "missing.tsv", "--ranking-human", "a.tsv"],
          "ranking file not found: missing.tsv"),
         (["check-reporting", "missing.txt"], "document file not found: missing.txt"),
+        (["score", *SCORE_ARGS, "--timeout", "5"], "--timeout only applies to an external backend"),
+        (["multiref", *SCORE_ARGS, "--multiref", "max", "--timeout", "5"],
+         "--timeout only applies to an external backend"),
+        (["score", *SCORE_ARGS, "--backend", "external:child", "--timeout", "0"],
+         "--timeout must be positive and finite, got 0.0"),
+        (["score", *SCORE_ARGS, "--backend", "external:child", "--timeout", "-1"],
+         "--timeout must be positive and finite, got -1.0"),
+        (["score", *SCORE_ARGS, "--backend", "external:child", "--timeout", "nan"],
+         "--timeout must be positive and finite, got nan"),
+        (["multiref", *SCORE_ARGS, "--multiref", "max", "--backend", "external:child", "--timeout", "inf"],
+         "--timeout must be positive and finite, got inf"),
     ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
             "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
-            "missing-profile", "missing-ranking", "missing-document"])
+            "missing-profile", "missing-ranking", "missing-document", "timeout-surrogate",
+            "timeout-multiref-surrogate", "timeout-zero", "timeout-negative", "timeout-nan", "timeout-multiref-inf"])
     def test_config_error_exits_2_without_output(self, corpus, capsys, args, message):
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
         before = sorted(corpus.iterdir())
@@ -298,6 +312,15 @@ class TestRuntimeErrors:
                      "--shard-size", "2", "--out", "scores.tsv"]) == EXIT_RUNTIME
         assert not (corpus / "scores.tsv").exists()
         assert "output line 3 is not a number: 'oops'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out, cause", [
+        ("missing/scores.tsv", "No such file or directory"),
+        ("outdir", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_out_names_path_and_cause(self, corpus, capsys, out, cause):
+        (corpus / "outdir").mkdir()
+        assert main(["score", *SCORE_ARGS, "--out", out]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"mtharness: error: {out}: {cause}\n"
 
 
 class TestMultiref:
@@ -495,3 +518,72 @@ def test_module_launcher_writes_same_bytes_as_main(run_module, corpus):
     launched = (corpus / "launched.tsv").read_text(encoding="utf-8")
     assert launched == in_process.replace("in_process.tsv", "launched.tsv")
     assert launched.splitlines()[-1].startswith("# command mtharness score ")
+
+
+# writes its pid, then sleeps far longer than any timeout below
+SLEEPING_CHILD = """\
+import os, pathlib, time
+pathlib.Path("child.pid").write_text(str(os.getpid()))
+time.sleep(120)
+"""
+
+
+def test_timeout_kills_hung_external_scorer(run_module, corpus):
+    (corpus / "child.py").write_text(SLEEPING_CHILD, encoding="utf-8")
+    proc = run_module(["score", *SCORE_ARGS, "--backend", f"external:{sys.executable} child.py",
+                       "--timeout", "1", "--out", "scores.tsv"], cwd=corpus, timeout=30)
+    pid = int((corpus / "child.pid").read_text())
+    try:
+        assert proc.returncode == EXIT_RUNTIME
+        assert "external scorer for requests 0..2 did not finish within 1 s" in proc.stderr
+        assert not (corpus / "scores.tsv").exists()
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    finally:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+# Each run exits 0 with numpy blocked; (arguments, output file or None for stdout)
+NUMPY_FREE_RUNS = {
+    "score": (["score", *SCORE_ARGS, "--guard-empty", "--guard-lang", "--out", "out.tsv"], "out.tsv"),
+    "multiref": (["multiref", *SCORE_ARGS, "--ref", "ref2.txt", "--multiref", "agg", "--out", "out.tsv"],
+                 "out.tsv"),
+    "signature": (SIGNATURE_ARGS, None),
+    "cite": (["cite", "wmt22-comet-da"], None),
+    "check-reporting": (["check-reporting", "doc.txt"], None),
+    "profiles": (["profiles", "build", "--lang", "de", "--input", "hyp.txt", "--size", "50",
+                  "--out", "out.tsv"], "out.tsv"),
+}
+
+
+@pytest.fixture
+def numpy_free_corpus(corpus):
+    (corpus / "ref2.txt").write_text("".join(line + "\n" for line in HYP_LINES), encoding="utf-8")
+    (corpus / "doc.txt").write_text("Scores come from wmt22-comet-da.\n", encoding="utf-8")
+    return corpus
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE_RUNS)
+def test_subcommand_runs_without_numpy(run_module, numpy_free_corpus, capsys, name):
+    args, out = NUMPY_FREE_RUNS[name]
+    assert main(args) == EXIT_OK
+    expected = (numpy_free_corpus / out).read_bytes() if out else capsys.readouterr().out
+    if out:
+        (numpy_free_corpus / out).unlink()
+    proc = run_module(args, cwd=numpy_free_corpus, block={"numpy"})
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert ((numpy_free_corpus / out).read_bytes() if out else proc.stdout) == expected
+
+
+@pytest.mark.parametrize("args", [
+    ["meta", "a.tsv", "a.tsv"],
+    ["biaslab", "dist", "--seeds", "1"],
+], ids=["meta", "biaslab"])
+def test_numpy_block_is_felt_by_numpy_subcommands(run_module, corpus, args):
+    (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
+    proc = run_module(args, cwd=corpus, block={"numpy"})
+    assert proc.returncode == EXIT_RUNTIME
+    assert "ModuleNotFoundError: import of numpy halted" in proc.stderr

@@ -346,6 +346,23 @@ class TestExternal:
         with pytest.raises(ScorerError, match="line 2 is not a number: '1_0'"):
             backend.score_batch([ScoreRequest("s", "h")] * 2)
 
+    def test_timeout_names_the_hung_shard(self, tmp_path):
+        # answers the first shard, hangs on the second (requests 2..3)
+        cmd = child(tmp_path, "import sys, time\nif 'h2' in sys.stdin.read():\n    time.sleep(60)\n"
+                              "print(0.5)\nprint(0.5)\n")
+        reqs = [ScoreRequest("s", f"h{i}") for i in range(4)]
+        with pytest.raises(ScorerError, match=r"requests 2\.\.3 did not finish within 2 s and was killed"):
+            ExternalBackend(cmd, shard_size=2, timeout=2).score_batch(reqs)
+
+    def test_fast_child_within_timeout_scores(self, tmp_path):
+        backend = ExternalBackend(child(tmp_path, ECHO_HALF_CHILD), timeout=30)
+        assert backend.score_batch([ScoreRequest("s", "h")] * 3) == [0.5] * 3
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive and finite"):
+            ExternalBackend(["scorer"], timeout=timeout)
+
     def test_empty_batch_spawns_nothing(self):
         backend = ExternalBackend(["/nonexistent/scorer"])
         assert backend.score_batch([]) == []
