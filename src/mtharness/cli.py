@@ -4,7 +4,7 @@ Every file this tool writes ends in a `#` trailer carrying the run's
 signature and the exact command line, so any output can be reproduced
 byte-for-byte by re-running its own trailer. Exit codes: 0 success,
 2 invalid configuration (nothing written), 3 no match (check-reporting),
-1 runtime failure.
+1 runtime failure, 128 + N when ended by signal N (SIGTERM or SIGHUP).
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import argparse
 import math
 import platform
 import shlex
+import signal
 import sys
+import threading
 from pathlib import Path
 from typing import Sequence
 
@@ -125,9 +127,8 @@ def _check_meta(ns: argparse.Namespace) -> None:
     ns.scores = [_existing_file(path, "score") for path in ns.scores]
     if (ns.ranking_metric is None) != (ns.ranking_human is None):
         raise ConfigError("--ranking-metric and --ranking-human must be given together")
-    if ns.ranking_metric:
+    if ns.ranking_metric is not None:
         ns.ranking_metric = _existing_file(ns.ranking_metric, "ranking")
-    if ns.ranking_human:
         ns.ranking_human = _existing_file(ns.ranking_human, "ranking")
     if (ns.hist_bins is None) != (ns.hist_out is None):
         raise ConfigError("--hist-bins and --hist-out must be given together")
@@ -241,7 +242,7 @@ def run_meta(ns: argparse.Namespace) -> int:
     if len(a) != len(b):
         raise ValueError(f"score tables are not paired: {path_a} has {len(a)} rows but {path_b} has {len(b)}")
     pairwise = None
-    if ns.ranking_metric:
+    if ns.ranking_metric is not None:
         pairwise = metastats.pairwise_accuracy(
             metastats.read_ranking(ns.ranking_metric), metastats.read_ranking(ns.ranking_human)
         )
@@ -365,7 +366,11 @@ def _add_scoring_args(parser: argparse.ArgumentParser) -> None:
         default="surrogate",
         help="surrogate, precomputed:PATH, or external:COMMAND",
     )
-    parser.add_argument("--shard-size", type=int, help="external backend: requests per child process")
+    parser.add_argument(
+        "--shard-size", type=int,
+        help="external backend: requests per child process; shards run concurrently,"
+        " at most one child per usable CPU",
+    )
     parser.add_argument(
         "--timeout", type=float, metavar="SECONDS",
         help="external backend: seconds each child process may run before it is killed",
@@ -468,6 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
 _TRAILER_BREAKERS = frozenset(map(chr, range(0x20))) | {"\x85", "\u2028", "\u2029"}
 
 
+def _exit_on_signal(signum: int, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     raw_args = list(sys.argv[1:] if argv is None else argv)
     for arg in raw_args:
@@ -481,6 +490,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"mtharness: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # External scorers run in their own process groups, so a signal sent to this
+    # process or its group no longer reaches them: SIGTERM and SIGHUP become
+    # SystemExit, and the backend kills and reaps its children on the way out.
+    # Signal handlers can only be set from the main thread.
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        previous = {sig: signal.signal(sig, _exit_on_signal) for sig in (signal.SIGTERM, signal.SIGHUP)}
     try:
         return ns.handler(ns)
     except ConfigError as exc:
@@ -494,6 +510,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             message = exc.args[0] if exc.args else str(exc)
         print(f"mtharness: error: {message}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
 
 if __name__ == "__main__":

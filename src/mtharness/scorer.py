@@ -10,7 +10,10 @@ by design; this module only moves triples in and scores out.
 from __future__ import annotations
 
 import math
+import os
+import signal
 import subprocess
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -210,15 +213,41 @@ class PrecomputedBackend:
         return list(self._scores)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL a child's whole process group, so its own children die with it."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # every member has already exited
+
+
 class ExternalBackend:
-    """Scores via a child process speaking the wire protocol.
+    """Scores via child processes speaking the wire protocol.
 
     Each batch (or each shard of ``shard_size`` requests) is served by
-    one child process, run sequentially in order and reassembled, so
-    results do not depend on scheduling. Any shortfall in the child's
-    output is an error — never a silent truncation. A child still running
-    ``timeout`` seconds after it started is killed and reaped, and the
-    shard fails; with no timeout the backend waits for as long as it takes.
+    one child process. Shards run concurrently, at most one child per
+    CPU this process may use, started in request order and reassembled
+    in it, so results do not depend on scheduling. Any shortfall in a
+    child's output is an error — never a silent truncation. A failing
+    shard stops further shards from starting and kills those after it;
+    the error raised is that of the earliest failing shard, as a serial
+    run would give. A child still running ``timeout`` seconds after it
+    started is killed and its shard fails; with no timeout the backend
+    waits for as long as it takes.
+
+    Each child leads its own process group, and every kill (timeout,
+    failed sibling, or any exception leaving ``score_batch``, such as
+    ``KeyboardInterrupt``) goes to the whole group, so grandchildren of
+    a wrapper such as ``sh -c`` die too. Every child is reaped before
+    ``score_batch`` returns.
     """
 
     def __init__(self, command: Sequence[str], shard_size: int | None = None, timeout: float | None = None) -> None:
@@ -232,32 +261,32 @@ class ExternalBackend:
         self.shard_size = shard_size
         self.timeout = timeout
 
-    def _run_shard(self, lines: list[str], start: int) -> list[float]:
+    def _finish_shard(self, proc: subprocess.Popen, lines: list[str], start: int) -> list[float]:
+        """Feeds a spawned child its shard, reaps it and parses its answers."""
+        span = f"requests {start}..{start + len(lines) - 1}"
         payload = "".join(line + "\n" for line in lines).encode("utf-8")
         try:
-            proc = subprocess.run(self.command, input=payload, capture_output=True, timeout=self.timeout)
-        except OSError as exc:
-            raise ScorerError(f"could not run external scorer {self.command[0]!r}: {exc}") from None
+            stdout, stderr = proc.communicate(payload, timeout=self.timeout)
         except subprocess.TimeoutExpired:
             raise ScorerError(
-                f"external scorer for requests {start}..{start + len(lines) - 1}"
-                f" did not finish within {self.timeout:g} s and was killed"
+                f"external scorer for {span} did not finish within {self.timeout:g} s and was killed"
             ) from None
-        stderr = proc.stderr.decode("utf-8", errors="replace").strip()
+        finally:
+            if proc.returncode is None:  # timed out: end the whole group, then reap and close the pipes
+                _kill_group(proc)
+                proc.communicate()
         if proc.returncode != 0:
-            detail = f": {stderr}" if stderr else ""
-            raise ScorerError(f"external scorer exited with status {proc.returncode}{detail}")
+            message = stderr.decode("utf-8", errors="replace").strip()
+            detail = f": {message}" if message else ""
+            raise ScorerError(f"external scorer for {span} exited with status {proc.returncode}{detail}")
         try:
-            out_lines = proc.stdout.decode("utf-8").split("\n")
+            out_lines = stdout.decode("utf-8").split("\n")
         except UnicodeDecodeError as exc:
-            raise ScorerError(
-                f"external scorer output for requests {start}..{start + len(lines) - 1}"
-                f" is not valid UTF-8 ({exc.reason})"
-            ) from None
+            raise ScorerError(f"external scorer output for {span} is not valid UTF-8 ({exc.reason})") from None
         if out_lines and out_lines[-1] == "":
             out_lines.pop()
         if len(out_lines) != len(lines):
-            raise ScorerError(f"external scorer answered {len(out_lines)} lines for {len(lines)} requests")
+            raise ScorerError(f"external scorer for {span} answered {len(out_lines)} lines for {len(lines)} requests")
         scores: list[float] = []
         # number lines across the whole batch, as an unsharded run would
         for lineno, line in enumerate(out_lines, start=start + 1):
@@ -277,11 +306,60 @@ class ExternalBackend:
         lines = [format_request_line(req) for req in requests]
         if not lines:
             return []
+        from concurrent.futures import ThreadPoolExecutor, wait  # here: CLI start-up does not pay for it
+
         size = self.shard_size or len(lines)
-        scores: list[float] = []
-        for start in range(0, len(lines), size):
-            scores.extend(self._run_shard(lines[start : start + size], start))
-        return scores
+        starts = range(0, len(lines), size)
+        running: dict[int, subprocess.Popen] = {}
+        lock = threading.Lock()  # guards running and stopped
+        stopped = False
+
+        def stop(after: int) -> None:
+            """Starts no further shard and kills every running shard after ``after``."""
+            nonlocal stopped
+            stopped = True
+            for start, proc in running.items():
+                if start > after:
+                    _kill_group(proc)
+
+        def run_shard(start: int) -> list[float] | None:
+            with lock:  # spawning under the lock: no child starts after a failure
+                if stopped:
+                    return None
+                try:
+                    proc = running[start] = subprocess.Popen(
+                        self.command,
+                        stdin=subprocess.PIPE,
+                        stdout=subprocess.PIPE,
+                        stderr=subprocess.PIPE,
+                        start_new_session=True,
+                    )
+                except OSError as exc:
+                    stop(start)
+                    raise ScorerError(f"could not run external scorer {self.command[0]!r}: {exc}") from None
+            try:
+                return self._finish_shard(proc, lines[start : start + size], start)
+            except BaseException:
+                with lock:
+                    stop(start)
+                raise
+            finally:
+                with lock:
+                    del running[start]
+
+        with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
+            shards = [pool.submit(run_shard, start) for start in starts]
+            try:
+                wait(shards)
+            finally:  # after an exception such as KeyboardInterrupt: kill every child in flight
+                with lock:
+                    stop(-1)
+        # leaving the pool joined its threads, so every child has been reaped
+        for shard in shards:
+            error = shard.exception()
+            if error is not None:  # the earliest failure, as a serial run would report
+                raise error
+        return [score for shard in shards for score in shard.result()]
 
 
 def requests_from_evalset(evalset: EvalSet) -> list[ScoreRequest]:

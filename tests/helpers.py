@@ -1,6 +1,11 @@
-"""Writers that only the tests need: they turn in-memory objects back
-into the files the library reads."""
+"""Helpers that only the tests need: writers that turn in-memory objects
+back into the files the library reads, and process checks for the
+external backend."""
 
+import os
+import signal
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from mtharness.evalset import format_score_rows
@@ -32,3 +37,47 @@ def write_score_table(table, path):
 
 def write_profile(profile, path):
     Path(path).write_text(serialize_profile(profile), encoding="utf-8")
+
+
+@contextmanager
+def hard_timeout(seconds):
+    """Raises TimeoutError in the main thread once ``seconds`` have passed,
+    so a hung call fails the test instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after the test's hard timeout of {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def process_gone(pid, within=5.0):
+    """True once ``pid`` has exited within ``within`` seconds. A zombie
+    counts as gone: an orphan waits as one until PID 1 reaps it."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        try:
+            if Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] == "Z":
+                return True
+        except FileNotFoundError:
+            pass  # it has just exited, or this system has no /proc
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+
+
+def kill_quietly(*pids):
+    """SIGKILLs whatever a failed test may have left running."""
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass

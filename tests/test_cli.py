@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from mtharness.guards import build_language_profile, load_seed_lines, read_profi
 from mtharness.multiref import evaluate_system_multiref
 from mtharness.scorer import ScoreRequest, SurrogateBackend, surrogate_score
 
-from helpers import write_profile
+from helpers import kill_quietly, process_gone, write_profile
 
 SRC_LINES = ["the cat sat on the mat", "a quick brown fox", "rain falls in autumn"]
 HYP_LINES = ["die katze sass auf der matte", "ein schneller brauner fuchs", "regen faellt im herbst"]
@@ -263,10 +264,13 @@ class TestConfigErrors:
          "--timeout must be positive and finite, got nan"),
         (["multiref", *SCORE_ARGS, "--multiref", "max", "--backend", "external:child", "--timeout", "inf"],
          "--timeout must be positive and finite, got inf"),
+        (["meta", "a.tsv", "a.tsv", "--ranking-metric", "a.tsv", "--ranking-human", ""], "ranking file not found"),
+        (["meta", "a.tsv", "a.tsv", "--ranking-metric", "", "--ranking-human", ""], "ranking file not found"),
     ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
             "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
             "missing-profile", "missing-ranking", "missing-document", "timeout-surrogate",
-            "timeout-multiref-surrogate", "timeout-zero", "timeout-negative", "timeout-nan", "timeout-multiref-inf"])
+            "timeout-multiref-surrogate", "timeout-zero", "timeout-negative", "timeout-nan", "timeout-multiref-inf",
+            "empty-ranking-human", "empty-rankings"])
     def test_config_error_exits_2_without_output(self, corpus, capsys, args, message):
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
         before = sorted(corpus.iterdir())
@@ -544,6 +548,60 @@ def test_timeout_kills_hung_external_scorer(run_module, corpus):
             os.kill(pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
+
+
+# Appends its pid to child.pids and sleeps.
+LOGGING_SLEEPER = """\
+import os, time
+with open("child.pids", "a") as log:
+    log.write(f"{os.getpid()}\\n")
+time.sleep(120)
+"""
+
+
+# Runs LOGGING_SLEEPER under a shell that outlives it, so the sleeper is
+# the scorer's grandchild; the shell appends its own pid to sh.pids.
+def shell_wrapped_sleeper(corpus):
+    (corpus / "sleeper.py").write_text(LOGGING_SLEEPER, encoding="utf-8")
+    return f"external:sh -c 'echo $$ >> sh.pids; {sys.executable} sleeper.py; true'"
+
+
+def logged_pids(corpus):
+    return [int(pid) for name in ("sh.pids", "child.pids") if (corpus / name).exists()
+            for pid in (corpus / name).read_text().split()]
+
+
+def test_timeout_kills_grandchildren(run_module, corpus):
+    proc = run_module(["score", *SCORE_ARGS, "--backend", shell_wrapped_sleeper(corpus),
+                       "--timeout", "1", "--out", "scores.tsv"], cwd=corpus, timeout=30)
+    pids = logged_pids(corpus)
+    try:
+        assert proc.returncode == EXIT_RUNTIME
+        assert "external scorer for requests 0..2 did not finish within 1 s" in proc.stderr
+        assert len(pids) == 2
+        assert all(process_gone(pid) for pid in pids)
+    finally:
+        kill_quietly(*pids)
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+def test_signal_ends_every_child_and_grandchild(start_module, corpus, signum):
+    proc = start_module(["score", *SCORE_ARGS, "--backend", shell_wrapped_sleeper(corpus),
+                         "--shard-size", "1", "--out", "scores.tsv"], cwd=corpus)
+    in_flight = min(len(SRC_LINES), len(os.sched_getaffinity(0)))  # shards the CLI runs at once
+    deadline = time.monotonic() + 30
+    while len(logged_pids(corpus)) < 2 * in_flight and proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.05)
+    pids = logged_pids(corpus)
+    try:
+        assert len(pids) == 2 * in_flight
+        proc.send_signal(signum)
+        proc.communicate(timeout=30)
+        assert proc.returncode == 128 + signum
+        assert all(process_gone(pid) for pid in pids)
+        assert not (corpus / "scores.tsv").exists()
+    finally:
+        kill_quietly(*pids)
 
 
 # Each run exits 0 with numpy blocked; (arguments, output file or None for stdout)

@@ -6,8 +6,11 @@ profiles and the per-batch pair memo, and must equal it exactly.
 """
 
 import math
+import os
 import random
+import signal
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -29,6 +32,8 @@ from mtharness.scorer import (
     surrogate_score,
     unescape_field,
 )
+
+from helpers import hard_timeout, kill_quietly, process_gone
 
 # A child scorer with its own unescaping logic (independent of the
 # library), answering each request with a checksum over the decoded
@@ -339,6 +344,18 @@ class TestExternal:
             with pytest.raises(ScorerError, match=f"output line 3 is {problem}: '{answer}'"):
                 ExternalBackend(cmd, shard_size=2).score_batch(reqs)
 
+    @pytest.mark.parametrize("failure, message", [
+        ("sys.stderr.write('kaboom')\n    sys.exit(4)", r"requests 2\.\.3 exited with status 4: kaboom"),
+        ("print(0.5)\n    sys.exit()", r"requests 2\.\.3 answered 1 lines for 2 requests"),
+    ], ids=["status", "line-count"])
+    def test_sharded_shard_errors_name_the_shard(self, tmp_path, failure, message):
+        # only the second shard of two (requests 2..3) fails
+        cmd = child(tmp_path, f"import sys\ndata = sys.stdin.read()\nif 'h2' in data:\n    {failure}\n"
+                              "print(0.5)\nprint(0.5)\n")
+        reqs = [ScoreRequest("s", f"h{i}") for i in range(4)]
+        with pytest.raises(ScorerError, match=f"^external scorer for {message}$"):
+            ExternalBackend(cmd, shard_size=2).score_batch(reqs)
+
     def test_digit_group_underscore_rejected(self, tmp_path):
         assert float("1_0") == 10.0  # what a bare float() would accept
         cmd = child(tmp_path, "print('0.5')\nprint('1_0')\n")
@@ -371,6 +388,180 @@ class TestExternal:
         backend = ExternalBackend(["/nonexistent/scorer"])
         with pytest.raises(ScorerError, match="could not run"):
             backend.score_batch([ScoreRequest("s", "h")])
+
+
+# Children for the shard pool. Each serves one request "h<i>" (shard i
+# with shard_size=1) and gets the test's directory as its argument.
+POOL_CHILD_HEAD = """\
+import os, pathlib, re, sys, time
+here = pathlib.Path(sys.argv[1])
+shard = int(re.search(r"h(\\d+)", sys.stdin.read()).group(1))
+
+def publish(name, text):
+    (here / (name + ".tmp")).write_text(text)
+    os.replace(here / (name + ".tmp"), here / name)
+
+def wait_for(name):
+    deadline = time.monotonic() + 20
+    while not (here / name).exists():
+        if time.monotonic() > deadline:
+            sys.exit(f"shard {shard} waited 20 s for {name}")
+        time.sleep(0.01)
+"""
+
+# Each shard of two waits for the other's marker, so both finish only if
+# they run at the same time.
+MEETING_CHILD = POOL_CHILD_HEAD + """\
+publish(f"marker{shard}", "")
+wait_for(f"marker{1 - shard}")
+print(0.5)
+"""
+
+# Fails if another scorer holds the lock file while it runs.
+LOCKING_CHILD = POOL_CHILD_HEAD + """\
+try:
+    fd = os.open(here / "lock", os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+except FileExistsError:
+    sys.exit(f"shard {shard} found the lock taken")
+time.sleep(0.2)
+os.close(fd)
+os.unlink(here / "lock")
+print(0.5)
+"""
+
+# Shard 0 answers junk after 1 s; shard 1 exits 3 at once.
+SLOW_JUNK_CHILD = POOL_CHILD_HEAD + """\
+if shard == 0:
+    time.sleep(1)
+    print("junk")
+else:
+    sys.exit(3)
+"""
+
+# Logs its pid; shard 0 exits 5 once shard 1 has published its pid, and
+# every other shard sleeps.
+FAIL_FIRST_CHILD = POOL_CHILD_HEAD + """\
+with open(here / "spawns", "a") as log:
+    log.write(f"{os.getpid()}\\n")
+if shard == 0:
+    wait_for("pid1")
+    sys.exit(5)
+publish(f"pid{shard}", str(os.getpid()))
+time.sleep(60)
+"""
+
+# Publishes its pid and sleeps.
+SLEEPING_CHILD = POOL_CHILD_HEAD + """\
+publish(f"pid{shard}", str(os.getpid()))
+time.sleep(60)
+"""
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Makes the backend see this many usable CPUs."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return set_cpus
+
+
+def pool_backend(tmp_path, source, **kwargs):
+    return ExternalBackend([*child(tmp_path, source), str(tmp_path)], shard_size=1, **kwargs)
+
+
+def shard_requests(n):
+    return [ScoreRequest("s", f"h{i}") for i in range(n)]
+
+
+class TestExternalPool:
+    def test_two_cpus_run_two_shards_at_once(self, tmp_path, cpus):
+        cpus(2)
+        with hard_timeout(60):
+            assert pool_backend(tmp_path, MEETING_CHILD).score_batch(shard_requests(2)) == [0.5, 0.5]
+
+    def test_one_cpu_runs_one_child_at_a_time(self, tmp_path, cpus):
+        cpus(1)
+        with hard_timeout(60):
+            assert pool_backend(tmp_path, LOCKING_CHILD).score_batch(shard_requests(4)) == [0.5] * 4
+
+    def test_more_cpus_than_cores_give_the_unsharded_result(self, tmp_path, cpus):
+        cpus(8)
+        rng = random.Random(43)
+        reqs = [ScoreRequest(s, h, r) for s, h, r in zip(*(nasty_strings(rng, 120) for _ in range(3)))]
+        cmd = child(tmp_path, CHECKSUM_CHILD)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a race on the pool's state would show
+        try:
+            with hard_timeout(120):
+                sharded = ExternalBackend(cmd, shard_size=2).score_batch(reqs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sharded == ExternalBackend(cmd).score_batch(reqs)
+        assert sharded == [checksum([req.source, req.hypothesis, req.reference]) for req in reqs]
+
+    def test_earliest_failing_shard_names_the_error(self, tmp_path, cpus):
+        # shard 1 fails first, but a serial run would report shard 0
+        cpus(2)
+        with hard_timeout(30), pytest.raises(ScorerError, match="^external scorer output line 1 is not a number: 'junk'$"):
+            pool_backend(tmp_path, SLOW_JUNK_CHILD).score_batch(shard_requests(2))
+
+    def test_failure_starts_no_shard_and_kills_later_ones(self, tmp_path, cpus):
+        cpus(2)
+        try:
+            with hard_timeout(30), pytest.raises(ScorerError, match=r"requests 0\.\.0 exited with status 5"):
+                pool_backend(tmp_path, FAIL_FIRST_CHILD).score_batch(shard_requests(6))
+            spawned = (tmp_path / "spawns").read_text().split()
+            assert len(spawned) == 2  # shards 0 and 1; no shard started after the failure
+            sibling = int((tmp_path / "pid1").read_text())
+            with pytest.raises(ProcessLookupError):  # killed and reaped before score_batch returned
+                os.kill(sibling, 0)
+        finally:
+            kill_quietly(*map(int, (tmp_path / "spawns").read_text().split()))
+
+    def test_interrupt_kills_and_reaps_every_child(self, tmp_path, cpus):
+        cpus(2)
+        pid_files = [tmp_path / "pid0", tmp_path / "pid1"]
+
+        def interrupt_once_both_run(signum, frame):
+            if all(path.exists() for path in pid_files):
+                raise KeyboardInterrupt
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+
+        previous = signal.signal(signal.SIGALRM, interrupt_once_both_run)
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        started = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                pool_backend(tmp_path, SLEEPING_CHILD).score_batch(shard_requests(3))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 30
+        pids = [int(path.read_text()) for path in pid_files]
+        try:
+            for pid in pids:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+            assert not (tmp_path / "pid2").exists()
+        finally:
+            kill_quietly(*pids)
+
+    def test_timeout_kills_the_child_process_group(self, tmp_path, cpus):
+        cpus(1)
+        script = tmp_path / "sleeper.py"
+        script.write_text(SLEEPING_CHILD)
+        backend = ExternalBackend(["sh", "-c", f"{sys.executable} {script} {tmp_path}; true"], timeout=1)
+        try:
+            with hard_timeout(30), pytest.raises(ScorerError, match=r"requests 0\.\.0 did not finish within 1 s"):
+                backend.score_batch(shard_requests(1))
+            assert process_gone(int((tmp_path / "pid0").read_text()))
+        finally:
+            kill_quietly(int((tmp_path / "pid0").read_text()))
+
+    def test_unsharded_batch_spawns_one_child(self, tmp_path, cpus):
+        cpus(8)
+        cmd = child(tmp_path, "import os, sys\nn = len(sys.stdin.readlines())\nprint(*[os.getpid()] * n, sep='\\n')\n")
+        assert len(set(ExternalBackend(cmd).score_batch(shard_requests(5)))) == 1
 
 
 class TestScoreEvalset:
