@@ -4,7 +4,7 @@ Every file this tool writes ends in a `#` trailer carrying the run's
 signature and the exact command line, so any output can be reproduced
 byte-for-byte by re-running its own trailer. Exit codes: 0 success,
 2 invalid configuration (nothing written), 3 no match (check-reporting),
-1 runtime failure, 128 + N when ended by signal N (SIGTERM or SIGHUP).
+1 runtime failure.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import argparse
 import math
 import platform
 import shlex
-import signal
 import sys
-import threading
 from pathlib import Path
 from typing import Sequence
 
@@ -473,10 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
 _TRAILER_BREAKERS = frozenset(map(chr, range(0x20))) | {"\x85", "\u2028", "\u2029"}
 
 
-def _exit_on_signal(signum: int, frame) -> None:
-    raise SystemExit(128 + signum)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     raw_args = list(sys.argv[1:] if argv is None else argv)
     for arg in raw_args:
@@ -490,13 +484,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"mtharness: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # External scorers run in their own process groups, so a signal sent to this
-    # process or its group no longer reaches them: SIGTERM and SIGHUP become
-    # SystemExit, and the backend kills and reaps its children on the way out.
-    # Signal handlers can only be set from the main thread.
-    previous = {}
-    if threading.current_thread() is threading.main_thread():
-        previous = {sig: signal.signal(sig, _exit_on_signal) for sig in (signal.SIGTERM, signal.SIGHUP)}
     try:
         return ns.handler(ns)
     except ConfigError as exc:
@@ -510,9 +497,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             message = exc.args[0] if exc.args else str(exc)
         print(f"mtharness: error: {message}", file=sys.stderr)
         return EXIT_RUNTIME
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
 
 
 if __name__ == "__main__":

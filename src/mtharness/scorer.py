@@ -13,8 +13,11 @@ import math
 import os
 import signal
 import subprocess
+import tempfile
 import threading
+import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -223,10 +226,60 @@ def _usable_cpus() -> int:
 
 def _kill_group(proc: subprocess.Popen) -> None:
     """SIGKILL a child's whole process group, so its own children die with it."""
+    if not hasattr(os, "killpg"):  # no process groups on this platform
+        proc.kill()
+        return
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:
         pass  # every member has already exited
+
+
+# How often a shard's thread checks whether its shard was cancelled. It
+# bounds the wait when a killed child's pipes are still held open by a
+# grandchild that left the child's process group (e.g. through setsid).
+_CANCEL_POLL_S = 0.1
+
+
+class _Terminated(BaseException):
+    """SIGTERM or SIGHUP arrived while external children were running."""
+
+
+@contextmanager
+def _unwind_on_termination():
+    """Turns SIGTERM and SIGHUP into ``_Terminated`` inside the block.
+
+    The children lead their own process groups, so a signal sent to this
+    process or its group no longer reaches them. Raising lets the block's
+    cleanup kill and reap them; on leaving the block the signal is sent
+    again and ends the process as it would have without this handler.
+    Only signals left at their default action are taken over (one ignored
+    under nohup stays ignored), and only from the main thread, the one
+    place where handlers can be set.
+    """
+    signums = [getattr(signal, name) for name in ("SIGTERM", "SIGHUP") if hasattr(signal, name)]
+    if threading.current_thread() is not threading.main_thread():
+        signums = []
+    received: list[int] = []
+
+    def unwind(signum, frame):
+        if not received:  # a repeated signal must not interrupt the cleanup
+            received.append(signum)
+            raise _Terminated
+
+    taken = [signum for signum in signums if signal.getsignal(signum) is signal.SIG_DFL]
+    for signum in taken:
+        signal.signal(signum, unwind)
+    try:
+        yield
+    except _Terminated:
+        pass
+    finally:
+        for signum in taken:
+            signal.signal(signum, signal.SIG_DFL)
+    if received:
+        os.kill(os.getpid(), received[0])
+        raise SystemExit(128 + received[0])  # not reached where the default action ends the process
 
 
 class ExternalBackend:
@@ -244,10 +297,12 @@ class ExternalBackend:
     waits for as long as it takes.
 
     Each child leads its own process group, and every kill (timeout,
-    failed sibling, or any exception leaving ``score_batch``, such as
-    ``KeyboardInterrupt``) goes to the whole group, so grandchildren of
-    a wrapper such as ``sh -c`` die too. Every child is reaped before
-    ``score_batch`` returns.
+    failed sibling, any exception leaving ``score_batch`` such as
+    ``KeyboardInterrupt``, or SIGTERM or SIGHUP to this process) goes to
+    the whole group, so grandchildren of a wrapper such as ``sh -c`` die
+    too. Every child is reaped before ``score_batch`` returns; a killed
+    child's pipes are closed without waiting for a grandchild that left
+    the group to close its copies.
     """
 
     def __init__(self, command: Sequence[str], shard_size: int | None = None, timeout: float | None = None) -> None:
@@ -261,20 +316,30 @@ class ExternalBackend:
         self.shard_size = shard_size
         self.timeout = timeout
 
-    def _finish_shard(self, proc: subprocess.Popen, lines: list[str], start: int) -> list[float]:
-        """Feeds a spawned child its shard, reaps it and parses its answers."""
-        span = f"requests {start}..{start + len(lines) - 1}"
-        payload = "".join(line + "\n" for line in lines).encode("utf-8")
+    def _finish_shard(self, proc: subprocess.Popen, count: int, start: int, cancelled: threading.Event) -> list[float]:
+        """Collects a spawned child's answers for its ``count`` requests, reaps it and parses them."""
+        span = f"requests {start}..{start + count - 1}"
+        deadline = None if self.timeout is None else time.monotonic() + self.timeout
         try:
-            stdout, stderr = proc.communicate(payload, timeout=self.timeout)
-        except subprocess.TimeoutExpired:
-            raise ScorerError(
-                f"external scorer for {span} did not finish within {self.timeout:g} s and was killed"
-            ) from None
+            while True:
+                wait_s = _CANCEL_POLL_S if deadline is None else min(_CANCEL_POLL_S, deadline - time.monotonic())
+                try:  # a repeated communicate resumes reading where the last one stopped
+                    stdout, stderr = proc.communicate(timeout=max(wait_s, 0.0))
+                    break
+                except subprocess.TimeoutExpired:
+                    pass
+                if cancelled.is_set():
+                    raise ScorerError(f"external scorer for {span} was killed after another shard failed")
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise ScorerError(
+                        f"external scorer for {span} did not finish within {self.timeout:g} s and was killed"
+                    )
         finally:
-            if proc.returncode is None:  # timed out: end the whole group, then reap and close the pipes
+            if proc.returncode is None:  # cancelled, timed out or interrupted: end the whole group
                 _kill_group(proc)
-                proc.communicate()
+                proc.wait()
+                proc.stdout.close()
+                proc.stderr.close()
         if proc.returncode != 0:
             message = stderr.decode("utf-8", errors="replace").strip()
             detail = f": {message}" if message else ""
@@ -285,8 +350,8 @@ class ExternalBackend:
             raise ScorerError(f"external scorer output for {span} is not valid UTF-8 ({exc.reason})") from None
         if out_lines and out_lines[-1] == "":
             out_lines.pop()
-        if len(out_lines) != len(lines):
-            raise ScorerError(f"external scorer for {span} answered {len(out_lines)} lines for {len(lines)} requests")
+        if len(out_lines) != count:
+            raise ScorerError(f"external scorer for {span} answered {len(out_lines)} lines for {count} requests")
         scores: list[float] = []
         # number lines across the whole batch, as an unsharded run would
         for lineno, line in enumerate(out_lines, start=start + 1):
@@ -310,48 +375,54 @@ class ExternalBackend:
 
         size = self.shard_size or len(lines)
         starts = range(0, len(lines), size)
-        running: dict[int, subprocess.Popen] = {}
+        running: dict[int, threading.Event] = {}  # cancels the shards with a child in flight
         lock = threading.Lock()  # guards running and stopped
         stopped = False
 
         def stop(after: int) -> None:
-            """Starts no further shard and kills every running shard after ``after``."""
+            """Starts no further shard and cancels every running shard after ``after``."""
             nonlocal stopped
             stopped = True
-            for start, proc in running.items():
+            for start, cancelled in running.items():
                 if start > after:
-                    _kill_group(proc)
+                    cancelled.set()
 
         def run_shard(start: int) -> list[float] | None:
-            with lock:  # spawning under the lock: no child starts after a failure
-                if stopped:
-                    return None
-                try:
-                    proc = running[start] = subprocess.Popen(
-                        self.command,
-                        stdin=subprocess.PIPE,
-                        stdout=subprocess.PIPE,
-                        stderr=subprocess.PIPE,
-                        start_new_session=True,
-                    )
-                except OSError as exc:
-                    stop(start)
-                    raise ScorerError(f"could not run external scorer {self.command[0]!r}: {exc}") from None
+            shard = lines[start : start + size]
             try:
-                return self._finish_shard(proc, lines[start : start + size], start)
+                # The child reads its shard from a file, not a pipe: nothing has to
+                # be written while it runs, so waiting for it can stop at any time.
+                with tempfile.TemporaryFile() as stdin:
+                    stdin.write("".join(line + "\n" for line in shard).encode("utf-8"))
+                    stdin.seek(0)
+                    with lock:  # spawning under the lock: no child starts after a failure
+                        if stopped:
+                            return None
+                        try:
+                            proc = subprocess.Popen(
+                                self.command,
+                                stdin=stdin,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE,
+                                start_new_session=True,
+                            )
+                        except OSError as exc:
+                            raise ScorerError(f"could not run external scorer {self.command[0]!r}: {exc}") from None
+                        cancelled = running[start] = threading.Event()
+                return self._finish_shard(proc, len(shard), start, cancelled)
             except BaseException:
                 with lock:
                     stop(start)
                 raise
             finally:
                 with lock:
-                    del running[start]
+                    running.pop(start, None)
 
-        with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
-            shards = [pool.submit(run_shard, start) for start in starts]
+        with _unwind_on_termination(), ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
             try:
+                shards = [pool.submit(run_shard, start) for start in starts]
                 wait(shards)
-            finally:  # after an exception such as KeyboardInterrupt: kill every child in flight
+            finally:  # after an exception such as KeyboardInterrupt: cancel every child in flight
                 with lock:
                     stop(-1)
         # leaving the pool joined its threads, so every child has been reaped

@@ -597,7 +597,7 @@ def test_signal_ends_every_child_and_grandchild(start_module, corpus, signum):
         assert len(pids) == 2 * in_flight
         proc.send_signal(signum)
         proc.communicate(timeout=30)
-        assert proc.returncode == 128 + signum
+        assert proc.returncode == -signum  # ended by the signal, once its children are gone
         assert all(process_gone(pid) for pid in pids)
         assert not (corpus / "scores.tsv").exists()
     finally:

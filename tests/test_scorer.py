@@ -456,6 +456,27 @@ publish(f"pid{shard}", str(os.getpid()))
 time.sleep(60)
 """
 
+# Leaves behind a grandchild in a session of its own, which keeps the
+# child's pipes open, publishes its pid and sleeps.
+ESCAPE = """\
+import subprocess
+escaped = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"], start_new_session=True)
+publish(f"escaped{shard}", str(escaped.pid))
+time.sleep(60)
+"""
+ESCAPING_CHILD = POOL_CHILD_HEAD + ESCAPE
+
+# Shard 0 exits 5 once shard 1 has left its escaped grandchild behind.
+FAIL_BESIDE_ESCAPED_CHILD = POOL_CHILD_HEAD + """\
+if shard == 0:
+    wait_for("escaped1")
+    sys.exit(5)
+""" + ESCAPE
+
+
+def escaped_pids(tmp_path):
+    return [int(path.read_text()) for path in tmp_path.glob("escaped*")]
+
 
 @pytest.fixture
 def cpus(monkeypatch):
@@ -557,6 +578,46 @@ class TestExternalPool:
             assert process_gone(int((tmp_path / "pid0").read_text()))
         finally:
             kill_quietly(int((tmp_path / "pid0").read_text()))
+
+    def test_timeout_kills_the_child_where_there_are_no_process_groups(self, tmp_path, cpus, monkeypatch):
+        cpus(1)
+        monkeypatch.delattr(os, "killpg", raising=False)
+        try:
+            with hard_timeout(30), pytest.raises(ScorerError, match=r"requests 0\.\.0 did not finish within 1 s"):
+                pool_backend(tmp_path, SLEEPING_CHILD, timeout=1).score_batch(shard_requests(1))
+            with pytest.raises(ProcessLookupError):  # killed and reaped
+                os.kill(int((tmp_path / "pid0").read_text()), 0)
+        finally:
+            kill_quietly(int((tmp_path / "pid0").read_text()))
+
+    # The escaped grandchild sleeps 60 s: waiting for it to close the pipes
+    # would run into the hard timeout.
+    def test_timeout_does_not_wait_for_an_escaped_grandchild(self, tmp_path, cpus):
+        cpus(1)
+        try:
+            with hard_timeout(30), pytest.raises(ScorerError, match=r"requests 0\.\.0 did not finish within 2 s"):
+                pool_backend(tmp_path, ESCAPING_CHILD, timeout=2).score_batch(shard_requests(1))
+            assert len(escaped_pids(tmp_path)) == 1
+        finally:
+            kill_quietly(*escaped_pids(tmp_path))
+
+    def test_failure_does_not_wait_for_a_later_shards_escaped_grandchild(self, tmp_path, cpus):
+        cpus(2)
+        try:
+            with hard_timeout(30), pytest.raises(ScorerError, match=r"requests 0\.\.0 exited with status 5"):
+                pool_backend(tmp_path, FAIL_BESIDE_ESCAPED_CHILD).score_batch(shard_requests(2))
+            assert len(escaped_pids(tmp_path)) == 1
+        finally:
+            kill_quietly(*escaped_pids(tmp_path))
+
+    def test_signal_handlers_are_left_as_found(self, tmp_path):
+        previous = signal.signal(signal.SIGHUP, signal.SIG_IGN)  # as under nohup
+        try:
+            assert ExternalBackend(child(tmp_path, "print(0.5)\n")).score_batch(shard_requests(1)) == [0.5]
+            assert signal.getsignal(signal.SIGHUP) is signal.SIG_IGN
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        finally:
+            signal.signal(signal.SIGHUP, previous)
 
     def test_unsharded_batch_spawns_one_child(self, tmp_path, cpus):
         cpus(8)
