@@ -98,6 +98,8 @@ def _check_score(ns: argparse.Namespace) -> None:
     _check_scoring(ns)
     if len(ns.ref) > 1:
         raise ConfigError("score takes at most one --ref; use the multiref subcommand")
+    if ns.profile and not ns.guard_lang:
+        raise ConfigError("--profile only applies with --guard-lang")
     ns.profile = [_existing_file(path, "profile") for path in ns.profile or []]
     if ns.min_len < 0:
         raise ConfigError("--min-len must be nonnegative")

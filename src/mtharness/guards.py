@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .evalset import GUARD_EMPTY, GUARD_LANG, EvalSet, ScoreTable, read_lines
+from .scorer import map_chunks
 
 NGRAM_ORDERS = (1, 2, 3, 4)
 DEFAULT_PROFILE_SIZE = 300
@@ -180,9 +181,17 @@ def parse_profile(text: str) -> LanguageProfile:
         k = int(k_text)
     except ValueError:
         raise ValueError(f"bad profile header {lines[0]!r}: K is not an integer") from None
+    if k < 1:
+        raise ValueError(f"bad profile header {lines[0]!r}: K must be at least 1")
     grams = lines[1 : 1 + k]  # grams keep their padding spaces; do not strip
     if len(grams) != k:
         raise ValueError(f"profile header promises {k} n-grams but {len(grams)} follow")
+    first_line: dict[str, int] = {}
+    for lineno, gram in enumerate(grams, start=2):
+        if not gram:
+            raise ValueError(f"line {lineno}: empty n-gram")
+        if first_line.setdefault(gram, lineno) != lineno:
+            raise ValueError(f"line {lineno}: n-gram {gram!r} repeats line {first_line[gram]}")
     for extra in lines[1 + k :]:
         if not extra.startswith("#"):
             raise ValueError(f"unexpected line after the {k} profile n-grams: {extra!r}")
@@ -190,7 +199,11 @@ def parse_profile(text: str) -> LanguageProfile:
 
 
 def read_profile(path: str | Path) -> LanguageProfile:
-    return parse_profile(Path(path).read_text(encoding="utf-8"))
+    """Parse a profile file; a malformed one raises a ValueError naming it."""
+    try:
+        return parse_profile(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_seed_lines(lang: str) -> list[str]:
@@ -209,11 +222,62 @@ def bundled_profiles(langs: Sequence[str] = BUNDLED_SEED_LANGS, k: int = DEFAULT
 
 
 def _out_of_place_distance(text_grams: Sequence[str], profile: LanguageProfile, penalty: int) -> int:
+    # The reference _RankTable.distances is tested against, one profile at a time.
     # penalty must be shared across the whole profile set: charging
     # absent grams len(profile) would make smaller profiles win on
     # mismatches alone when profile sizes differ.
     ranks = profile._ranks
     return sum(abs(i - ranks[gram]) if gram in ranks else penalty for i, gram in enumerate(text_grams))
+
+
+class _RankTable:
+    """The ranks of every profile, for distances to all profiles at once.
+
+    Each gram of any profile maps to a tuple of its rank in each profile,
+    in profile order, with None where a profile lacks it. So a text gram
+    costs one dict lookup, whatever the number of profiles, and a text
+    gram that no profile has adds ``penalty`` to every distance. Each
+    distance equals ``_out_of_place_distance`` for its profile.
+    """
+
+    def __init__(self, profiles: Sequence[LanguageProfile]) -> None:
+        if len(profiles) < 2:
+            raise ValueError("need at least two language profiles to identify against")
+        if len({p.lang for p in profiles}) < 2:
+            raise ValueError("profiles cover fewer than two distinct languages")
+        self.langs = tuple(p.lang for p in profiles)
+        self.penalty = max(len(p) for p in profiles)
+        ranks: dict[str, list[int | None]] = {}
+        for column, profile in enumerate(profiles):
+            for rank, gram in enumerate(profile.ranked_ngrams):
+                ranks.setdefault(gram, [None] * len(profiles))[column] = rank
+        self._ranks = {gram: tuple(row) for gram, row in ranks.items()}
+
+    def distances(self, text_grams: Sequence[str]) -> list[int]:
+        """Out-of-place distance of ranked text grams to each profile."""
+        penalty = self.penalty
+        known = [(i, row) for i, row in enumerate(map(self._ranks.get, text_grams)) if row is not None]
+        unknown = (len(text_grams) - len(known)) * penalty
+        if not known:
+            return [unknown] * len(self.langs)
+        positions, rows = zip(*known)
+        # a comprehension with no call per gram: faster than abs() or a generator
+        return [
+            unknown + sum([penalty if r is None else (i - r if i > r else r - i) for i, r in zip(positions, column)])
+            for column in zip(*rows)
+        ]
+
+    def identify(self, text: str, min_len: int) -> tuple[str | None, float]:
+        if len(text.strip()) < min_len:
+            return None, 0.0
+        best_per_lang: dict[str, int] = {}
+        for lang, d in zip(self.langs, self.distances(_ranked(_count_ngrams([text]), self.penalty))):
+            if lang not in best_per_lang or d < best_per_lang[lang]:
+                best_per_lang[lang] = d
+        ranking = sorted(best_per_lang.items(), key=lambda item: (item[1], item[0]))
+        (best_lang, d1), (_, d2) = ranking[0], ranking[1]
+        margin = (d2 - d1) / d2 if d2 > 0 else 0.0
+        return best_lang, margin
 
 
 def identify_language(
@@ -228,23 +292,7 @@ def identify_language(
     (second_best - best) / second_best over distinct languages, in
     [0, 1]; duplicate profiles for one language do not change it.
     """
-    if len(profiles) < 2:
-        raise ValueError("need at least two language profiles to identify against")
-    if len(text.strip()) < min_len:
-        return None, 0.0
-    penalty = max(len(p) for p in profiles)
-    text_grams = _ranked(_count_ngrams([text]), penalty)
-    best_per_lang: dict[str, int] = {}
-    for profile in profiles:
-        d = _out_of_place_distance(text_grams, profile, penalty)
-        if profile.lang not in best_per_lang or d < best_per_lang[profile.lang]:
-            best_per_lang[profile.lang] = d
-    if len(best_per_lang) < 2:
-        raise ValueError("profiles cover fewer than two distinct languages")
-    ranking = sorted(best_per_lang.items(), key=lambda item: (item[1], item[0]))
-    (best_lang, d1), (_, d2) = ranking[0], ranking[1]
-    margin = (d2 - d1) / d2 if d2 > 0 else 0.0
-    return best_lang, margin
+    return _RankTable(profiles).identify(text, min_len)
 
 
 def apply_lang_guard(
@@ -265,15 +313,17 @@ def apply_lang_guard(
         raise ValueError(f"score table has {len(scores)} rows for {len(evalset)} segments")
     if expected_lang not in {p.lang for p in profiles}:
         raise ValueError(f"no profile for expected language {expected_lang!r}")
+    table = _RankTable(profiles)
+
+    def identify_chunk(hyps: Sequence[str]) -> list[tuple[str | None, float]]:
+        return [(None, 0.0) if is_empty_hypothesis(hyp) else table.identify(hyp, min_len) for hyp in hyps]
+
+    detections = map_chunks(identify_chunk, [seg.hypothesis for seg in evalset.segments])
     new_scores = list(scores.scores)
     new_flags = list(scores.guard_flags)
     entries = []
     unreliable = []
-    for seg in evalset.segments:
-        hyp = seg.hypothesis
-        if is_empty_hypothesis(hyp):
-            continue
-        detected, margin = identify_language(hyp, profiles, min_len=min_len)
+    for seg, (detected, margin) in zip(evalset.segments, detections):
         if detected is None or detected == expected_lang:
             continue
         if margin >= min_margin:

@@ -26,16 +26,17 @@ def run_module():
     past ``timeout`` seconds raises ``subprocess.TimeoutExpired``, which
     names the command. Modules named in ``block`` cannot be imported in
     the child: a ``None`` entry in ``sys.modules`` makes their import raise
-    ``ImportError``."""
+    ``ImportError``. A ``launcher`` such as ``["taskset", "-c", "0"]``
+    starts the interpreter."""
     env = _module_env()
 
-    def run(args, cwd, timeout=60, block=()):
+    def run(args, cwd, timeout=60, block=(), launcher=()):
         launch = ["-m", "mtharness"]
         if block:
             launch = ["-c", f"import sys; sys.modules.update(dict.fromkeys({sorted(block)!r}));"
                             " from mtharness.cli import main; sys.exit(main())"]
         return subprocess.run(
-            [sys.executable, *launch, *args],
+            [*launcher, sys.executable, *launch, *args],
             cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
         )
 

@@ -1,13 +1,15 @@
 """Helpers that only the tests need: writers that turn in-memory objects
-back into the files the library reads, and process checks for the
-external backend."""
+back into the files the library reads, process checks for the external
+backend, and control over how in-process work is split into chunks."""
 
 import os
 import signal
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
+from mtharness import scorer
 from mtharness.evalset import format_score_rows
 from mtharness.guards import serialize_profile
 
@@ -81,3 +83,35 @@ def kill_quietly(*pids):
             os.kill(pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
+
+
+@contextmanager
+def chunking(cpus, min_chunk=1):
+    """Makes ``map_chunks`` see ``cpus`` usable CPUs and, unless
+    ``min_chunk`` is None, split batches down to chunks of that many items.
+    Yields the list of the pids it forks, filled in as it forks them."""
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True), \
+            mock.patch.object(os, "fork", counting_fork):
+        if min_chunk is None:
+            yield forked
+        else:
+            with mock.patch.object(scorer, "_MIN_CHUNK", min_chunk):
+                yield forked
+
+
+def reaped(pid):
+    """True once ``pid`` is no child of this process left to wait for."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

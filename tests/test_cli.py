@@ -15,13 +15,14 @@ from pathlib import Path
 
 import pytest
 
+from mtharness import scorer
 from mtharness.cli import EXIT_CONFIG, EXIT_NO_MATCH, EXIT_OK, EXIT_RUNTIME, main
 from mtharness.evalset import Direction, read_score_table
 from mtharness.guards import build_language_profile, load_seed_lines, read_profile
 from mtharness.multiref import evaluate_system_multiref
 from mtharness.scorer import ScoreRequest, SurrogateBackend, surrogate_score
 
-from helpers import kill_quietly, process_gone, write_profile
+from helpers import chunking, hard_timeout, kill_quietly, process_gone, write_profile
 
 SRC_LINES = ["the cat sat on the mat", "a quick brown fox", "rain falls in autumn"]
 HYP_LINES = ["die katze sass auf der matte", "ein schneller brauner fuchs", "regen faellt im herbst"]
@@ -217,6 +218,20 @@ class TestConfigErrors:
         assert not (corpus / "child-ran").exists()
         assert not (corpus / "scores.tsv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("de\t0\n", "bad profile header 'de\\t0': K must be at least 1"),
+        ("", "empty profile text"),
+        ("de\t3\nab\ncd\nab\n", "line 4: n-gram 'ab' repeats line 2"),
+    ], ids=["k-zero", "empty", "duplicate"])
+    def test_malformed_profile_names_the_file(self, corpus, capsys, text, message):
+        (corpus / "child.py").write_text(RECORDING_CHILD, encoding="utf-8")
+        (corpus / "bad.profile").write_text(text, encoding="utf-8")
+        assert main(["score", *SCORE_ARGS, "--guard-lang", "--profile", "bad.profile",
+                     "--backend", f"external:{sys.executable} child.py", "--out", "scores.tsv"]) == EXIT_RUNTIME
+        assert not (corpus / "child-ran").exists()
+        assert not (corpus / "scores.tsv").exists()
+        assert capsys.readouterr().err == f"mtharness: error: bad.profile: {message}\n"
+
     def test_score_rejects_multiple_refs(self, corpus):
         assert main(["score", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
                      "--ref", "ref.txt", "--direction", "en-de"]) == EXIT_CONFIG
@@ -266,11 +281,12 @@ class TestConfigErrors:
          "--timeout must be positive and finite, got inf"),
         (["meta", "a.tsv", "a.tsv", "--ranking-metric", "a.tsv", "--ranking-human", ""], "ranking file not found"),
         (["meta", "a.tsv", "a.tsv", "--ranking-metric", "", "--ranking-human", ""], "ranking file not found"),
+        (["score", *SCORE_ARGS, "--profile", "px.txt"], "--profile only applies with --guard-lang"),
     ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
             "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
             "missing-profile", "missing-ranking", "missing-document", "timeout-surrogate",
             "timeout-multiref-surrogate", "timeout-zero", "timeout-negative", "timeout-nan", "timeout-multiref-inf",
-            "empty-ranking-human", "empty-rankings"])
+            "empty-ranking-human", "empty-rankings", "profile-without-guard-lang"])
     def test_config_error_exits_2_without_output(self, corpus, capsys, args, message):
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
         before = sorted(corpus.iterdir())
@@ -316,6 +332,25 @@ class TestRuntimeErrors:
                      "--shard-size", "2", "--out", "scores.tsv"]) == EXIT_RUNTIME
         assert not (corpus / "scores.tsv").exists()
         assert "output line 3 is not a number: 'oops'" in capsys.readouterr().err
+
+    def test_worker_error_exits_1_with_the_serial_message(self, corpus, capsys, monkeypatch):
+        blend = scorer._blend
+
+        def failing_blend(request, similarity):
+            if request.hypothesis == HYP_LINES[2]:
+                raise ValueError(f"cannot score {request.hypothesis!r}")
+            return blend(request, similarity)
+
+        monkeypatch.setattr(scorer, "_blend", failing_blend)
+        args = ["score", *SCORE_ARGS, "--out", "scores.tsv"]
+        with chunking(1):
+            assert main(args) == EXIT_RUNTIME
+        serial = capsys.readouterr().err
+        with hard_timeout(30), chunking(2) as forked:  # the failing request is in the worker's chunk
+            assert main(args) == EXIT_RUNTIME
+        assert capsys.readouterr().err == serial == f"mtharness: error: cannot score {HYP_LINES[2]!r}\n"
+        assert len(forked) == 1 and process_gone(forked[0])
+        assert not (corpus / "scores.tsv").exists()
 
     @pytest.mark.parametrize("out, cause", [
         ("missing/scores.tsv", "No such file or directory"),
@@ -602,6 +637,65 @@ def test_signal_ends_every_child_and_grandchild(start_module, corpus, signum):
         assert not (corpus / "scores.tsv").exists()
     finally:
         kill_quietly(*pids)
+
+
+def write_guarded_corpus(corpus, n, repeat=1):
+    """n segments of German, with every tenth hypothesis empty and every
+    tenth Chinese; each text is ``repeat`` seed lines long."""
+    de, en, zh = (load_seed_lines(lang) for lang in ("de", "en", "zh"))
+
+    def text(lines, i):
+        return " ".join(lines[(i + j) % len(lines)] for j in range(repeat))
+
+    hyps = ["" if i % 10 == 3 else text(zh, i) if i % 10 == 7 else text(de, i + 1) for i in range(n)]
+    for name, lines in (("src.txt", [text(en, i) for i in range(n)]), ("hyp.txt", hyps),
+                        ("ref.txt", [text(de, i) for i in range(n)])):
+        (corpus / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+@pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset to restrict the CPUs")
+def test_guarded_out_bytes_do_not_depend_on_cpu_count(run_module, corpus):
+    write_guarded_corpus(corpus, 300)
+    args = ["score", *SCORE_ARGS, "--guard-empty", "--guard-lang", "--out", "scores.tsv"]
+    outputs = []
+    for launcher in (["taskset", "-c", "0"], []):
+        proc = run_module(args, cwd=corpus, launcher=launcher)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        outputs.append((corpus / "scores.tsv").read_bytes())
+    with chunking(8, min_chunk=None) as forked:
+        assert main(args) == EXIT_OK
+    outputs.append((corpus / "scores.tsv").read_bytes())
+    assert len(forked) == 2 * 5  # 300 segments: 6 chunks in each of the two stages
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert "# guarded 30 of 300 segments" in outputs[0].decode("utf-8")
+
+
+def worker_pids(pid):
+    return [int(child) for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs for a forked worker")
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="needs /proc/<pid>/task/<pid>/children to find the workers")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+def test_signal_mid_score_ends_every_worker(start_module, corpus, signum):
+    write_guarded_corpus(corpus, 400, repeat=40)  # long texts: scoring takes several seconds
+    proc = start_module(["score", *SCORE_ARGS, "--guard-empty", "--guard-lang", "--out", "scores.tsv"], cwd=corpus)
+    deadline = time.monotonic() + 30
+    workers = []
+    while not workers and proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+        workers = worker_pids(proc.pid)
+    try:
+        assert workers
+        proc.send_signal(signum)
+        proc.communicate(timeout=30)
+        assert proc.returncode == -signum
+        # gone the moment the CLI has ended: it killed and reaped them first
+        assert all(process_gone(pid, within=0) for pid in workers)
+        assert not (corpus / "scores.tsv").exists()
+    finally:
+        kill_quietly(*workers)
 
 
 # Each run exits 0 with numpy blocked; (arguments, output file or None for stdout)

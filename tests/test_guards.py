@@ -6,6 +6,7 @@ token, ranks with a (-count, gram) sort key and walks the profile ranks
 one gram at a time; the guards must equal it exactly.
 """
 
+import re
 from collections import Counter
 
 import pytest
@@ -19,6 +20,10 @@ from mtharness.guards import (
     DEFAULT_MIN_LEN,
     DEFAULT_PROFILE_SIZE,
     LanguageProfile,
+    _count_ngrams,
+    _out_of_place_distance,
+    _ranked,
+    _RankTable,
     apply_empty_guard,
     apply_lang_guard,
     build_language_profile,
@@ -28,8 +33,11 @@ from mtharness.guards import (
     is_empty_hypothesis,
     load_seed_lines,
     parse_profile,
+    read_profile,
     serialize_profile,
 )
+
+from helpers import chunking, reaped
 
 
 def oracle_count_ngrams(lines):
@@ -171,6 +179,24 @@ class TestProfiles:
         with pytest.raises(ValueError, match="promises"):
             parse_profile("xx\t3\na\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("de\t0\n", "bad profile header 'de\\t0': K must be at least 1"),
+        ("de\t-1\n", "bad profile header 'de\\t-1': K must be at least 1"),
+        ("xx\t3\nab\ncd\nab\n", "line 4: n-gram 'ab' repeats line 2"),
+        ("xx\t2\nab\n\n", "line 3: empty n-gram"),
+    ], ids=["k-zero", "k-negative", "duplicate", "empty-gram"])
+    def test_parse_rejects_malformed_grams(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_profile(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text", ["", "de\t0\n", "xx\t2\nab\nab\n", "\xff"], ids=["empty", "k-zero", "duplicate", "not-utf8"])
+    def test_read_profile_names_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.profile"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            read_profile(path)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(LINES, min_size=1, max_size=6), st.integers(1, 60))
     def test_property_equals_oracle_exactly(self, lines, k):
@@ -240,6 +266,33 @@ class TestIdentifyLanguage:
         for lang in BUNDLED_SEED_LANGS:
             for line in load_seed_lines(lang)[:40]:
                 assert identify_language(line, profiles) == oracle_identify(line, profiles)
+
+    @settings(max_examples=200, deadline=None)
+    @given(LINES)
+    def test_all_profile_distances_equal_one_at_a_time(self, profiles, text):
+        table = _RankTable(profiles)
+        for grams in (_ranked(_count_ngrams([text]), table.penalty), text.split()):
+            assert table.distances(grams) == [_out_of_place_distance(grams, p, table.penalty) for p in profiles]
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["p", "q"]), st.lists(LINES, min_size=1, max_size=3)), min_size=2, max_size=4),
+           st.integers(1, 40), LINES)
+    def test_small_profile_distances_equal_one_at_a_time(self, corpora, k, text):
+        small = [LanguageProfile(lang, grams) for lang, lines in corpora if (grams := oracle_profile(lines, k))]
+        assume(len({p.lang for p in small}) >= 2)
+        table = _RankTable(small)
+        grams = _ranked(_count_ngrams([text]), table.penalty)
+        assert table.distances(grams) == [_out_of_place_distance(grams, p, table.penalty) for p in small]
+
+    def test_seed_line_distances_equal_one_at_a_time(self, profiles):
+        small_uk = build_language_profile(load_seed_lines("uk"), "uk", k=120)  # sizes differ
+        for profile_set in (profiles, [*profiles, small_uk]):
+            table = _RankTable(profile_set)
+            for lang in BUNDLED_SEED_LANGS:
+                for line in load_seed_lines(lang)[:20]:
+                    grams = _ranked(_count_ngrams([line]), table.penalty)
+                    expected = [_out_of_place_distance(grams, p, table.penalty) for p in profile_set]
+                    assert table.distances(grams) == expected
 
     def test_needs_two_profiles(self, profiles):
         with pytest.raises(ValueError, match="at least two"):
@@ -312,6 +365,12 @@ class TestLangGuard:
         assert guarded.scores[2] == 0.0
         assert report.guarded_count == 1
 
+    def test_empty_untouched_without_a_length_floor(self, profiles):
+        es = evalset_from_hyps(["", " \t", "zu kurz"])
+        guarded, report = apply_lang_guard(es, ScoreTable("sys", (0.5,) * 3), profiles, "en", min_len=0)
+        assert [entry.index for entry in report.per_segment + report.unreliable] == [2]
+        assert guarded.scores[:2] == (0.5, 0.5)
+
     def test_expected_lang_needs_profile(self, profiles):
         es = evalset_from_hyps(["whatever"])
         with pytest.raises(ValueError, match="no profile"):
@@ -344,6 +403,45 @@ class TestLangGuard:
             assert after <= before
             if flag is None:
                 assert after == before
+
+
+# Hypotheses the language guard treats differently: empty, too short,
+# non-BMP, foreign and expected-language seed lines.
+GUARD_HYPS = st.one_of(
+    st.sampled_from(["", " \t ", "zu kurz", "😀" * 25, "𝔸𝔹 " * 10]),
+    st.sampled_from([line for lang in BUNDLED_SEED_LANGS for line in load_seed_lines(lang)[:4]]),
+    LINES,
+)
+
+
+class TestChunkedLangGuard:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(GUARD_HYPS, max_size=12), st.integers(1, 8), st.sampled_from(["de", "ru"]))
+    def test_equals_serial_for_any_cpu_count(self, profiles, hyps, cpus, expected):
+        es = evalset_from_hyps(hyps, direction=("en", expected))
+        table = ScoreTable("sys", tuple(0.5 + i / 100 for i in range(len(hyps))))
+        with chunking(1):
+            serial = apply_lang_guard(es, table, profiles, expected)
+        with chunking(cpus) as forked:
+            chunked = apply_lang_guard(es, table, profiles, expected)
+        assert chunked == serial  # the guarded table and the report
+        assert format_guard_report(chunked[1]) == format_guard_report(serial[1])
+        assert len(forked) == max(min(cpus, len(hyps)) - 1, 0)
+        assert all(map(reaped, forked))
+
+    def test_worker_error_is_the_serial_error(self, profiles, monkeypatch):
+        identify = _RankTable.identify
+
+        def failing_identify(self, text, min_len):
+            if text == "the third hypothesis fails here":
+                raise ValueError("identification failed")
+            return identify(self, text, min_len)
+
+        monkeypatch.setattr(_RankTable, "identify", failing_identify)
+        es = evalset_from_hyps(["ein deutscher Satz, lang genug"] * 2 + ["the third hypothesis fails here"])
+        with chunking(2) as forked, pytest.raises(ValueError, match="^identification failed$"):
+            apply_lang_guard(es, ScoreTable("sys", (0.5,) * 3), profiles, "de")
+        assert len(forked) == 1 and reaped(forked[0])
 
 
 class TestGuardReportFormat:

@@ -10,6 +10,7 @@ import os
 import random
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtharness import scorer
 from mtharness.evalset import Direction, EvalSet, ScoreTable, Segment
 from mtharness.guards import load_seed_lines
 from mtharness.scorer import (
@@ -28,12 +30,13 @@ from mtharness.scorer import (
     SurrogateBackend,
     escape_field,
     format_request_line,
+    map_chunks,
     score_evalset,
     surrogate_score,
     unescape_field,
 )
 
-from helpers import hard_timeout, kill_quietly, process_gone
+from helpers import chunking, hard_timeout, kill_quietly, process_gone, reaped
 
 # A child scorer with its own unescaping logic (independent of the
 # library), answering each request with a checksum over the decoded
@@ -141,6 +144,19 @@ def batches(draw, qe):
     return requests + requests[: draw(st.integers(0, n))]
 
 
+def agg_requests(src, hyp, ref, alt):
+    """The six arrangements of multiref agg, which share three pairs per segment."""
+    return [
+        ScoreRequest(src, hyp, ref), ScoreRequest(ref, hyp, src), ScoreRequest(src, hyp, alt),
+        ScoreRequest(alt, hyp, src), ScoreRequest(ref, hyp, alt), ScoreRequest(alt, hyp, ref),
+    ]
+
+
+AGG_BATCHES = st.lists(st.tuples(TEXTS, TEXTS, TEXTS, TEXTS), max_size=4).map(
+    lambda segments: [req for segment in segments for req in agg_requests(*segment)]
+)
+
+
 class TestWireEscaping:
     def test_known_escapes(self):
         assert escape_field("a\tb") == "a\\tb"
@@ -233,10 +249,7 @@ class TestSurrogateOracle:
         rng = random.Random(8)
         requests = []
         for src, hyp, ref, alt in zip(*(nasty_strings(rng, 30) for _ in range(4))):
-            requests += [
-                ScoreRequest(src, hyp, ref), ScoreRequest(ref, hyp, src), ScoreRequest(src, hyp, alt),
-                ScoreRequest(alt, hyp, src), ScoreRequest(ref, hyp, alt), ScoreRequest(alt, hyp, ref),
-            ]
+            requests += agg_requests(src, hyp, ref, alt)
         assert SurrogateBackend().score_batch(requests) == [oracle_score(req) for req in requests]
 
     def test_memory_stays_bounded(self):
@@ -625,7 +638,156 @@ class TestExternalPool:
         assert len(set(ExternalBackend(cmd).score_batch(shard_requests(5)))) == 1
 
 
-class TestScoreEvalset:
+class LockedError(ValueError):
+    """Cannot be pickled: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class TwoPartError(ValueError):
+    """Pickles, but cannot be rebuilt from its one pickled argument."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
+def numbered_requests(n):
+    return [ScoreRequest("s", f"h{i}", "r") for i in range(n)]
+
+
+@pytest.fixture
+def actions(monkeypatch):
+    """Maps a hypothesis to something the surrogate does before scoring it."""
+    on_hypothesis = {}
+    blend = scorer._blend
+
+    def acting_blend(request, similarity):
+        if request.hypothesis in on_hypothesis:
+            on_hypothesis[request.hypothesis]()
+        return blend(request, similarity)
+
+    monkeypatch.setattr(scorer, "_blend", acting_blend)
+    return on_hypothesis
+
+
+def raising(exc):
+    def act():
+        raise exc
+    return act
+
+
+class TestChunkedSurrogate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(batches(qe=False), batches(qe=True), AGG_BATCHES), st.integers(1, 8))
+    def test_equals_serial_for_any_cpu_count(self, requests, cpus):
+        with chunking(1):
+            serial = SurrogateBackend().score_batch(requests)
+        with chunking(cpus) as forked:
+            assert SurrogateBackend().score_batch(requests) == serial
+        assert len(forked) == max(min(cpus, len(requests)) - 1, 0)  # K - 1 workers
+        assert all(map(reaped, forked))
+
+    def test_one_cpu_forks_nothing(self):
+        with chunking(1, min_chunk=None) as forked:
+            SurrogateBackend().score_batch(numbered_requests(8 * scorer._MIN_CHUNK))
+        assert forked == []
+
+    def test_a_batch_below_two_minimum_chunks_forks_nothing(self):
+        with chunking(8, min_chunk=None) as forked:
+            SurrogateBackend().score_batch(numbered_requests(2 * scorer._MIN_CHUNK - 1))
+            assert forked == []
+            SurrogateBackend().score_batch(numbered_requests(2 * scorer._MIN_CHUNK))
+        assert len(forked) == 1
+
+    def test_another_live_thread_forks_nothing(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            with chunking(8) as forked:
+                assert SurrogateBackend().score_batch(numbered_requests(16)) == SurrogateBackend().score_batch(
+                    numbered_requests(16)
+                )
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert forked == []
+
+    @pytest.mark.parametrize("failing, message", [
+        ({"h3": "chunk 1"}, "chunk 1"),
+        ({"h5": "chunk 2", "h7": "chunk 3"}, "chunk 2"),
+        ({"h1": "chunk 0", "h6": "chunk 3"}, "chunk 0"),
+    ], ids=["worker", "earliest-worker", "parent-before-worker"])
+    def test_failing_chunk_raises_the_serial_error(self, actions, failing, message):
+        for hyp, text in failing.items():
+            actions[hyp] = raising(ValueError(f"{text} failed"))
+        with chunking(1), pytest.raises(ValueError) as serial:
+            SurrogateBackend().score_batch(numbered_requests(8))
+        with hard_timeout(30), chunking(4) as forked, pytest.raises(ValueError) as chunked:
+            SurrogateBackend().score_batch(numbered_requests(8))
+        assert (type(chunked.value), str(chunked.value)) == (type(serial.value), str(serial.value)) == (
+            ValueError, f"{message} failed"
+        )
+        assert len(forked) == 3
+        assert all(map(reaped, forked))
+
+    @pytest.mark.parametrize("error", [LockedError("h3 failed"), TwoPartError("h3", "failed")],
+                             ids=["unpicklable", "unrebuildable"])
+    def test_worker_error_that_cannot_travel_keeps_its_message(self, actions, error):
+        actions["h3"] = raising(error)
+        with hard_timeout(30), chunking(2) as forked:
+            with pytest.raises(ScorerError, match=f"^{type(error).__name__}: h3 failed$"):
+                SurrogateBackend().score_batch(numbered_requests(4))
+        assert all(map(reaped, forked))
+
+    @pytest.mark.parametrize("error", [ValueError("h0 failed"), KeyboardInterrupt()], ids=["error", "interrupt"])
+    def test_parent_chunk_leaving_early_kills_a_running_worker(self, actions, error):
+        actions["h0"] = raising(error)
+        actions["h2"] = lambda: time.sleep(60)  # the worker's chunk
+        started = time.monotonic()
+        with hard_timeout(30), chunking(2) as forked, pytest.raises(type(error)):
+            SurrogateBackend().score_batch(numbered_requests(4))
+        assert time.monotonic() - started < 20
+        assert len(forked) == 1 and reaped(forked[0])
+
+    def test_worker_that_dies_fails_the_batch(self, actions):
+        actions["h2"] = lambda: os._exit(3)
+        with hard_timeout(30), chunking(2) as forked:
+            with pytest.raises(ScorerError, match=r"^worker process [0-9]+ exited with status 3$"):
+                SurrogateBackend().score_batch(numbered_requests(4))
+        assert len(forked) == 1 and reaped(forked[0])
+
+    def test_worker_never_returns_into_the_callers_stack(self):
+        # SystemExit is no Exception: were it to escape the worker, the
+        # worker would go on to run the rest of the test session
+        parent = os.getpid()
+
+        def work(chunk):
+            if os.getpid() != parent:
+                raise SystemExit(0)
+            return list(chunk)
+
+        with hard_timeout(30), chunking(2) as forked:
+            with pytest.raises(ScorerError, match=r"^worker process [0-9]+ exited with status 1$"):
+                map_chunks(work, [0, 1])
+        assert len(forked) == 1 and reaped(forked[0])
+
+    def test_worker_resets_inherited_signal_handlers(self):
+        previous = signal.signal(signal.SIGUSR1, lambda signum, frame: None)
+        try:
+            with chunking(2):
+                handlers = map_chunks(
+                    lambda chunk: [(signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGUSR1)) for _ in chunk],
+                    [0, 1],
+                )
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        assert handlers[0][0] is signal.default_int_handler  # the parent's chunk, under the parent's handlers
+        assert handlers[1] == (signal.SIG_DFL, signal.SIG_DFL)
+
     def test_single_reference(self):
         segs = (Segment(0, "aa", "aa", ("aa",)), Segment(1, "bb", "", ("bb",)))
         es = EvalSet(Direction("en", "de"), "sys", segs)
