@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -292,7 +293,14 @@ def identify_language(
     (second_best - best) / second_best over distinct languages, in
     [0, 1]; duplicate profiles for one language do not change it.
     """
-    return _RankTable(profiles).identify(text, min_len)
+    return _rank_table(tuple(profiles)).identify(text, min_len)
+
+
+@lru_cache(maxsize=4)
+def _rank_table(profiles: tuple[LanguageProfile, ...]) -> _RankTable:
+    """The table of a profile set, built once: building it takes several
+    times as long as identifying one text with it."""
+    return _RankTable(profiles)
 
 
 def apply_lang_guard(
@@ -313,7 +321,7 @@ def apply_lang_guard(
         raise ValueError(f"score table has {len(scores)} rows for {len(evalset)} segments")
     if expected_lang not in {p.lang for p in profiles}:
         raise ValueError(f"no profile for expected language {expected_lang!r}")
-    table = _RankTable(profiles)
+    table = _rank_table(tuple(profiles))
 
     def identify_chunk(hyps: Sequence[str]) -> list[tuple[str | None, float]]:
         return [(None, 0.0) if is_empty_hypothesis(hyp) else table.identify(hyp, min_len) for hyp in hyps]

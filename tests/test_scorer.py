@@ -269,7 +269,8 @@ class TestSurrogateOracle:
         backend = SurrogateBackend()
         tracemalloc.start()
         try:
-            backend.score_batch(requests)
+            with chunking(1, min_chunk=None):  # the whole batch in this process, where tracemalloc sees it
+                backend.score_batch(requests)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
