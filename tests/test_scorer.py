@@ -789,6 +789,8 @@ class TestChunkedSurrogate:
         assert handlers[0][0] is signal.default_int_handler  # the parent's chunk, under the parent's handlers
         assert handlers[1] == (signal.SIG_DFL, signal.SIG_DFL)
 
+
+class TestScoreEvalset:
     def test_single_reference(self):
         segs = (Segment(0, "aa", "aa", ("aa",)), Segment(1, "bb", "", ("bb",)))
         es = EvalSet(Direction("en", "de"), "sys", segs)
