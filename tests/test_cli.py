@@ -679,7 +679,7 @@ def worker_pids(pid):
                     reason="needs /proc/<pid>/task/<pid>/children to find the workers")
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
 def test_signal_mid_score_ends_every_worker(start_module, corpus, signum):
-    write_guarded_corpus(corpus, 400, repeat=40)  # long texts: scoring takes several seconds
+    write_guarded_corpus(corpus, 400, repeat=40)  # long texts: about 2 s of scoring on 2 CPUs
     proc = start_module(["score", *SCORE_ARGS, "--guard-empty", "--guard-lang", "--out", "scores.tsv"], cwd=corpus)
     deadline = time.monotonic() + 30
     workers = []
