@@ -295,6 +295,14 @@ def _unwind_on_termination():
 # worker takes 3-5 ms; two chunks first beat one at 80-100 surrogate
 # requests or language IDs of 70-character segments on a 2-core host.
 _MIN_CHUNK = 50
+# Chunks per process. Past its first chunk each process takes the next
+# unclaimed one, so a process that gets less CPU time than the others (a
+# busy neighbour on its core) works fewer chunks instead of leaving the
+# batch to wait on the last of a fixed share.
+_CHUNKS_PER_PROCESS = 8
+# Chunk numbers are one byte each in the queue, and all of them fit into
+# a pipe at once: POSIX promises at least 512 bytes.
+_MAX_CHUNKS = 256
 
 
 def map_chunks(work: Callable[[Sequence], list], items: Sequence) -> list:
@@ -302,63 +310,106 @@ def map_chunks(work: Callable[[Sequence], list], items: Sequence) -> list:
 
     ``work`` maps a chunk of items to a list of one result per item, the
     same in any process; it is never pickled, only its results are. The
-    items are split into K = min(usable CPUs, len(items) // ``_MIN_CHUNK``)
-    contiguous chunks; this process works the first, and a forked worker
-    each of the others, whose results come back pickled over a pipe and
-    are joined in order. So the result does not depend on K. The whole
-    batch runs here when K < 2, where there is no ``os.fork``, and while
-    another thread is alive, since a forked child would inherit the locks
-    that thread may hold.
+    batch is worked by K = min(usable CPUs, len(items) // ``_MIN_CHUNK``)
+    processes: this one and K - 1 forked workers. The items are split into
+    up to ``_CHUNKS_PER_PROCESS`` contiguous chunks per process; process j
+    works chunk j, and then each takes the lowest chunk no process has
+    taken yet from a queue, until none is left. The workers' results come
+    back pickled over pipes and all are joined in chunk order, so the
+    result depends neither on K nor on which process worked which chunk.
+    The whole batch runs here when K < 2, where there is no ``os.fork``,
+    and while another thread is alive, since a forked child would inherit
+    the locks that thread may hold.
 
     A failing chunk fails the batch with the error of the earliest failing
-    chunk, as a serial run would; an error that cannot be pickled comes
-    back as a ``ScorerError`` with its message. Every worker is killed and
-    reaped, and its pipe closed, before this returns or raises, including
-    on ``KeyboardInterrupt`` and on SIGTERM or SIGHUP.
+    chunk, as a serial run would; a process whose chunk fails empties the
+    queue, so no further chunk is started. An error that cannot be pickled
+    comes back as a ``ScorerError`` with its message. Every worker is
+    killed and reaped, and every pipe closed, before this returns or
+    raises, including on ``KeyboardInterrupt`` and on SIGTERM or SIGHUP.
     """
-    k = min(_usable_cpus(), len(items) // _MIN_CHUNK)
+    k = min(_usable_cpus(), len(items) // _MIN_CHUNK, _MAX_CHUNKS)
     if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return work(items)
     import pickle  # here: only a forking run pays for the import
 
-    bounds = [len(items) * i // k for i in range(k + 1)]
+    n = min(k * _CHUNKS_PER_PROCESS, len(items) // _MIN_CHUNK, _MAX_CHUNKS)
+    bounds = [len(items) * i // n for i in range(n + 1)]
+    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    queue, queue_w = os.pipe()
+    try:
+        os.write(queue_w, bytes(range(k, n)))  # under 256 bytes: written whole
+    finally:
+        os.close(queue_w)
     workers: dict[int, BinaryIO] = {}  # pid -> the read end of its pipe, until reaped
     with _unwind_on_termination():
         try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            for first in range(1, k):
                 # no signal handler may run between the fork and the child's reset
                 mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
                 try:
                     read_fd, write_fd = os.pipe()
                     pid = os.fork()
                     if pid == 0:
-                        _work_chunk(work, items[lo:hi], write_fd, mask)
+                        _work_in_worker(work, chunks, first, queue, write_fd, mask)
                     os.close(write_fd)
                     workers[pid] = open(read_fd, "rb")
                 finally:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            results = work(items[: bounds[1]])
-            for pid, pipe in list(workers.items()):  # in chunk order
+            done, failure = _work_claims(work, chunks, 0, queue)
+            if failure is not None and failure[0] == 0:
+                raise failure[1]  # the batch's first chunk: no error can come before it
+            for pid, pipe in list(workers.items()):
                 with pipe:
                     data = pipe.read()
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del workers[pid]
                 if status != 0:
                     raise ScorerError(f"worker process {pid} exited with status {status}")
-                ok, value = pickle.loads(data)  # written by our own child
-                if not ok:
-                    raise value
-                results.extend(value)
-            return results
+                worker_done, worker_failure = pickle.loads(data)  # written by our own child
+                done.update(worker_done)
+                if worker_failure is not None and (failure is None or worker_failure[0] < failure[0]):
+                    failure = worker_failure
+            if failure is not None:
+                raise failure[1]
+            return [result for i in range(n) for result in done[i]]
         finally:
             for pid, pipe in workers.items():
                 os.kill(pid, signal.SIGKILL)
                 pipe.close()
                 os.waitpid(pid, 0)
+            os.close(queue)
 
 
-def _work_chunk(work: Callable[[Sequence], list], chunk: Sequence, write_fd: int, mask) -> NoReturn:
-    """Runs in a forked worker: writes the pickled outcome of ``work(chunk)``.
+def _work_claims(
+    work: Callable[[Sequence], list], chunks: Sequence[Sequence], first: int, queue: int
+) -> tuple[dict[int, list], tuple[int, Exception] | None]:
+    """Works chunk ``first``, then each chunk taken from ``queue``.
+
+    Returns the results by chunk number and the failing chunk's number and
+    error, if one failed. After a failure the queue is emptied: chunks are
+    taken in order, so every chunk before the failing one has been taken
+    already, and no process starts another chunk.
+    """
+    done: dict[int, list] = {}
+    i = first
+    while True:
+        try:
+            done[i] = work(chunks[i])
+        except Exception as exc:
+            while os.read(queue, _MAX_CHUNKS):
+                pass
+            return done, (i, exc)
+        claim = os.read(queue, 1)
+        if not claim:
+            return done, None
+        i = claim[0]
+
+
+def _work_in_worker(
+    work: Callable[[Sequence], list], chunks: Sequence[Sequence], first: int, queue: int, write_fd: int, mask
+) -> NoReturn:
+    """Runs in a forked worker: writes the pickled outcome of its chunks.
 
     The worker leaves only through ``os._exit``, so it never returns into
     its parent's stack, runs no atexit hook and flushes no stdio buffer
@@ -373,14 +424,14 @@ def _work_chunk(work: Callable[[Sequence], list], chunk: Sequence, write_fd: int
             if callable(signal.getsignal(signum)):
                 signal.signal(signum, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        try:
-            data = pickle.dumps((True, work(chunk)), pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
+        done, failure = _work_claims(work, chunks, first, queue)
+        if failure is not None:
+            i, exc = failure
             try:
-                data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
-                pickle.loads(data)  # an exception may pickle but fail to rebuild
+                pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))  # an exception may pickle but fail to rebuild
             except Exception:
-                data = pickle.dumps((False, ScorerError(f"{type(exc).__name__}: {exc}")), pickle.HIGHEST_PROTOCOL)
+                failure = i, ScorerError(f"{type(exc).__name__}: {exc}")
+        data = pickle.dumps((done, failure), pickle.HIGHEST_PROTOCOL)
         with open(write_fd, "wb") as pipe:
             pipe.write(data)
         status = 0

@@ -337,7 +337,7 @@ class TestRuntimeErrors:
         blend = scorer._blend
 
         def failing_blend(request, similarity):
-            if request.hypothesis == HYP_LINES[2]:
+            if request.hypothesis == HYP_LINES[1]:
                 raise ValueError(f"cannot score {request.hypothesis!r}")
             return blend(request, similarity)
 
@@ -346,9 +346,9 @@ class TestRuntimeErrors:
         with chunking(1):
             assert main(args) == EXIT_RUNTIME
         serial = capsys.readouterr().err
-        with hard_timeout(30), chunking(2) as forked:  # the failing request is in the worker's chunk
+        with hard_timeout(30), chunking(2) as forked:  # the failing request is the worker's first chunk
             assert main(args) == EXIT_RUNTIME
-        assert capsys.readouterr().err == serial == f"mtharness: error: cannot score {HYP_LINES[2]!r}\n"
+        assert capsys.readouterr().err == serial == f"mtharness: error: cannot score {HYP_LINES[1]!r}\n"
         assert len(forked) == 1 and process_gone(forked[0])
         assert not (corpus / "scores.tsv").exists()
 

@@ -433,12 +433,14 @@ class TestChunkedLangGuard:
         identify = _RankTable.identify
 
         def failing_identify(self, text, min_len):
-            if text == "the third hypothesis fails here":
+            if text == "the second hypothesis fails here":
                 raise ValueError("identification failed")
             return identify(self, text, min_len)
 
         monkeypatch.setattr(_RankTable, "identify", failing_identify)
-        es = evalset_from_hyps(["ein deutscher Satz, lang genug"] * 2 + ["the third hypothesis fails here"])
+        # three chunks of one hypothesis: the second is the worker's first
+        german = "ein deutscher Satz, lang genug"
+        es = evalset_from_hyps([german, "the second hypothesis fails here", german])
         with chunking(2) as forked, pytest.raises(ValueError, match="^identification failed$"):
             apply_lang_guard(es, ScoreTable("sys", (0.5,) * 3), profiles, "de")
         assert len(forked) == 1 and reaped(forked[0])

@@ -715,10 +715,12 @@ class TestChunkedSurrogate:
         assert not thread.is_alive()
         assert forked == []
 
+    # 8 chunks of one request on 4 CPUs: the parent works h0 first and
+    # worker j works hj; h4 to h7 go to whichever process asks first
     @pytest.mark.parametrize("failing, message", [
-        ({"h3": "chunk 1"}, "chunk 1"),
-        ({"h5": "chunk 2", "h7": "chunk 3"}, "chunk 2"),
-        ({"h1": "chunk 0", "h6": "chunk 3"}, "chunk 0"),
+        ({"h3": "h3"}, "h3"),
+        ({"h5": "h5", "h7": "h7"}, "h5"),
+        ({"h0": "h0", "h6": "h6"}, "h0"),
     ], ids=["worker", "earliest-worker", "parent-before-worker"])
     def test_failing_chunk_raises_the_serial_error(self, actions, failing, message):
         for hyp, text in failing.items():
@@ -733,19 +735,30 @@ class TestChunkedSurrogate:
         assert len(forked) == 3
         assert all(map(reaped, forked))
 
-    @pytest.mark.parametrize("error", [LockedError("h3 failed"), TwoPartError("h3", "failed")],
+    def test_parent_error_waits_for_an_earlier_worker_error(self, actions):
+        def slow_failure():
+            time.sleep(0.5)  # the parent meanwhile takes h2 from the queue
+            raise ValueError("h1 failed")
+
+        actions["h1"] = slow_failure  # the worker's first chunk
+        actions["h2"] = actions["h3"] = raising(ValueError("h2 or h3 failed"))
+        with hard_timeout(30), chunking(2) as forked, pytest.raises(ValueError, match="^h1 failed$"):
+            SurrogateBackend().score_batch(numbered_requests(4))
+        assert len(forked) == 1 and reaped(forked[0])
+
+    @pytest.mark.parametrize("error", [LockedError("h1 failed"), TwoPartError("h1", "failed")],
                              ids=["unpicklable", "unrebuildable"])
     def test_worker_error_that_cannot_travel_keeps_its_message(self, actions, error):
-        actions["h3"] = raising(error)
+        actions["h1"] = raising(error)  # the worker's first chunk
         with hard_timeout(30), chunking(2) as forked:
-            with pytest.raises(ScorerError, match=f"^{type(error).__name__}: h3 failed$"):
+            with pytest.raises(ScorerError, match=f"^{type(error).__name__}: h1 failed$"):
                 SurrogateBackend().score_batch(numbered_requests(4))
         assert all(map(reaped, forked))
 
     @pytest.mark.parametrize("error", [ValueError("h0 failed"), KeyboardInterrupt()], ids=["error", "interrupt"])
     def test_parent_chunk_leaving_early_kills_a_running_worker(self, actions, error):
         actions["h0"] = raising(error)
-        actions["h2"] = lambda: time.sleep(60)  # the worker's chunk
+        actions["h1"] = lambda: time.sleep(60)  # the worker's first chunk
         started = time.monotonic()
         with hard_timeout(30), chunking(2) as forked, pytest.raises(type(error)):
             SurrogateBackend().score_batch(numbered_requests(4))
@@ -753,7 +766,7 @@ class TestChunkedSurrogate:
         assert len(forked) == 1 and reaped(forked[0])
 
     def test_worker_that_dies_fails_the_batch(self, actions):
-        actions["h2"] = lambda: os._exit(3)
+        actions["h1"] = lambda: os._exit(3)  # the worker's first chunk
         with hard_timeout(30), chunking(2) as forked:
             with pytest.raises(ScorerError, match=r"^worker process [0-9]+ exited with status 3$"):
                 SurrogateBackend().score_batch(numbered_requests(4))
