@@ -98,13 +98,14 @@ def _check_score(ns: argparse.Namespace) -> None:
     _check_scoring(ns)
     if len(ns.ref) > 1:
         raise ConfigError("score takes at most one --ref; use the multiref subcommand")
-    if ns.profile and not ns.guard_lang:
-        raise ConfigError("--profile only applies with --guard-lang")
-    ns.profile = [_existing_file(path, "profile") for path in ns.profile or []]
-    if ns.min_len < 0:
+    if ns.min_len is not None and ns.min_len < 0:
         raise ConfigError("--min-len must be nonnegative")
-    if not 0.0 <= ns.min_margin <= 1.0:
+    if ns.min_margin is not None and not 0.0 <= ns.min_margin <= 1.0:
         raise ConfigError("--min-margin must be in [0, 1]")
+    for flag, value in (("--profile", ns.profile), ("--min-len", ns.min_len), ("--min-margin", ns.min_margin)):
+        if value is not None and not ns.guard_lang:
+            raise ConfigError(f"{flag} only applies with --guard-lang")
+    ns.profile = [_existing_file(path, "profile") for path in ns.profile or []]
     expected = ns.direction.tgt_lang
     if ns.guard_lang and not ns.profile and expected not in guards.BUNDLED_SEED_LANGS:
         raise ConfigError(f"no bundled language profile for {expected!r}; pass --profile files")
@@ -136,6 +137,8 @@ def _check_meta(ns: argparse.Namespace) -> None:
         if ns.hist_bins < 1:
             raise ConfigError("--hist-bins must be at least 1")
         lo, hi = ns.hist_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"--hist-range needs finite LO and HI, got {lo} {hi}")
         if lo >= hi:
             raise ConfigError(f"--hist-range needs LO < HI, got {lo} {hi}")
 
@@ -155,8 +158,8 @@ def _check_biaslab(ns: argparse.Namespace) -> None:
         value = getattr(ns, knob)
         if value is not None and value < 1:
             raise ConfigError(f"--{knob.replace('_', '-')} must be at least 1")
-    if ns.learning_rate is not None and ns.learning_rate <= 0:
-        raise ConfigError("--learning-rate must be positive")
+    if ns.learning_rate is not None and not (ns.learning_rate > 0 and math.isfinite(ns.learning_rate)):
+        raise ConfigError(f"--learning-rate must be positive and finite, got {ns.learning_rate}")
 
 
 def _check_profiles(ns: argparse.Namespace) -> None:
@@ -212,8 +215,10 @@ def run_score(ns: argparse.Namespace) -> int:
         guard_blocks.append("# guard empty")
         guard_blocks.extend(_as_comments(guards.format_guard_report(report)))
     if ns.guard_lang:
+        min_len = guards.DEFAULT_MIN_LEN if ns.min_len is None else ns.min_len
+        min_margin = guards.DEFAULT_MIN_MARGIN if ns.min_margin is None else ns.min_margin
         table, report = guards.apply_lang_guard(
-            evalset, table, profiles, expected, min_len=ns.min_len, min_margin=ns.min_margin
+            evalset, table, profiles, expected, min_len=min_len, min_margin=min_margin
         )
         guard_blocks.append("# guard lang")
         guard_blocks.extend(_as_comments(guards.format_guard_report(report)))
@@ -396,12 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     score.add_argument("--profile", action="append", help="language profile file (repeatable)")
     score.add_argument(
-        "--min-len", type=int, default=guards.DEFAULT_MIN_LEN,
-        help="shortest hypothesis the language guard will judge",
+        "--min-len", type=int,
+        help=f"shortest hypothesis the language guard will judge (default {guards.DEFAULT_MIN_LEN})",
     )
     score.add_argument(
-        "--min-margin", type=float, default=guards.DEFAULT_MIN_MARGIN,
-        help="minimum language-detection margin to act on",
+        "--min-margin", type=float,
+        help=f"minimum language-detection margin to act on (default {guards.DEFAULT_MIN_MARGIN})",
     )
 
     mref = sub.add_parser("multiref", help="score against several references")

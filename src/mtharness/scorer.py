@@ -244,10 +244,9 @@ def _kill_group(proc: subprocess.Popen) -> None:
         pass  # every member has already exited
 
 
-# How often a shard's thread checks whether its shard was cancelled. It
-# bounds the wait when a killed child's pipes are still held open by a
-# grandchild that left the child's process group (e.g. through setsid).
-_CANCEL_POLL_S = 0.1
+# How long the calling thread sleeps between two checks of its running
+# children; each check is one non-blocking wait per child.
+_POLL_S = 0.002
 
 
 class _Terminated(BaseException):
@@ -453,13 +452,16 @@ class ExternalBackend:
     started is killed and its shard fails; with no timeout the backend
     waits for as long as it takes.
 
+    The calling thread runs the whole pool: it checks each running child
+    every ``_POLL_S`` seconds. A child's stdin, stdout and stderr are
+    unlinked temporary files, not pipes, so a child is done when it has
+    exited, and a grandchild that left the child's process group (e.g.
+    through setsid) is never waited for, also when the child succeeds.
     Each child leads its own process group, and every kill (timeout,
-    failed sibling, any exception leaving ``score_batch`` such as
+    failed earlier shard, any exception leaving ``score_batch`` such as
     ``KeyboardInterrupt``, or SIGTERM or SIGHUP to this process) goes to
     the whole group, so grandchildren of a wrapper such as ``sh -c`` die
-    too. Every child is reaped before ``score_batch`` returns; a killed
-    child's pipes are closed without waiting for a grandchild that left
-    the group to close its copies.
+    too. Every child is reaped before ``score_batch`` returns.
     """
 
     def __init__(self, command: Sequence[str], shard_size: int | None = None, timeout: float | None = None) -> None:
@@ -473,36 +475,17 @@ class ExternalBackend:
         self.shard_size = shard_size
         self.timeout = timeout
 
-    def _finish_shard(self, proc: subprocess.Popen, count: int, start: int, cancelled: threading.Event) -> list[float]:
-        """Collects a spawned child's answers for its ``count`` requests, reaps it and parses them."""
+    def _answers(self, status: int, stdout: BinaryIO, stderr: BinaryIO, count: int, start: int) -> list[float]:
+        """Parses the answers of an exited child to its ``count`` requests from the files it wrote."""
         span = f"requests {start}..{start + count - 1}"
-        deadline = None if self.timeout is None else time.monotonic() + self.timeout
-        try:
-            while True:
-                wait_s = _CANCEL_POLL_S if deadline is None else min(_CANCEL_POLL_S, deadline - time.monotonic())
-                try:  # a repeated communicate resumes reading where the last one stopped
-                    stdout, stderr = proc.communicate(timeout=max(wait_s, 0.0))
-                    break
-                except subprocess.TimeoutExpired:
-                    pass
-                if cancelled.is_set():
-                    raise ScorerError(f"external scorer for {span} was killed after another shard failed")
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise ScorerError(
-                        f"external scorer for {span} did not finish within {self.timeout:g} s and was killed"
-                    )
-        finally:
-            if proc.returncode is None:  # cancelled, timed out or interrupted: end the whole group
-                _kill_group(proc)
-                proc.wait()
-                proc.stdout.close()
-                proc.stderr.close()
-        if proc.returncode != 0:
-            message = stderr.decode("utf-8", errors="replace").strip()
+        if status != 0:
+            stderr.seek(0)  # the child's writes moved the offset it shares with this file
+            message = stderr.read().decode("utf-8", errors="replace").strip()
             detail = f": {message}" if message else ""
-            raise ScorerError(f"external scorer for {span} exited with status {proc.returncode}{detail}")
+            raise ScorerError(f"external scorer for {span} exited with status {status}{detail}")
+        stdout.seek(0)
         try:
-            out_lines = stdout.decode("utf-8").split("\n")
+            out_lines = stdout.read().decode("utf-8").split("\n")
         except UnicodeDecodeError as exc:
             raise ScorerError(f"external scorer output for {span} is not valid UTF-8 ({exc.reason})") from None
         if out_lines and out_lines[-1] == "":
@@ -528,66 +511,66 @@ class ExternalBackend:
         lines = [format_request_line(req) for req in requests]
         if not lines:
             return []
-        from concurrent.futures import ThreadPoolExecutor, wait  # here: CLI start-up does not pay for it
-
         size = self.shard_size or len(lines)
         starts = range(0, len(lines), size)
-        running: dict[int, threading.Event] = {}  # cancels the shards with a child in flight
-        lock = threading.Lock()  # guards running and stopped
-        stopped = False
-
-        def stop(after: int) -> None:
-            """Starts no further shard and cancels every running shard after ``after``."""
-            nonlocal stopped
-            stopped = True
-            for start, cancelled in running.items():
-                if start > after:
-                    cancelled.set()
-
-        def run_shard(start: int) -> list[float] | None:
-            shard = lines[start : start + size]
+        slots = min(_usable_cpus(), len(starts))
+        unstarted = iter(starts)
+        # by a shard's first request: its child, the child's stdout and stderr, and its deadline
+        running: dict[int, tuple[subprocess.Popen, BinaryIO, BinaryIO, float]] = {}
+        results: dict[int, list[float]] = {}
+        failures: dict[int, ScorerError] = {}
+        with _unwind_on_termination():
             try:
-                # The child reads its shard from a file, not a pipe: nothing has to
-                # be written while it runs, so waiting for it can stop at any time.
-                with tempfile.TemporaryFile() as stdin:
-                    stdin.write("".join(line + "\n" for line in shard).encode("utf-8"))
-                    stdin.seek(0)
-                    with lock:  # spawning under the lock: no child starts after a failure
-                        if stopped:
-                            return None
-                        try:
-                            proc = subprocess.Popen(
-                                self.command,
-                                stdin=stdin,
-                                stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE,
-                                start_new_session=True,
-                            )
-                        except OSError as exc:
-                            raise ScorerError(f"could not run external scorer {self.command[0]!r}: {exc}") from None
-                        cancelled = running[start] = threading.Event()
-                return self._finish_shard(proc, len(shard), start, cancelled)
-            except BaseException:
-                with lock:
-                    stop(start)
-                raise
-            finally:
-                with lock:
-                    running.pop(start, None)
-
-        with _unwind_on_termination(), ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
-            try:
-                shards = [pool.submit(run_shard, start) for start in starts]
-                wait(shards)
-            finally:  # after an exception such as KeyboardInterrupt: cancel every child in flight
-                with lock:
-                    stop(-1)
-        # leaving the pool joined its threads, so every child has been reaped
-        for shard in shards:
-            error = shard.exception()
-            if error is not None:  # the earliest failure, as a serial run would report
-                raise error
-        return [score for shard in shards for score in shard.result()]
+                while True:
+                    while len(running) < slots and not failures and (start := next(unstarted, None)) is not None:
+                        with tempfile.TemporaryFile() as stdin:
+                            stdin.write("".join(line + "\n" for line in lines[start : start + size]).encode("utf-8"))
+                            stdin.seek(0)
+                            stdout, stderr = tempfile.TemporaryFile(), tempfile.TemporaryFile()
+                            deadline = math.inf if self.timeout is None else time.monotonic() + self.timeout
+                            try:  # stored as it returns: the cleanup below must see every child
+                                running[start] = subprocess.Popen(
+                                    self.command, stdin=stdin, stdout=stdout, stderr=stderr, start_new_session=True
+                                ), stdout, stderr, deadline
+                            except OSError as exc:
+                                stdout.close()
+                                stderr.close()
+                                error = f"could not run external scorer {self.command[0]!r}: {exc}"
+                                failures[start] = ScorerError(error)
+                    if not running:
+                        break
+                    time.sleep(_POLL_S)
+                    for start, (proc, stdout, stderr, deadline) in list(running.items()):
+                        count = min(size, len(lines) - start)
+                        if proc.poll() is not None:
+                            try:
+                                results[start] = self._answers(proc.returncode, stdout, stderr, count, start)
+                            except ScorerError as exc:
+                                failures[start] = exc
+                        else:
+                            if failures and min(failures) < start:
+                                pass  # an earlier shard failed, so this one's result cannot be used
+                            elif time.monotonic() >= deadline:
+                                failures[start] = ScorerError(
+                                    f"external scorer for requests {start}..{start + count - 1}"
+                                    f" did not finish within {self.timeout:g} s and was killed"
+                                )
+                            else:
+                                continue
+                            _kill_group(proc)
+                            proc.wait()
+                        del running[start]
+                        stdout.close()
+                        stderr.close()
+            finally:  # after an exception such as KeyboardInterrupt: end every child in flight
+                for proc, stdout, stderr, _ in running.values():
+                    _kill_group(proc)
+                    proc.wait()
+                    stdout.close()
+                    stderr.close()
+        if failures:
+            raise failures[min(failures)]  # the earliest failure, as a serial run would report
+        return [score for start in starts for score in results[start]]
 
 
 def requests_from_evalset(evalset: EvalSet) -> list[ScoreRequest]:

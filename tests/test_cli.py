@@ -282,11 +282,21 @@ class TestConfigErrors:
         (["meta", "a.tsv", "a.tsv", "--ranking-metric", "a.tsv", "--ranking-human", ""], "ranking file not found"),
         (["meta", "a.tsv", "a.tsv", "--ranking-metric", "", "--ranking-human", ""], "ranking file not found"),
         (["score", *SCORE_ARGS, "--profile", "px.txt"], "--profile only applies with --guard-lang"),
+        (["score", *SCORE_ARGS, "--min-len", "5"], "--min-len only applies with --guard-lang"),
+        (["score", *SCORE_ARGS, "--min-margin", "0.9"], "--min-margin only applies with --guard-lang"),
+        (["meta", "a.tsv", "a.tsv", "--hist-bins", "5", "--hist-out", "h.tsv", "--hist-range", "nan", "1"],
+         "--hist-range needs finite LO and HI, got nan 1.0"),
+        (["meta", "a.tsv", "a.tsv", "--hist-bins", "5", "--hist-out", "h.tsv", "--hist-range", "0", "inf"],
+         "--hist-range needs finite LO and HI, got 0.0 inf"),
+        (["biaslab", "dist", "--learning-rate", "nan"], "--learning-rate must be positive and finite, got nan"),
+        (["biaslab", "tags", "--learning-rate", "inf"], "--learning-rate must be positive and finite, got inf"),
     ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
             "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
             "missing-profile", "missing-ranking", "missing-document", "timeout-surrogate",
             "timeout-multiref-surrogate", "timeout-zero", "timeout-negative", "timeout-nan", "timeout-multiref-inf",
-            "empty-ranking-human", "empty-rankings", "profile-without-guard-lang"])
+            "empty-ranking-human", "empty-rankings", "profile-without-guard-lang", "min-len-without-guard-lang",
+            "min-margin-without-guard-lang", "hist-range-nan", "hist-range-inf", "learning-rate-nan",
+            "learning-rate-inf"])
     def test_config_error_exits_2_without_output(self, corpus, capsys, args, message):
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
         before = sorted(corpus.iterdir())

@@ -471,14 +471,18 @@ time.sleep(60)
 """
 
 # Leaves behind a grandchild in a session of its own, which keeps the
-# child's pipes open, publishes its pid and sleeps.
-ESCAPE = """\
+# child's stdout and stderr open for 60 s, and publishes its pid.
+LEAVE_GRANDCHILD = """\
 import subprocess
 escaped = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"], start_new_session=True)
 publish(f"escaped{shard}", str(escaped.pid))
-time.sleep(60)
 """
+# Leaves the escaped grandchild behind and sleeps.
+ESCAPE = LEAVE_GRANDCHILD + "time.sleep(60)\n"
 ESCAPING_CHILD = POOL_CHILD_HEAD + ESCAPE
+
+# Leaves the escaped grandchild behind, answers and exits 0.
+ANSWER_BESIDE_ESCAPED_CHILD = POOL_CHILD_HEAD + LEAVE_GRANDCHILD + "print(0.5)\n"
 
 # Shard 0 exits 5 once shard 1 has left its escaped grandchild behind.
 FAIL_BESIDE_ESCAPED_CHILD = POOL_CHILD_HEAD + """\
@@ -620,6 +624,17 @@ class TestExternalPool:
         try:
             with hard_timeout(30), pytest.raises(ScorerError, match=r"requests 0\.\.0 exited with status 5"):
                 pool_backend(tmp_path, FAIL_BESIDE_ESCAPED_CHILD).score_batch(shard_requests(2))
+            assert len(escaped_pids(tmp_path)) == 1
+        finally:
+            kill_quietly(*escaped_pids(tmp_path))
+
+    @pytest.mark.parametrize("timeout", [None, 2], ids=["no-timeout", "timeout"])
+    def test_success_does_not_wait_for_an_escaped_grandchild(self, tmp_path, cpus, timeout):
+        cpus(1)
+        try:
+            with hard_timeout(30):
+                scores = pool_backend(tmp_path, ANSWER_BESIDE_ESCAPED_CHILD, timeout=timeout).score_batch(shard_requests(1))
+            assert scores == [0.5]
             assert len(escaped_pids(tmp_path)) == 1
         finally:
             kill_quietly(*escaped_pids(tmp_path))
