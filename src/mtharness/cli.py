@@ -77,6 +77,8 @@ def _parse_backend_spec(spec: str) -> tuple[str, tuple[str, ...]]:
 
 
 def _check_scoring(ns: argparse.Namespace) -> None:
+    if not ns.system:
+        raise ConfigError("--system must be non-empty")
     ns.src = _existing_file(ns.src, "source")
     ns.hyp = _existing_file(ns.hyp, "hypothesis")
     ns.ref = [_existing_file(ref, "reference") for ref in ns.ref or []]
@@ -133,9 +135,11 @@ def _check_meta(ns: argparse.Namespace) -> None:
         ns.ranking_human = _existing_file(ns.ranking_human, "ranking")
     if (ns.hist_bins is None) != (ns.hist_out is None):
         raise ConfigError("--hist-bins and --hist-out must be given together")
-    if ns.hist_bins is not None:
-        if ns.hist_bins < 1:
-            raise ConfigError("--hist-bins must be at least 1")
+    if ns.hist_bins is not None and ns.hist_bins < 1:
+        raise ConfigError("--hist-bins must be at least 1")
+    if ns.hist_range is not None:
+        if ns.hist_bins is None:
+            raise ConfigError("--hist-range only applies with --hist-bins")
         lo, hi = ns.hist_range
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigError(f"--hist-range needs finite LO and HI, got {lo} {hi}")
@@ -184,10 +188,6 @@ def _emit(lines: Sequence[str], out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _as_comments(block: str) -> list[str]:
-    return [line if line.startswith("#") else f"# {line}" for line in block.splitlines()]
-
-
 # --- subcommands -----------------------------------------------------------
 
 
@@ -209,20 +209,18 @@ def run_score(ns: argparse.Namespace) -> int:
             raise ConfigError(f"no language profile for expected language {expected!r}")
     evalset = load_evalset(ns.src, ns.hyp, ns.ref, ns.direction, ns.system)
     table = score_evalset(_build_backend(ns), evalset)
-    guard_blocks: list[str] = []
+    guard_lines: list[str] = []
     if ns.guard_empty:
         table, report = guards.apply_empty_guard(evalset, table)
-        guard_blocks.append("# guard empty")
-        guard_blocks.extend(_as_comments(guards.format_guard_report(report)))
+        guard_lines += ["# guard empty", *guards.format_guard_report(report)]
     if ns.guard_lang:
         min_len = guards.DEFAULT_MIN_LEN if ns.min_len is None else ns.min_len
         min_margin = guards.DEFAULT_MIN_MARGIN if ns.min_margin is None else ns.min_margin
         table, report = guards.apply_lang_guard(
             evalset, table, profiles, expected, min_len=min_len, min_margin=min_margin
         )
-        guard_blocks.append("# guard lang")
-        guard_blocks.extend(_as_comments(guards.format_guard_report(report)))
-    extra = [f"# system-score {system_score(table)!r}", *guard_blocks]
+        guard_lines += ["# guard lang", *guards.format_guard_report(report)]
+    extra = [f"# system-score {system_score(table)!r}", *guard_lines]
     _emit(format_score_rows(table) + _trailer(ns, model=ns.backend, extra=extra), ns.out)
     return EXIT_OK
 
@@ -260,7 +258,7 @@ def run_meta(ns: argparse.Namespace) -> int:
     )
     _emit(metastats.format_meta_report(report, tsv=ns.tsv).splitlines() + _trailer(ns, model="meta"), ns.out)
     if ns.hist_bins is not None:
-        bins = metastats.histogram(a, ns.hist_bins, *ns.hist_range)
+        bins = metastats.histogram(a, ns.hist_bins, *(ns.hist_range or (0.0, 1.0)))
         hist_rows = [f"{center!r}\t{count}" for center, count in bins]
         _emit(hist_rows + _trailer(ns, model="meta", extra=["# histogram of first score file"]), ns.hist_out)
     return EXIT_OK
@@ -426,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     meta.add_argument("--out", help="output file (default: stdout)")
     meta.add_argument("--hist-bins", type=int, help="also write a histogram with this many bins")
     meta.add_argument(
-        "--hist-range", type=float, nargs=2, default=(0.0, 1.0), metavar=("LO", "HI"),
+        "--hist-range", type=float, nargs=2, metavar=("LO", "HI"),
         help="histogram range (default 0 1)",
     )
     meta.add_argument("--hist-out", help="histogram output file")
@@ -457,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-per-group", type=int, default=None,
         help="training examples per direction (dist) or per tag (tags)",
     )
-    bias.add_argument("--n-test", type=int, default=200)
+    bias.add_argument("--n-test", type=int, default=None)
     bias.add_argument("--epochs", type=int, default=None)
     bias.add_argument("--learning-rate", type=float, default=None)
     bias.add_argument("--out", help="TSV output file (default: stdout)")

@@ -11,12 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
-# Guard annotations carried per segment in a ScoreTable.
-GUARD_EMPTY = "empty-guarded"
-GUARD_LANG = "lang-guarded"
-_VALID_FLAGS = (None, GUARD_EMPTY, GUARD_LANG)
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -95,36 +90,24 @@ class EvalSet:
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Per-segment scores for one system, with optional guard flags.
+    """Per-segment scores for one system.
 
     Scores are positional: the score at position i belongs to segment
-    index i of the associated EvalSet. Flags are one of None,
-    GUARD_EMPTY or GUARD_LANG.
+    index i of the associated EvalSet. What a guard zeroed is recorded
+    in its GuardReport, not here.
     """
 
     system_name: str
     scores: tuple[float, ...]
-    guard_flags: tuple[str | None, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
-        flags = tuple(self.guard_flags) if self.guard_flags else (None,) * len(self.scores)
-        object.__setattr__(self, "guard_flags", flags)
-        if len(self.guard_flags) != len(self.scores):
-            raise ValueError(f"{len(self.scores)} scores but {len(self.guard_flags)} guard flags")
         for i, score in enumerate(self.scores):
             if not math.isfinite(score):
                 raise ValueError(f"score at index {i} is not finite: {score!r}")
-        for i, flag in enumerate(self.guard_flags):
-            if flag not in _VALID_FLAGS:
-                raise ValueError(f"unknown guard flag at index {i}: {flag!r}")
 
     def __len__(self) -> int:
         return len(self.scores)
-
-    @property
-    def guarded_count(self) -> int:
-        return sum(1 for flag in self.guard_flags if flag is not None)
 
 
 def system_score(table: ScoreTable) -> float:
@@ -199,27 +182,42 @@ def format_score_rows(table: ScoreTable) -> list[str]:
     return [f"{i}\t{score!r}" for i, score in enumerate(table.scores)]
 
 
-def read_score_table(path: str | Path, system_name: str = "") -> ScoreTable:
-    """Load a score TSV; ``#`` lines (e.g. trailers) are ignored.
+def read_score_rows(path: str | Path, key: str) -> Iterator[tuple[int, str, float]]:
+    """Yield ``(lineno, key, score)`` for each ``KEY<TAB>score`` row.
 
-    Indices must be exactly 0..n-1 in order: one score per segment
-    index, no duplicates or gaps.
+    Blank lines and ``#`` lines (e.g. trailers) are skipped. Every row
+    has exactly two TAB-separated fields and a finite score, or a
+    ValueError names the file and the line; ``key`` names the first
+    field in that message.
     """
-    scores: list[float] = []
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected index<TAB>score, got {line!r}")
+            raise ValueError(f"{path}: line {lineno}: expected {key}<TAB>score, got {line!r}")
         try:
-            index = int(parts[0])
             score = float(parts[1])
         except ValueError:
-            raise ValueError(f"{path}: line {lineno}: could not parse {line!r}") from None
-        if index != len(scores):
-            raise ValueError(f"{path}: line {lineno}: expected index {len(scores)}, got {index}")
+            raise ValueError(f"{path}: line {lineno}: could not parse {line!r}: {parts[1]!r} is not a number") from None
         if not math.isfinite(score):
             raise ValueError(f"{path}: line {lineno}: score is not finite")
+        yield lineno, parts[0], score
+
+
+def read_score_table(path: str | Path, system_name: str = "") -> ScoreTable:
+    """Load a score TSV of ``index<TAB>score`` rows (see read_score_rows).
+
+    Indices must be exactly 0..n-1 in order: one score per segment
+    index, no duplicates or gaps.
+    """
+    scores: list[float] = []
+    for lineno, key, score in read_score_rows(path, "index"):
+        try:
+            index = int(key)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: could not parse index {key!r}") from None
+        if index != len(scores):
+            raise ValueError(f"{path}: line {lineno}: expected index {len(scores)}, got {index}")
         scores.append(score)
     return ScoreTable(system_name=system_name or str(path), scores=tuple(scores))

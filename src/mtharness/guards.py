@@ -10,12 +10,12 @@ enough to catch whole-segment wrong-language output.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .evalset import GUARD_EMPTY, GUARD_LANG, EvalSet, ScoreTable, read_lines
+from .evalset import EvalSet, ScoreTable, read_lines
 from .scorer import map_chunks
 
 NGRAM_ORDERS = (1, 2, 3, 4)
@@ -64,16 +64,26 @@ class GuardReport:
         return len(self.per_segment)
 
 
-def format_guard_report(report: GuardReport) -> str:
-    """Render a report as TSV with a `#` comment header."""
+def format_guard_report(report: GuardReport) -> list[str]:
+    """Render a report as trailer lines: a count, then a TSV header and
+    rows, every line prefixed by `# `."""
     lines = [
         f"# guarded {report.guarded_count} of {report.total} segments",
         "# index\treason\tdetected_lang\tconfidence",
     ]
     for entry in report.per_segment + report.unreliable:
         detected = entry.detected_lang if entry.detected_lang is not None else "-"
-        lines.append(f"{entry.index}\t{entry.reason}\t{detected}\t{entry.confidence:.4f}")
-    return "".join(line + "\n" for line in lines)
+        lines.append(f"# {entry.index}\t{entry.reason}\t{detected}\t{entry.confidence:.4f}")
+    return lines
+
+
+def _zero_guarded(scores: ScoreTable, report: GuardReport) -> ScoreTable:
+    """The table with the score of each segment in report.per_segment
+    set to exactly 0.0."""
+    new_scores = list(scores.scores)
+    for entry in report.per_segment:
+        new_scores[entry.index] = 0.0
+    return ScoreTable(scores.system_name, tuple(new_scores))
 
 
 # --- empty-hypothesis guard ---------------------------------------------
@@ -88,16 +98,9 @@ def apply_empty_guard(evalset: EvalSet, scores: ScoreTable) -> tuple[ScoreTable,
     """Zero the score of every whitespace-only hypothesis."""
     if len(scores) != len(evalset):
         raise ValueError(f"score table has {len(scores)} rows for {len(evalset)} segments")
-    new_scores = list(scores.scores)
-    new_flags = list(scores.guard_flags)
-    entries = []
-    for seg in evalset.segments:
-        if is_empty_hypothesis(seg.hypothesis):
-            new_scores[seg.index] = 0.0
-            new_flags[seg.index] = GUARD_EMPTY
-            entries.append(GuardEntry(index=seg.index, reason=REASON_EMPTY))
-    guarded = ScoreTable(scores.system_name, tuple(new_scores), tuple(new_flags))
-    return guarded, GuardReport(total=len(evalset), per_segment=tuple(entries))
+    entries = [GuardEntry(seg.index, REASON_EMPTY) for seg in evalset.segments if is_empty_hypothesis(seg.hypothesis)]
+    report = GuardReport(total=len(evalset), per_segment=entries)
+    return _zero_guarded(scores, report), report
 
 
 # --- language profiles ---------------------------------------------------
@@ -109,14 +112,11 @@ class LanguageProfile:
 
     lang: str
     ranked_ngrams: tuple[str, ...]
-    # rank lookup is derived, not part of equality or serialization
-    _ranks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ranked_ngrams", tuple(self.ranked_ngrams))
         if len(set(self.ranked_ngrams)) != len(self.ranked_ngrams):
             raise ValueError("profile contains duplicate n-grams")
-        object.__setattr__(self, "_ranks", {gram: i for i, gram in enumerate(self.ranked_ngrams)})
 
     def __len__(self) -> int:
         return len(self.ranked_ngrams)
@@ -227,7 +227,7 @@ def _out_of_place_distance(text_grams: Sequence[str], profile: LanguageProfile, 
     # penalty must be shared across the whole profile set: charging
     # absent grams len(profile) would make smaller profiles win on
     # mismatches alone when profile sizes differ.
-    ranks = profile._ranks
+    ranks = {gram: i for i, gram in enumerate(profile.ranked_ngrams)}
     return sum(abs(i - ranks[gram]) if gram in ranks else penalty for i, gram in enumerate(text_grams))
 
 
@@ -327,19 +327,14 @@ def apply_lang_guard(
         return [(None, 0.0) if is_empty_hypothesis(hyp) else table.identify(hyp, min_len) for hyp in hyps]
 
     detections = map_chunks(identify_chunk, [seg.hypothesis for seg in evalset.segments])
-    new_scores = list(scores.scores)
-    new_flags = list(scores.guard_flags)
     entries = []
     unreliable = []
     for seg, (detected, margin) in zip(evalset.segments, detections):
         if detected is None or detected == expected_lang:
             continue
         if margin >= min_margin:
-            new_scores[seg.index] = 0.0
-            new_flags[seg.index] = GUARD_LANG
             entries.append(GuardEntry(seg.index, REASON_LANG, detected, margin))
         else:
             unreliable.append(GuardEntry(seg.index, REASON_LANG, detected, margin))
-    guarded = ScoreTable(scores.system_name, tuple(new_scores), tuple(new_flags))
-    report = GuardReport(total=len(evalset), per_segment=tuple(entries), unreliable=tuple(unreliable))
-    return guarded, report
+    report = GuardReport(total=len(evalset), per_segment=entries, unreliable=unreliable)
+    return _zero_guarded(scores, report), report

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evalset import read_lines
+from .evalset import read_score_rows
 
 
 @dataclass(frozen=True)
@@ -40,19 +40,16 @@ class SystemRanking:
 
 
 def read_ranking(path: str | Path) -> SystemRanking:
-    """Load a ``system<TAB>score`` TSV; lines starting with `#` are comments."""
+    """Load a ``system<TAB>score`` TSV (see read_score_rows); each system
+    name appears once."""
     entries = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line {lineno} is not system<TAB>score: {line!r}")
-        name, score_text = parts
-        try:
-            score = float(score_text)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: {score_text!r} is not a number") from None
+    first_line: dict[str, int] = {}
+    for lineno, name, score in read_score_rows(path, "system"):
+        if first_line.setdefault(name, lineno) != lineno:
+            raise ValueError(
+                f"{path}: line {lineno}: system {name!r} repeats line {first_line[name]};"
+                " system names in a ranking must be unique"
+            )
         entries.append((name, score))
     return SystemRanking(tuple(entries))
 
@@ -200,7 +197,7 @@ def histogram(scores: Sequence[float], bin_count: int, lo: float, hi: float) -> 
     to the end bins, so the counts always sum to len(scores)."""
     if bin_count < 1:
         raise ValueError("bin_count must be at least 1")
-    if not lo < hi:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid histogram range [{lo}, {hi}]")
     width = (hi - lo) / bin_count
     counts = [0] * bin_count

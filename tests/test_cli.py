@@ -290,13 +290,16 @@ class TestConfigErrors:
          "--hist-range needs finite LO and HI, got 0.0 inf"),
         (["biaslab", "dist", "--learning-rate", "nan"], "--learning-rate must be positive and finite, got nan"),
         (["biaslab", "tags", "--learning-rate", "inf"], "--learning-rate must be positive and finite, got inf"),
+        (["meta", "a.tsv", "a.tsv", "--hist-range", "5", "1"], "--hist-range only applies with --hist-bins"),
+        (["score", *SCORE_ARGS, "--system", ""], "--system must be non-empty"),
+        (["multiref", *SCORE_ARGS, "--multiref", "max", "--system", ""], "--system must be non-empty"),
     ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
             "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
             "missing-profile", "missing-ranking", "missing-document", "timeout-surrogate",
             "timeout-multiref-surrogate", "timeout-zero", "timeout-negative", "timeout-nan", "timeout-multiref-inf",
             "empty-ranking-human", "empty-rankings", "profile-without-guard-lang", "min-len-without-guard-lang",
             "min-margin-without-guard-lang", "hist-range-nan", "hist-range-inf", "learning-rate-nan",
-            "learning-rate-inf"])
+            "learning-rate-inf", "hist-range-without-hist-bins", "empty-system", "multiref-empty-system"])
     def test_config_error_exits_2_without_output(self, corpus, capsys, args, message):
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
         before = sorted(corpus.iterdir())
@@ -313,6 +316,27 @@ class TestRuntimeErrors:
         (corpus / "bad.tsv").write_text("0\tnot-a-float\n", encoding="utf-8")
         assert main(["meta", "bad.tsv", "bad.tsv"]) == EXIT_RUNTIME
         assert "could not parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_score", ["nan", "inf"])
+    def test_non_finite_ranking_score_exits_1(self, corpus, capsys, bad_score):
+        (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
+        (corpus / "metric.tsv").write_text(f"A\t0.9\nB\t{bad_score}\nC\t0.1\n", encoding="utf-8")
+        (corpus / "human.tsv").write_text("A\t0.9\nB\t0.5\nC\t0.1\n", encoding="utf-8")
+        assert main(["meta", "a.tsv", "a.tsv", "--ranking-metric", "metric.tsv",
+                     "--ranking-human", "human.tsv", "--out", "out.txt"]) == EXIT_RUNTIME
+        assert not (corpus / "out.txt").exists()
+        assert capsys.readouterr().err == "mtharness: error: metric.tsv: line 2: score is not finite\n"
+
+    def test_repeated_ranking_system_names_both_lines(self, corpus, capsys):
+        (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
+        (corpus / "metric.tsv").write_text("A\t0.9\nB\t0.5\n", encoding="utf-8")
+        (corpus / "human.tsv").write_text("A\t0.9\n# comment\nB\t0.5\nA\t0.1\n", encoding="utf-8")
+        assert main(["meta", "a.tsv", "a.tsv", "--ranking-metric", "metric.tsv",
+                     "--ranking-human", "human.tsv"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "mtharness: error: human.tsv: line 4: system 'A' repeats line 1;"
+            " system names in a ranking must be unique\n"
+        )
 
     def test_short_precomputed_table_exits_1(self, corpus, capsys):
         (corpus / "pre.tsv").write_text("0\t0.5\n", encoding="utf-8")

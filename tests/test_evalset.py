@@ -6,8 +6,6 @@ import random
 import pytest
 
 from mtharness.evalset import (
-    GUARD_EMPTY,
-    GUARD_LANG,
     Direction,
     EvalSet,
     ScoreTable,
@@ -78,23 +76,6 @@ class TestScoreTable:
             ScoreTable("sys", (0.5, math.nan))
         with pytest.raises(ValueError, match="finite"):
             ScoreTable("sys", (math.inf,))
-
-    def test_default_flags_are_none(self):
-        t = ScoreTable("sys", (0.1, 0.2))
-        assert t.guard_flags == (None, None)
-        assert t.guarded_count == 0
-
-    def test_flag_length_must_match(self):
-        with pytest.raises(ValueError, match="guard flags"):
-            ScoreTable("sys", (0.1, 0.2), (None,))
-
-    def test_unknown_flag_rejected(self):
-        with pytest.raises(ValueError, match="guard flag"):
-            ScoreTable("sys", (0.1,), ("shrug",))
-
-    def test_guarded_count(self):
-        t = ScoreTable("sys", (0.0, 0.2, 0.0), (GUARD_EMPTY, None, GUARD_LANG))
-        assert t.guarded_count == 2
 
 
 class TestSystemScore:

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mtharness.cli import EXIT_OK, main
-from mtharness.evalset import GUARD_EMPTY, GUARD_LANG, Direction, EvalSet, ScoreTable, Segment, system_score
+from mtharness.evalset import Direction, EvalSet, ScoreTable, Segment, system_score
 from mtharness.guards import (
     BUNDLED_SEED_LANGS,
     DEFAULT_MIN_LEN,
@@ -112,7 +112,6 @@ class TestEmptyGuard:
         es = evalset_from_hyps([""])
         guarded, report = apply_empty_guard(es, ScoreTable("sys", (0.353,)))
         assert guarded.scores == (0.0,)
-        assert guarded.guard_flags == (GUARD_EMPTY,)
         assert report.per_segment[0].reason == "empty"
 
     def test_two_empties_shift_system_score(self):
@@ -339,7 +338,6 @@ class TestLangGuard:
         table = ScoreTable("sys", (0.536,) * 5)
         guarded, report = apply_lang_guard(es, table, profiles, "ru")
         assert guarded.scores == (0.0,) * 5
-        assert set(guarded.guard_flags) == {GUARD_LANG}
         assert report.guarded_count == 5
         assert all(e.detected_lang == "zh" for e in report.per_segment)
 
@@ -397,12 +395,12 @@ class TestLangGuard:
         hyps = ["", "kurz", load_seed_lines("zh")[0], load_seed_lines("ru")[1]]
         es = evalset_from_hyps(hyps, direction=("en", "ru"))
         table = ScoreTable("sys", (0.1, 0.2, 0.3, 0.4))
-        guarded, _ = apply_empty_guard(es, table)
-        guarded, _ = apply_lang_guard(es, guarded, profiles, "ru")
-        for before, after, flag in zip(table.scores, guarded.scores, guarded.guard_flags):
-            assert after <= before
-            if flag is None:
-                assert after == before
+        guarded, empty_report = apply_empty_guard(es, table)
+        guarded, lang_report = apply_lang_guard(es, guarded, profiles, "ru")
+        zeroed = {entry.index for entry in empty_report.per_segment + lang_report.per_segment}
+        assert zeroed == {0, 2}
+        for index, (before, after) in enumerate(zip(table.scores, guarded.scores)):
+            assert after == (0.0 if index in zeroed else before)
 
 
 # Hypotheses the language guard treats differently: empty, too short,
@@ -450,8 +448,8 @@ class TestGuardReportFormat:
     def test_tsv_with_comment_header(self):
         es = evalset_from_hyps(["", "ok"])
         _, report = apply_empty_guard(es, ScoreTable("sys", (0.1, 0.2)))
-        text = format_guard_report(report)
-        lines = text.splitlines()
+        lines = format_guard_report(report)
         assert lines[0].startswith("# guarded 1 of 2")
         assert lines[1].startswith("# index")
-        assert lines[2].split("\t")[0:2] == ["0", "empty"]
+        assert lines[2].split("\t")[0:2] == ["# 0", "empty"]
+        assert len(lines) == 3

@@ -7,6 +7,7 @@ merge-sort implementation, and must equal it exactly.
 
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -290,6 +291,11 @@ class TestHistogram:
             histogram([0.5], 3, 1.0, 1.0)
         with pytest.raises(ValueError, match="bin_count"):
             histogram([0.5], 0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_range_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match=re.escape(f"invalid histogram range [{lo}, {hi}]")):
+            histogram([0.5], 3, lo, hi)
 
 
 class TestMetaReportFormat:
