@@ -237,7 +237,7 @@ def run_multiref(ns: argparse.Namespace) -> int:
 
 
 def run_meta(ns: argparse.Namespace) -> int:
-    from . import metastats  # imported here: only meta and biaslab load numpy
+    from . import metastats  # imported here: only meta needs it
 
     path_a, path_b = ns.scores
     a = read_score_table(path_a).scores
@@ -249,13 +249,8 @@ def run_meta(ns: argparse.Namespace) -> int:
         pairwise = metastats.pairwise_accuracy(
             metastats.read_ranking(ns.ranking_metric), metastats.read_ranking(ns.ranking_human)
         )
-    report = metastats.MetaReport(
-        n=len(a),
-        mae=metastats.mae(a, b),
-        tau_a=metastats.kendall_tau_a(a, b) if len(a) >= 2 else None,
-        tau_c=metastats.kendall_tau_c(a, b) if len(a) >= 2 else None,
-        pairwise_acc=pairwise,
-    )
+    tau_a, tau_c = metastats.kendall_taus(a, b) if len(a) >= 2 else (None, None)
+    report = metastats.MetaReport(n=len(a), mae=metastats.mae(a, b), tau_a=tau_a, tau_c=tau_c, pairwise_acc=pairwise)
     _emit(metastats.format_meta_report(report, tsv=ns.tsv).splitlines() + _trailer(ns, model="meta"), ns.out)
     if ns.hist_bins is not None:
         bins = metastats.histogram(a, ns.hist_bins, *(ns.hist_range or (0.0, 1.0)))
@@ -284,7 +279,7 @@ def run_check_reporting(ns: argparse.Namespace) -> int:
 
 
 def run_biaslab(ns: argparse.Namespace) -> int:
-    from . import biaslab  # imported here: only meta and biaslab load numpy
+    from . import biaslab  # imported here: only biaslab loads numpy
 
     seeds = [ns.seed + i for i in range(ns.seeds)]
     # only the knobs given on the command line; the experiments own the defaults

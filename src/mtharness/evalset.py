@@ -199,7 +199,9 @@ def read_score_rows(path: str | Path, key: str) -> Iterator[tuple[int, str, floa
         try:
             score = float(parts[1])
         except ValueError:
-            raise ValueError(f"{path}: line {lineno}: could not parse {line!r}: {parts[1]!r} is not a number") from None
+            score = None
+        if score is None or "_" in parts[1]:  # float() also accepts digit groups such as 0_5
+            raise ValueError(f"{path}: line {lineno}: could not parse {line!r}: {parts[1]!r} is not a number")
         if not math.isfinite(score):
             raise ValueError(f"{path}: line {lineno}: score is not finite")
         yield lineno, parts[0], score
@@ -208,16 +210,13 @@ def read_score_rows(path: str | Path, key: str) -> Iterator[tuple[int, str, floa
 def read_score_table(path: str | Path, system_name: str = "") -> ScoreTable:
     """Load a score TSV of ``index<TAB>score`` rows (see read_score_rows).
 
-    Indices must be exactly 0..n-1 in order: one score per segment
+    Indices must be exactly 0..n-1 in order, written as plain decimals
+    (no sign, space, leading zero or digit group): one score per segment
     index, no duplicates or gaps.
     """
     scores: list[float] = []
     for lineno, key, score in read_score_rows(path, "index"):
-        try:
-            index = int(key)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: could not parse index {key!r}") from None
-        if index != len(scores):
-            raise ValueError(f"{path}: line {lineno}: expected index {len(scores)}, got {index}")
+        if key != str(len(scores)):
+            raise ValueError(f"{path}: line {lineno}: expected index {len(scores)}, got {key!r}")
         scores.append(score)
     return ScoreTable(system_name=system_name or str(path), scores=tuple(scores))

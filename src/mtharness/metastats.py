@@ -5,22 +5,25 @@ accuracy compare orderings (ties matter, see each docstring);
 histograms describe score distributions. Everything here is a pure function.
 
 Kendall tau takes O(n log n) time and O(n) memory: concordant minus
-discordant pairs comes from tie counts over sorted runs plus a
-merge-sort count of discordant pairs (Knight 1966), as an exact
-integer, so both tau variants match the all-pairs definition bit for
-bit.
+discordant pairs comes from tie counts plus a merge-sort count of
+discordant pairs (Knight 1966), as an exact integer, so both tau
+variants match the all-pairs definition bit for bit. Only the standard
+library is used, so ``meta`` starts without numpy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .evalset import read_score_rows
+
+_LEAF = 256  # values per insertion-sorted leaf of the merge sort
 
 
 @dataclass(frozen=True)
@@ -76,41 +79,36 @@ def mae(pred: Sequence[float], gold: Sequence[float]) -> float:
     return math.fsum(abs(p - g) for p, g in zip(pred, gold)) / len(pred)
 
 
-def _run_starts(*columns: np.ndarray) -> np.ndarray:
-    """True where a row differs (by ``!=``) from the row before it in
-    any column; ``-0.0`` and ``0.0`` are the same value here."""
-    starts = np.zeros(columns[0].size, dtype=bool)
-    starts[0] = True
-    for column in columns:
-        starts[1:] |= column[1:] != column[:-1]
-    return starts
+def _tied_pairs(groups: Counter) -> int:
+    """Pairs inside the same group, for a Counter of group sizes."""
+    return sum(size * (size - 1) // 2 for size in groups.values())
 
 
-def _tied_pairs(starts: np.ndarray) -> int:
-    """Pairs inside the same run, for runs marked by ``_run_starts``."""
-    sizes = np.diff(np.flatnonzero(np.append(starts, True)))
-    return int((sizes * (sizes - 1) // 2).sum())
+def _discordant(ys: list[float]) -> int:
+    """Pairs i < j with ys[i] > ys[j], by bottom-up merge sort.
 
-
-def _inversions(ranks: np.ndarray) -> int:
-    """Pairs i < j with ranks[i] > ranks[j], by bottom-up merge sort.
-
-    Each level stably sorts the array by (block of 2 * width, rank),
-    which merges the two sorted halves of every block. The merge moves
-    each right-half element left past exactly the left-half elements
-    greater than it, and moves no left-half element left, so the
-    level's inversions are half the total displacement.
+    Leaves of ``_LEAF`` values are sorted by insertion. Merging a left
+    block L with the right block R after it adds, for every r in R, the
+    values of L greater than r: len(L) * len(R) minus those not greater.
     """
-    index = np.arange(ranks.size)
-    span = int(ranks.max()) + 1
-    inversions = 0
-    width = 1
-    while width < ranks.size:
-        order = np.argsort(index // (2 * width) * span + ranks, kind="stable")
-        inversions += int(np.abs(order - index).sum()) // 2
-        ranks = ranks[order]
-        width *= 2
-    return inversions
+    discordant = 0
+    blocks = []
+    for start in range(0, len(ys), _LEAF):
+        leaf: list[float] = []
+        for i, value in enumerate(ys[start : start + _LEAF]):
+            at = bisect_right(leaf, value)
+            discordant += i - at
+            leaf.insert(at, value)
+        blocks.append(leaf)
+    while len(blocks) > 1:
+        merged = []
+        for left, right in zip(blocks[::2], blocks[1::2]):
+            discordant += len(left) * len(right) - sum(map(bisect_right, repeat(left), right))
+            left += right
+            left.sort()  # two sorted runs: one linear merge
+            merged.append(left)
+        blocks = merged + blocks[len(merged) * 2 :]
+    return discordant
 
 
 def _concordance(x: Sequence[float], y: Sequence[float]) -> int:
@@ -121,51 +119,54 @@ def _concordance(x: Sequence[float], y: Sequence[float]) -> int:
     were subtracted twice. With rows sorted by (x, y), every strict
     inversion of y is a pair with x strictly increasing, so the
     inversions are exactly the discordant pairs. A pair with a NaN is
-    neither.
+    neither. Ties follow ``==``, so ``-0.0`` ties ``0.0``.
     """
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    comparable = ~(np.isnan(xs) | np.isnan(ys))
-    xs, ys = xs[comparable], ys[comparable]
-    n = xs.size
-    if n < 2:
-        return 0
-    order = np.lexsort((ys, xs))
-    xs, ys = xs[order], ys[order]
-    by_y = np.argsort(ys, kind="stable")
-    y_starts = _run_starts(ys[by_y])
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[by_y] = np.cumsum(y_starts) - 1
+    rows = sorted((a, b) for a, b in zip(x, y) if a == a and b == b)  # NaN != NaN
+    xs = [a for a, _ in rows]
+    ys = [b for _, b in rows]
+    n = len(rows)
     return (
         n * (n - 1) // 2
-        - _tied_pairs(_run_starts(xs))
-        - _tied_pairs(y_starts)
-        + _tied_pairs(_run_starts(xs, ys))
-        - 2 * _inversions(ranks)
+        - _tied_pairs(Counter(xs))
+        - _tied_pairs(Counter(ys))
+        + _tied_pairs(Counter(rows))
+        - 2 * _discordant(ys)
     )
 
 
-def _check_tau_input(x: Sequence[float], y: Sequence[float]) -> None:
+def _distinct(values: Sequence[float]) -> int:
+    """Distinct values, counted as ``np.unique`` counts them: ``-0.0``
+    is ``0.0`` and all NaNs are one value."""
+    distinct = set(values)
+    numbers = {v for v in distinct if v == v}
+    return len(numbers) + (len(numbers) < len(distinct))
+
+
+def kendall_taus(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+    """(tau-a, tau-c) from one count of concordant minus discordant pairs.
+
+    tau-a is (C - D) / (n(n-1)/2); tied pairs count toward neither C
+    nor D. tau-c is (C - D) * 2m / (n^2 (m-1)) with m the smaller
+    number of distinct values in x or y, and 0 when m = 1.
+    """
     _check_paired(x, y, "kendall tau")
-    if len(x) < 2:
+    n = len(x)
+    if n < 2:
         raise ValueError("kendall tau needs at least two points")
+    concordance = _concordance(x, y)
+    m = min(_distinct(x), _distinct(y))
+    tau_c = concordance * 2 * m / (n * n * (m - 1)) if m > 1 else 0.0
+    return concordance / (n * (n - 1) / 2), tau_c
 
 
 def kendall_tau_a(x: Sequence[float], y: Sequence[float]) -> float:
-    """(C - D) / (n(n-1)/2); tied pairs count toward neither C nor D."""
-    _check_tau_input(x, y)
-    n = len(x)
-    return _concordance(x, y) / (n * (n - 1) / 2)
+    """tau-a of ``kendall_taus``."""
+    return kendall_taus(x, y)[0]
 
 
 def kendall_tau_c(x: Sequence[float], y: Sequence[float]) -> float:
-    """(C - D) * 2m / (n^2 (m-1)) with m = min distinct values; 0 when m = 1."""
-    _check_tau_input(x, y)
-    m = min(np.unique(np.asarray(x, dtype=float)).size, np.unique(np.asarray(y, dtype=float)).size)
-    if m == 1:
-        return 0.0
-    n = len(x)
-    return _concordance(x, y) * 2 * m / (n * n * (m - 1))
+    """tau-c of ``kendall_taus``."""
+    return kendall_taus(x, y)[1]
 
 
 def pairwise_accuracy(metric: SystemRanking, human: SystemRanking) -> float:

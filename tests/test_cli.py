@@ -327,6 +327,20 @@ class TestRuntimeErrors:
         assert not (corpus / "out.txt").exists()
         assert capsys.readouterr().err == "mtharness: error: metric.tsv: line 2: score is not finite\n"
 
+    @pytest.mark.parametrize("bad_score", ["0_5", "1_0.0", "0.2_5", "1e1_0"])
+    def test_digit_group_score_exits_1(self, corpus, capsys, bad_score):
+        # float() reads these as 5.0, 10.0, 0.25 and 1e10
+        (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
+        (corpus / "bad.tsv").write_text(f"0\t0.5\n1\t{bad_score}\n", encoding="utf-8")
+        (corpus / "human.tsv").write_text("A\t0.9\nB\t0.5\n", encoding="utf-8")
+        for args in (["bad.tsv", "a.tsv"],
+                     ["a.tsv", "a.tsv", "--ranking-metric", "bad.tsv", "--ranking-human", "human.tsv"]):
+            assert main(["meta", *args, "--out", "out.txt"]) == EXIT_RUNTIME
+            assert not (corpus / "out.txt").exists()
+            assert capsys.readouterr().err == (
+                f"mtharness: error: bad.tsv: line 2: could not parse '1\\t{bad_score}': '{bad_score}' is not a number\n"
+            )
+
     def test_repeated_ranking_system_names_both_lines(self, corpus, capsys):
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
         (corpus / "metric.tsv").write_text("A\t0.9\nB\t0.5\n", encoding="utf-8")
@@ -742,6 +756,7 @@ NUMPY_FREE_RUNS = {
     "check-reporting": (["check-reporting", "doc.txt"], None),
     "profiles": (["profiles", "build", "--lang", "de", "--input", "hyp.txt", "--size", "50",
                   "--out", "out.tsv"], "out.tsv"),
+    "meta": (["meta", "a.tsv", "b.tsv", "--hist-bins", "5", "--hist-out", "hist.tsv", "--tsv"], None),
 }
 
 
@@ -749,6 +764,8 @@ NUMPY_FREE_RUNS = {
 def numpy_free_corpus(corpus):
     (corpus / "ref2.txt").write_text("".join(line + "\n" for line in HYP_LINES), encoding="utf-8")
     (corpus / "doc.txt").write_text("Scores come from wmt22-comet-da.\n", encoding="utf-8")
+    (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n2\t0.0\n3\t0.75\n4\t-0.0\n", encoding="utf-8")
+    (corpus / "b.tsv").write_text("0\t0.5\n1\t0.0\n2\t0.0\n3\t1.0\n4\t0.25\n", encoding="utf-8")
     return corpus
 
 
@@ -765,9 +782,8 @@ def test_subcommand_runs_without_numpy(run_module, numpy_free_corpus, capsys, na
 
 
 @pytest.mark.parametrize("args", [
-    ["meta", "a.tsv", "a.tsv"],
     ["biaslab", "dist", "--seeds", "1"],
-], ids=["meta", "biaslab"])
+], ids=["biaslab"])
 def test_numpy_block_is_felt_by_numpy_subcommands(run_module, corpus, args):
     (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
     proc = run_module(args, cwd=corpus, block={"numpy"})

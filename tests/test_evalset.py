@@ -176,6 +176,15 @@ class TestScoreTableIO:
         with pytest.raises(ValueError, match="expected index 1"):
             read_score_table(p)
 
+    @pytest.mark.parametrize("index", ["+1", " 1", "1 ", "01", "\u0661", "1_0"])
+    def test_index_must_be_plain_decimal(self, tmp_path, index):
+        expected = int(index)  # int() reads each as the next index
+        p = tmp_path / "scores.tsv"
+        p.write_text("".join(f"{i}\t0.5\n" for i in range(expected)) + f"{index}\t0.25\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_score_table(p)
+        assert str(info.value) == f"{p}: line {expected + 1}: expected index {expected}, got {index!r}"
+
     def test_malformed_row_rejected(self, tmp_path):
         p = tmp_path / "scores.tsv"
         p.write_text("0\t0.5\tsurplus\n")

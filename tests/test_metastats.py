@@ -21,6 +21,7 @@ from mtharness.metastats import (
     histogram,
     kendall_tau_a,
     kendall_tau_c,
+    kendall_taus,
     mae,
     pairwise_accuracy,
     read_ranking,
@@ -160,6 +161,28 @@ class TestKendall:
         x = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(600)]
         y = [round(v + rng.gauss(0, 0.3), 1) for v in x]
         assert_matches_oracle(x, y)
+
+    def test_many_merge_levels_equal_oracle_exactly(self):
+        # several merge levels above the leaf size, an odd block carried up, heavy ties
+        rng = random.Random(67)
+        x = [rng.choice([0.0, -0.0, 0.5, 1.0, rng.random()]) for _ in range(1100)]
+        y = [rng.choice([v, 0.0, round(rng.random(), 1)]) for v in x]
+        assert_matches_oracle(x, y)
+
+    def test_tau_c_counts_all_nans_as_one_value(self):
+        # only the last two rows are comparable, and concordant: C - D = 1;
+        # m = min(|{nan, 1, 2}|, |{1, 2, 3, 4}|) = 3, so tau-c = 1 * 2 * 3 / (4 * 4 * 2)
+        x = [float("nan"), float("nan"), 1.0, 2.0]
+        y = [1.0, 2.0, 3.0, 4.0]
+        assert kendall_tau_c(x, y) == 0.1875
+        assert kendall_tau_a(x, y) == 1 / 6
+
+    def test_taus_equal_the_single_variants(self):
+        rng = random.Random(71)
+        for _ in range(50):
+            n = rng.randrange(2, 40)
+            x, y = tied_vectors(rng, n), [rng.choice([0.0, rng.random()]) for _ in range(n)]
+            assert kendall_taus(x, y) == (kendall_tau_a(x, y), kendall_tau_c(x, y))
 
     def test_nan_pairs_count_as_neither(self):
         x = [float("nan"), 1.0, 2.0, 3.0, float("inf"), float("inf")]
