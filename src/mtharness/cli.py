@@ -17,7 +17,11 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import guards, multiref
+# The scoring stack (scorer, guards, multiref), metastats and biaslab are
+# imported inside the handlers that run them, so each subcommand loads only
+# its own code: meta, signature, cite and check-reporting never load the
+# scorer, and only biaslab loads numpy. The parser therefore spells out the
+# few library constants it shows; tests check them against the library.
 from .evalset import (
     Direction,
     format_score_rows,
@@ -27,7 +31,6 @@ from .evalset import (
     system_score,
 )
 from .provenance import Signature, check_reporting, cite, make_signature
-from .scorer import ExternalBackend, PrecomputedBackend, ScorerError, SurrogateBackend, score_evalset
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -108,9 +111,12 @@ def _check_score(ns: argparse.Namespace) -> None:
         if value is not None and not ns.guard_lang:
             raise ConfigError(f"{flag} only applies with --guard-lang")
     ns.profile = [_existing_file(path, "profile") for path in ns.profile or []]
-    expected = ns.direction.tgt_lang
-    if ns.guard_lang and not ns.profile and expected not in guards.BUNDLED_SEED_LANGS:
-        raise ConfigError(f"no bundled language profile for {expected!r}; pass --profile files")
+    if ns.guard_lang and not ns.profile:
+        from .guards import BUNDLED_SEED_LANGS
+
+        expected = ns.direction.tgt_lang
+        if expected not in BUNDLED_SEED_LANGS:
+            raise ConfigError(f"no bundled language profile for {expected!r}; pass --profile files")
 
 
 def _check_multiref(ns: argparse.Namespace) -> None:
@@ -168,7 +174,7 @@ def _check_biaslab(ns: argparse.Namespace) -> None:
 
 def _check_profiles(ns: argparse.Namespace) -> None:
     ns.input = _existing_file(ns.input, "corpus")
-    if ns.size < 1:
+    if ns.size is not None and ns.size < 1:
         raise ConfigError("--size must be at least 1")
 
 
@@ -192,6 +198,8 @@ def _emit(lines: Sequence[str], out: str | None) -> None:
 
 
 def _build_backend(ns: argparse.Namespace):
+    from .scorer import ExternalBackend, PrecomputedBackend, SurrogateBackend
+
     if ns.backend_kind == "surrogate":
         return SurrogateBackend()
     if ns.backend_kind == "precomputed":
@@ -200,6 +208,9 @@ def _build_backend(ns: argparse.Namespace):
 
 
 def run_score(ns: argparse.Namespace) -> int:
+    from . import guards
+    from .scorer import score_evalset
+
     expected = ns.direction.tgt_lang
     if ns.guard_lang:
         # Checked before any scoring. A --profile for a bundled language is
@@ -226,6 +237,8 @@ def run_score(ns: argparse.Namespace) -> int:
 
 
 def run_multiref(ns: argparse.Namespace) -> int:
+    from . import multiref
+
     evalset = load_evalset(ns.src, ns.hyp, ns.ref, ns.direction, ns.system)
     table = multiref.evaluate_system_multiref(ns.strategy, evalset, _build_backend(ns))
     extra = [
@@ -237,7 +250,7 @@ def run_multiref(ns: argparse.Namespace) -> int:
 
 
 def run_meta(ns: argparse.Namespace) -> int:
-    from . import metastats  # imported here: only meta needs it
+    from . import metastats
 
     path_a, path_b = ns.scores
     a = read_score_table(path_a).scores
@@ -279,7 +292,7 @@ def run_check_reporting(ns: argparse.Namespace) -> int:
 
 
 def run_biaslab(ns: argparse.Namespace) -> int:
-    from . import biaslab  # imported here: only biaslab loads numpy
+    from . import biaslab
 
     seeds = [ns.seed + i for i in range(ns.seeds)]
     # only the knobs given on the command line; the experiments own the defaults
@@ -345,7 +358,10 @@ def run_biaslab(ns: argparse.Namespace) -> int:
 
 
 def run_profiles(ns: argparse.Namespace) -> int:
-    profile = guards.build_language_profile(read_lines(ns.input), ns.lang, k=ns.size)
+    from . import guards
+
+    size = guards.DEFAULT_PROFILE_SIZE if ns.size is None else ns.size
+    profile = guards.build_language_profile(read_lines(ns.input), ns.lang, k=size)
     _emit(guards.serialize_profile(profile).splitlines() + _trailer(ns, model="profiles-build"), ns.out)
     return EXIT_OK
 
@@ -395,18 +411,18 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--profile", action="append", help="language profile file (repeatable)")
     score.add_argument(
         "--min-len", type=int,
-        help=f"shortest hypothesis the language guard will judge (default {guards.DEFAULT_MIN_LEN})",
+        help="shortest hypothesis the language guard will judge (default 20)",
     )
     score.add_argument(
         "--min-margin", type=float,
-        help=f"minimum language-detection margin to act on (default {guards.DEFAULT_MIN_MARGIN})",
+        help="minimum language-detection margin to act on (default 0.05)",
     )
 
     mref = sub.add_parser("multiref", help="score against several references")
     mref.set_defaults(handler=run_multiref, validate=_check_multiref)
     _add_scoring_args(mref)
     mref.add_argument(
-        "--multiref", dest="strategy", required=True, choices=multiref.STRATEGIES,
+        "--multiref", dest="strategy", required=True, choices=("max", "avg", "agg"),
         help="how to combine per-reference scores",
     )
 
@@ -460,10 +476,18 @@ def build_parser() -> argparse.ArgumentParser:
     profiles.add_argument("action", choices=("build",))
     profiles.add_argument("--lang", required=True, help="language code the corpus is in")
     profiles.add_argument("--input", required=True, help="corpus file, one line per sentence")
-    profiles.add_argument("--size", type=int, default=guards.DEFAULT_PROFILE_SIZE)
+    profiles.add_argument("--size", type=int)
     profiles.add_argument("--out", required=True, help="profile output file")
 
     return parser
+
+
+def _runtime_errors() -> tuple[type[Exception], ...]:
+    """The errors a handler reports with exit 1. A ``ScorerError`` can only
+    come from a handler that imported the scorer, so it is looked up only
+    where that happened."""
+    scorer = sys.modules.get(f"{__package__}.scorer")
+    return (ValueError, KeyError, OSError) + ((scorer.ScorerError,) if scorer else ())
 
 
 # Characters that would break the one-line `# command` trailer: all of
@@ -489,7 +513,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"mtharness: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, KeyError, ScorerError, OSError) as exc:
+    except _runtime_errors() as exc:
         if isinstance(exc, OSError):
             # its args[0] is the errno: name the file and the cause instead
             message = f"{exc.filename}: {exc.strerror}" if exc.filename is not None and exc.strerror else str(exc)

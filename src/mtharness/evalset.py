@@ -120,22 +120,27 @@ def system_score(table: ScoreTable) -> float:
 def read_lines(path: str | Path) -> list[str]:
     """Read one-segment-per-line UTF-8 text, accepting LF or CRLF.
 
-    Decodes line by line so that undecodable bytes can be reported with
-    their 1-based line number.
+    Undecodable bytes are reported with their 1-based line number, and
+    with the reason that line gives when decoded alone, so a line cut off
+    in the middle of a character reads as "unexpected end of data".
     """
     raw = Path(path).read_bytes()
-    raw_lines = raw.split(b"\n")
-    if raw_lines and raw_lines[-1] == b"":
-        raw_lines.pop()
-    lines: list[str] = []
-    for lineno, raw_line in enumerate(raw_lines, start=1):
-        if raw_line.endswith(b"\r"):
-            raw_line = raw_line[:-1]
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        first = raw.rfind(b"\n", 0, exc.start) + 1
+        end = raw.find(b"\n", exc.start)
+        lineno = raw.count(b"\n", 0, first) + 1
+        reason = exc.reason
         try:
-            lines.append(raw_line.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: line {lineno} is not valid UTF-8 ({exc.reason})") from None
-    return lines
+            raw[first : end if end >= 0 else len(raw)].removesuffix(b"\r").decode("utf-8")
+        except UnicodeDecodeError as line_exc:
+            reason = line_exc.reason
+        raise ValueError(f"{path}: line {lineno} is not valid UTF-8 ({reason})") from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]
 
 
 def load_evalset(

@@ -9,7 +9,6 @@ silent fallback to the base-framework paper.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,6 +44,9 @@ class Signature:
     def __post_init__(self) -> None:
         if not self.model:
             raise ValueError("signature needs a non-empty model identifier")
+        for name in ("interpreter_version", "framework_version"):
+            if not getattr(self, name):
+                raise ValueError(f"signature field {name} must not be empty; {UNKNOWN!r} marks an unknown version")
         if self.precision not in PRECISIONS:
             raise ValueError(f"precision must be one of {', '.join(PRECISIONS)}, got {self.precision!r}")
         for name in ("model", "interpreter_version", "framework_version", "precision"):
@@ -102,6 +104,8 @@ def _normalize(identifier: str) -> str:
 
 @lru_cache(maxsize=1)
 def _database() -> dict[str, CitationRecord]:
+    import json  # here: only a citation lookup reads the database
+
     raw = json.loads(_CITATIONS_PATH.read_text(encoding="utf-8"))
     table: dict[str, CitationRecord] = {}
     for entry in raw["entries"]:

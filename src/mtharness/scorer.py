@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 import os
 import signal
-import subprocess
-import tempfile
 import threading
 import time
 from collections import Counter
@@ -21,9 +19,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, NoReturn, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, NoReturn, Sequence
 
 from .evalset import EvalSet, ScoreTable, read_score_table
+
+if TYPE_CHECKING:
+    import subprocess
 
 
 class ScorerError(RuntimeError):
@@ -244,9 +245,22 @@ def _kill_group(proc: subprocess.Popen) -> None:
         pass  # every member has already exited
 
 
-# How long the calling thread sleeps between two checks of its running
-# children; each check is one non-blocking wait per child.
+# Where a running child has no pidfd to wait on, how long the calling
+# thread sleeps between two checks of its running children; each check is
+# one non-blocking wait per child.
 _POLL_S = 0.002
+
+
+def _pidfd(pid: int) -> int | None:
+    """A descriptor that turns readable when child ``pid`` exits, or None
+    where the platform cannot give one (no ``os.pidfd_open``, or a kernel
+    or sandbox that refuses the call)."""
+    if not hasattr(os, "pidfd_open"):
+        return None
+    try:
+        return os.pidfd_open(pid)
+    except OSError:
+        return None
 
 
 class _Terminated(BaseException):
@@ -452,7 +466,9 @@ class ExternalBackend:
     started is killed and its shard fails; with no timeout the backend
     waits for as long as it takes.
 
-    The calling thread runs the whole pool: it checks each running child
+    The calling thread runs the whole pool. It sleeps on the running
+    children's pidfds until one of them exits or the earliest deadline
+    comes; where the platform gives no pidfd, it checks each running child
     every ``_POLL_S`` seconds. A child's stdin, stdout and stderr are
     unlinked temporary files, not pipes, so a child is done when it has
     exited, and a grandchild that left the child's process group (e.g.
@@ -507,6 +523,10 @@ class ExternalBackend:
         return scores
 
     def score_batch(self, requests: Sequence[ScoreRequest]) -> list[float]:
+        import select  # here, with the two below: only a run with an external scorer needs them
+        import subprocess
+        import tempfile
+
         _check_homogeneous(requests)
         lines = [format_request_line(req) for req in requests]
         if not lines:
@@ -517,6 +537,7 @@ class ExternalBackend:
         unstarted = iter(starts)
         # by a shard's first request: its child, the child's stdout and stderr, and its deadline
         running: dict[int, tuple[subprocess.Popen, BinaryIO, BinaryIO, float]] = {}
+        pidfds: dict[int, int] = {}  # by a shard's first request: its running child's pidfd, where it has one
         results: dict[int, list[float]] = {}
         failures: dict[int, ScorerError] = {}
         with _unwind_on_termination():
@@ -537,9 +558,19 @@ class ExternalBackend:
                                 stderr.close()
                                 error = f"could not run external scorer {self.command[0]!r}: {exc}"
                                 failures[start] = ScorerError(error)
+                            else:
+                                if (pidfd := _pidfd(running[start][0].pid)) is not None:
+                                    pidfds[start] = pidfd
                     if not running:
                         break
-                    time.sleep(_POLL_S)
+                    if len(pidfds) < len(running):  # a child without a pidfd is polled
+                        time.sleep(_POLL_S)
+                    else:  # sleep until a child exits or the earliest deadline comes
+                        exits = select.poll()  # not select.select, which fails on descriptors past 1023
+                        for pidfd in pidfds.values():
+                            exits.register(pidfd, select.POLLIN)
+                        wait = min(deadline for *_, deadline in running.values()) - time.monotonic()
+                        exits.poll(None if wait == math.inf else max(wait, 0.0) * 1000)
                     for start, (proc, stdout, stderr, deadline) in list(running.items()):
                         count = min(size, len(lines) - start)
                         if proc.poll() is not None:
@@ -562,7 +593,11 @@ class ExternalBackend:
                         del running[start]
                         stdout.close()
                         stderr.close()
+                        if start in pidfds:
+                            os.close(pidfds.pop(start))
             finally:  # after an exception such as KeyboardInterrupt: end every child in flight
+                for pidfd in pidfds.values():
+                    os.close(pidfd)
                 for proc, stdout, stderr, _ in running.values():
                     _kill_group(proc)
                     proc.wait()

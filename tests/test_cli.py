@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface: output format,
 trailers, exit codes, and rerun determinism."""
 
+import argparse
 import importlib.metadata
 import os
 import platform
@@ -15,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from mtharness import scorer
-from mtharness.cli import EXIT_CONFIG, EXIT_NO_MATCH, EXIT_OK, EXIT_RUNTIME, main
+from mtharness import guards, multiref, scorer
+from mtharness.cli import EXIT_CONFIG, EXIT_NO_MATCH, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from mtharness.evalset import Direction, read_score_table
 from mtharness.guards import build_language_profile, load_seed_lines, read_profile
 from mtharness.multiref import evaluate_system_multiref
@@ -293,17 +294,20 @@ class TestConfigErrors:
         (["meta", "a.tsv", "a.tsv", "--hist-range", "5", "1"], "--hist-range only applies with --hist-bins"),
         (["score", *SCORE_ARGS, "--system", ""], "--system must be non-empty"),
         (["multiref", *SCORE_ARGS, "--multiref", "max", "--system", ""], "--system must be non-empty"),
+        (["signature", "--model", "x", "--interp", ""], "signature field interpreter_version must not be empty"),
+        (["signature", "--model", "x", "--framework", ""], "signature field framework_version must not be empty"),
     ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
             "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
             "missing-profile", "missing-ranking", "missing-document", "timeout-surrogate",
             "timeout-multiref-surrogate", "timeout-zero", "timeout-negative", "timeout-nan", "timeout-multiref-inf",
             "empty-ranking-human", "empty-rankings", "profile-without-guard-lang", "min-len-without-guard-lang",
             "min-margin-without-guard-lang", "hist-range-nan", "hist-range-inf", "learning-rate-nan",
-            "learning-rate-inf", "hist-range-without-hist-bins", "empty-system", "multiref-empty-system"])
+            "learning-rate-inf", "hist-range-without-hist-bins", "empty-system", "multiref-empty-system",
+            "signature-empty-interp", "signature-empty-framework"])
     def test_config_error_exits_2_without_output(self, corpus, capsys, args, message):
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
         before = sorted(corpus.iterdir())
-        out = [] if args[0] == "check-reporting" else ["--out", "out.txt"]
+        out = [] if args[0] in ("check-reporting", "signature") else ["--out", "out.txt"]
         assert main([*args, *out]) == EXIT_CONFIG
         assert sorted(corpus.iterdir()) == before
         captured = capsys.readouterr()
@@ -550,6 +554,18 @@ class TestProfiles:
         assert trailer and trailer[-1].startswith("# command ")
 
 
+def parser_option(subcommand, flag):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in subparsers.choices[subcommand]._actions if flag in a.option_strings)
+
+
+def test_parser_names_the_library_constants():
+    # spelled out in the parser, so that parsing imports no scoring code
+    assert parser_option("score", "--min-len").help.endswith(f"(default {guards.DEFAULT_MIN_LEN})")
+    assert parser_option("score", "--min-margin").help.endswith(f"(default {guards.DEFAULT_MIN_MARGIN})")
+    assert parser_option("multiref", "--multiref").choices == multiref.STRATEGIES
+
+
 SIGNATURE_ARGS = ["signature", "--model", "unite-mup", "--prec", "fp32",
                   "--interp", "3.11.8", "--framework", "2.2.2"]
 SIGNATURE_LINE = "Python3.11.8|Comet2.2.2|fp32|unite-mup\n"
@@ -746,17 +762,22 @@ def test_signal_mid_score_ends_every_worker(start_module, corpus, signum):
         kill_quietly(*workers)
 
 
-# Each run exits 0 with numpy blocked; (arguments, output file or None for stdout)
+# What the scoring subcommands need and the others must not load.
+SCORING_STACK = {"numpy", "mtharness.scorer", "mtharness.guards", "mtharness.multiref", "subprocess"}
+
+# Each run exits 0 with numpy and the modules it does not need blocked;
+# (arguments, output file or None for stdout, blocked modules)
 NUMPY_FREE_RUNS = {
-    "score": (["score", *SCORE_ARGS, "--guard-empty", "--guard-lang", "--out", "out.tsv"], "out.tsv"),
+    "score": (["score", *SCORE_ARGS, "--guard-empty", "--guard-lang", "--out", "out.tsv"], "out.tsv", {"numpy"}),
     "multiref": (["multiref", *SCORE_ARGS, "--ref", "ref2.txt", "--multiref", "agg", "--out", "out.tsv"],
-                 "out.tsv"),
-    "signature": (SIGNATURE_ARGS, None),
-    "cite": (["cite", "wmt22-comet-da"], None),
-    "check-reporting": (["check-reporting", "doc.txt"], None),
+                 "out.tsv", {"numpy", "mtharness.guards"}),
+    "signature": (SIGNATURE_ARGS, None, SCORING_STACK | {"json"}),
+    "cite": (["cite", "wmt22-comet-da"], None, SCORING_STACK),
+    "check-reporting": (["check-reporting", "doc.txt"], None, SCORING_STACK | {"json"}),
     "profiles": (["profiles", "build", "--lang", "de", "--input", "hyp.txt", "--size", "50",
-                  "--out", "out.tsv"], "out.tsv"),
-    "meta": (["meta", "a.tsv", "b.tsv", "--hist-bins", "5", "--hist-out", "hist.tsv", "--tsv"], None),
+                  "--out", "out.tsv"], "out.tsv", {"numpy"}),
+    "meta": (["meta", "a.tsv", "b.tsv", "--hist-bins", "5", "--hist-out", "hist.tsv", "--tsv"], None,
+             SCORING_STACK | {"json"}),
 }
 
 
@@ -771,12 +792,12 @@ def numpy_free_corpus(corpus):
 
 @pytest.mark.parametrize("name", NUMPY_FREE_RUNS)
 def test_subcommand_runs_without_numpy(run_module, numpy_free_corpus, capsys, name):
-    args, out = NUMPY_FREE_RUNS[name]
+    args, out, blocked = NUMPY_FREE_RUNS[name]
     assert main(args) == EXIT_OK
     expected = (numpy_free_corpus / out).read_bytes() if out else capsys.readouterr().out
     if out:
         (numpy_free_corpus / out).unlink()
-    proc = run_module(args, cwd=numpy_free_corpus, block={"numpy"})
+    proc = run_module(args, cwd=numpy_free_corpus, block=blocked)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert ((numpy_free_corpus / out).read_bytes() if out else proc.stdout) == expected
 

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtharness.evalset import (
     Direction,
@@ -18,6 +20,34 @@ from mtharness.evalset import (
 )
 
 from helpers import write_evalset, write_score_table
+
+
+def oracle_read_lines(path):
+    """Reference for read_lines: splits the bytes into lines first, then
+    decodes each line alone."""
+    raw_lines = path.read_bytes().split(b"\n")
+    if raw_lines[-1] == b"":
+        raw_lines.pop()
+    lines = []
+    for lineno, raw_line in enumerate(raw_lines, start=1):
+        try:
+            lines.append(raw_line.removesuffix(b"\r").decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: line {lineno} is not valid UTF-8 ({exc.reason})") from None
+    return lines
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+# line breaks, a CR, whole and cut-off multi-byte characters, stray
+# continuation and invalid bytes, and an encoded surrogate
+LINE_FILE_PIECES = [b"a", b" ", b"\n", b"\r", b"\xc3\xa4", b"\xc3", b"\xe2\x82\xac", b"\xe2\x82", b"\x80",
+                    b"\xff", b"\xf0\x9f\x98\x80", b"\xf0\x9f", b"\xed\xa0\x80"]
 
 
 def make_evalset(n, n_refs=1, system="sysA"):
@@ -120,6 +150,33 @@ class TestLineFiles:
         p.write_bytes(b"fine\n\xff\xfe broken\n")
         with pytest.raises(ValueError, match="line 2"):
             read_lines(p)
+
+    @pytest.mark.parametrize("data, line, reason", [
+        (b"fine\nab\xc3\xa4\xc3\ncd\n", 2, "unexpected end of data"),
+        (b"fine\nab\xc3\xa4\xc3\r\ncd\r\n", 2, "unexpected end of data"),
+        (b"fine\nok\n\xe2\x82", 3, "unexpected end of data"),
+        (b"fine\n\xc3x\n", 2, "invalid continuation byte"),
+        (b"fine\r\n\xc3x\r\n", 2, "invalid continuation byte"),
+        (b"\xff\n", 1, "invalid start byte"),
+    ], ids=["cut-off-lf", "cut-off-crlf", "cut-off-at-eof", "continuation-lf", "continuation-crlf", "start-byte"])
+    def test_bad_utf8_gives_the_lines_own_reason(self, tmp_path, data, line, reason):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            read_lines(p)
+        assert str(exc.value) == f"{p}: line {line} is not valid UTF-8 ({reason})"
+
+    def test_only_the_final_cr_of_a_line_is_stripped(self, tmp_path):
+        p = tmp_path / "cr.txt"
+        p.write_bytes(b"a\rb\r\nc\r\r\n\r\nd\r")
+        assert read_lines(p) == ["a\rb", "c\r", "", "d"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(LINE_FILE_PIECES), max_size=16).map(b"".join))
+    def test_equals_the_line_by_line_oracle(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("lines") / "x.txt"
+        p.write_bytes(data)
+        assert outcome(read_lines, p) == outcome(oracle_read_lines, p)
 
     def test_load_happy_path(self, tmp_path):
         (tmp_path / "src").write_text("s0\ns1\n")

@@ -35,6 +35,20 @@ class TestSignature:
         with pytest.raises(ValueError, match="non-empty model"):
             make_signature("")
 
+    @pytest.mark.parametrize("field", ["interpreter_version", "framework_version"])
+    def test_empty_version_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^signature field {field} must not be empty; 'unk' marks"):
+            Signature("m", **{field: ""})
+
+    @pytest.mark.parametrize("text, field", [
+        ("Python|Comet|unk|x", "interpreter_version"),
+        ("Python3.11.8|Comet|unk|x", "framework_version"),
+        ("Python|Comet2.2.2|fp32|x", "interpreter_version"),
+    ])
+    def test_parse_rejects_empty_version(self, text, field):
+        with pytest.raises(ValueError, match=f"signature field {field} must not be empty"):
+            parse_signature(text)
+
     def test_bad_precision_rejected(self):
         with pytest.raises(ValueError, match="precision"):
             Signature("m", precision="int8")

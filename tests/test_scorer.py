@@ -7,8 +7,10 @@ profiles and the per-batch pair memo, and must equal it exactly.
 
 import math
 import os
+import errno
 import random
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -512,6 +514,23 @@ def shard_requests(n):
     return [ScoreRequest("s", f"h{i}") for i in range(n)]
 
 
+def open_fds():
+    """How many file descriptors this process holds open."""
+    return len(os.listdir("/proc/self/fd"))
+
+
+def pidfds_work():
+    try:
+        os.close(os.pidfd_open(os.getpid()))
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+def refuse_pidfd(pid):
+    raise OSError(errno.ENOSYS, "pidfd_open refused")
+
+
 class TestExternalPool:
     def test_two_cpus_run_two_shards_at_once(self, tmp_path, cpus):
         cpus(2)
@@ -546,9 +565,11 @@ class TestExternalPool:
 
     def test_failure_starts_no_shard_and_kills_later_ones(self, tmp_path, cpus):
         cpus(2)
+        fds = open_fds()
         try:
             with hard_timeout(30), pytest.raises(ScorerError, match=r"requests 0\.\.0 exited with status 5"):
                 pool_backend(tmp_path, FAIL_FIRST_CHILD).score_batch(shard_requests(6))
+            assert open_fds() == fds
             spawned = (tmp_path / "spawns").read_text().split()
             assert len(spawned) == 2  # shards 0 and 1; no shard started after the failure
             sibling = int((tmp_path / "pid1").read_text())
@@ -566,6 +587,7 @@ class TestExternalPool:
                 raise KeyboardInterrupt
             signal.setitimer(signal.ITIMER_REAL, 0.05)
 
+        fds = open_fds()
         previous = signal.signal(signal.SIGALRM, interrupt_once_both_run)
         signal.setitimer(signal.ITIMER_REAL, 0.05)
         started = time.monotonic()
@@ -576,6 +598,7 @@ class TestExternalPool:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - started < 30
+        assert open_fds() == fds
         pids = [int(path.read_text()) for path in pid_files]
         try:
             for pid in pids:
@@ -638,6 +661,32 @@ class TestExternalPool:
             assert len(escaped_pids(tmp_path)) == 1
         finally:
             kill_quietly(*escaped_pids(tmp_path))
+
+    @pytest.mark.parametrize("wait, timeout", [
+        ("pidfd", None), ("pidfd", 30), ("no-pidfd_open", None), ("pidfd_open-refused", 30),
+    ], ids=["pidfd", "pidfd-timeout", "no-pidfd_open", "pidfd_open-refused"])
+    def test_waits_for_a_child_without_polling(self, tmp_path, cpus, monkeypatch, wait, timeout):
+        cpus(2)
+        if wait == "pidfd" and not pidfds_work():
+            pytest.skip("this platform gives no pidfd")
+        if wait == "no-pidfd_open":
+            monkeypatch.delattr(os, "pidfd_open", raising=False)
+        if wait == "pidfd_open-refused":
+            monkeypatch.setattr(os, "pidfd_open", refuse_pidfd, raising=False)
+        polls = []  # each wakeup of the loop polls every running child once
+        poll = subprocess.Popen.poll
+        monkeypatch.setattr(subprocess.Popen, "poll", lambda proc: polls.append(1) or poll(proc))
+        # shard 0 answers at once, shard 1 after 0.5 s
+        source = "import sys, time\nif 'h1' in sys.stdin.read():\n    time.sleep(0.5)\nprint(0.5)\n"
+        backend = ExternalBackend(child(tmp_path, source), shard_size=1, timeout=timeout)
+        fds = open_fds()
+        with hard_timeout(30):
+            assert backend.score_batch(shard_requests(2)) == [0.5, 0.5]
+        assert open_fds() == fds
+        if wait == "pidfd":
+            assert len(polls) <= 6  # a 2 ms poll wakes about 250 times
+        else:
+            assert len(polls) > 6  # the 2 ms poll is the fallback
 
     def test_signal_handlers_are_left_as_found(self, tmp_path):
         previous = signal.signal(signal.SIGHUP, signal.SIG_IGN)  # as under nohup
