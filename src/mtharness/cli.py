@@ -111,10 +111,10 @@ def _check_score(ns: argparse.Namespace) -> None:
         if value is not None and not ns.guard_lang:
             raise ConfigError(f"{flag} only applies with --guard-lang")
     ns.profile = [_existing_file(path, "profile") for path in ns.profile or []]
+    expected = ns.direction.tgt_lang
     if ns.guard_lang and not ns.profile:
         from .guards import BUNDLED_SEED_LANGS
 
-        expected = ns.direction.tgt_lang
         if expected not in BUNDLED_SEED_LANGS:
             raise ConfigError(f"no bundled language profile for {expected!r}; pass --profile files")
 
@@ -208,8 +208,10 @@ def _build_backend(ns: argparse.Namespace):
 
 
 def run_score(ns: argparse.Namespace) -> int:
-    from . import guards
     from .scorer import score_evalset
+
+    if ns.guard_empty or ns.guard_lang:
+        from . import guards
 
     expected = ns.direction.tgt_lang
     if ns.guard_lang:

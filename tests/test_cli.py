@@ -762,13 +762,14 @@ def test_signal_mid_score_ends_every_worker(start_module, corpus, signum):
         kill_quietly(*workers)
 
 
-# What the scoring subcommands need and the others must not load.
+# Modules that meta, signature, cite and check-reporting must run without.
 SCORING_STACK = {"numpy", "mtharness.scorer", "mtharness.guards", "mtharness.multiref", "subprocess"}
 
 # Each run exits 0 with numpy and the modules it does not need blocked;
 # (arguments, output file or None for stdout, blocked modules)
 NUMPY_FREE_RUNS = {
     "score": (["score", *SCORE_ARGS, "--guard-empty", "--guard-lang", "--out", "out.tsv"], "out.tsv", {"numpy"}),
+    "score-unguarded": (["score", *SCORE_ARGS, "--out", "out.tsv"], "out.tsv", {"numpy", "mtharness.guards"}),
     "multiref": (["multiref", *SCORE_ARGS, "--ref", "ref2.txt", "--multiref", "agg", "--out", "out.tsv"],
                  "out.tsv", {"numpy", "mtharness.guards"}),
     "signature": (SIGNATURE_ARGS, None, SCORING_STACK | {"json"}),

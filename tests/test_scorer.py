@@ -5,9 +5,9 @@ Counter per pair with plain Python loops, independently of the shared
 profiles and the per-batch pair memo, and must equal it exactly.
 """
 
+import errno
 import math
 import os
-import errno
 import random
 import signal
 import subprocess
