@@ -251,18 +251,6 @@ def _kill_group(proc: subprocess.Popen) -> None:
 _POLL_S = 0.002
 
 
-def _pidfd(pid: int) -> int | None:
-    """A descriptor that turns readable when child ``pid`` exits, or None
-    where the platform cannot give one (no ``os.pidfd_open``, or a kernel
-    or sandbox that refuses the call)."""
-    if not hasattr(os, "pidfd_open"):
-        return None
-    try:
-        return os.pidfd_open(pid)
-    except OSError:
-        return None
-
-
 class _Terminated(BaseException):
     """SIGTERM or SIGHUP arrived while external children were running."""
 
@@ -559,8 +547,10 @@ class ExternalBackend:
                                 error = f"could not run external scorer {self.command[0]!r}: {exc}"
                                 failures[start] = ScorerError(error)
                             else:
-                                if (pidfd := _pidfd(running[start][0].pid)) is not None:
-                                    pidfds[start] = pidfd
+                                try:  # readable once the child exits
+                                    pidfds[start] = os.pidfd_open(running[start][0].pid)
+                                except (AttributeError, OSError):  # no pidfd_open here, or it was refused
+                                    pass
                     if not running:
                         break
                     if len(pidfds) < len(running):  # a child without a pidfd is polled
