@@ -116,33 +116,33 @@ def generate_synth(
 # --- featurization and the linear scorer ---------------------------------
 
 
-def _slot(namespace: str, token: str, hash_seed: int, dim: int) -> int:
-    key = f"{hash_seed}\x1f{namespace}\x1f{token}".encode("utf-8")
+def _slot(namespace: str, token: str, dim: int) -> int:
+    key = f"0\x1f{namespace}\x1f{token}".encode("utf-8")  # "0" is the hash seed; every feature slot depends on it
     return zlib.crc32(key) % dim
 
 
-def featurize(example: SynthExample, hash_seed: int = 0, dim: int = DIM) -> dict[int, float]:
+def featurize(example: SynthExample, dim: int = DIM) -> dict[int, float]:
     """Hashed sparse counts: hyp and ref n-grams in separate namespaces,
     one direction token, and one tag token when a tag is present."""
     features: dict[int, float] = {}
     for namespace, text in (("hyp", example.hypothesis), ("ref", example.reference)):
         for n in NGRAM_ORDERS:
             for i in range(len(text) - n + 1):
-                idx = _slot(namespace, text[i : i + n], hash_seed, dim)
+                idx = _slot(namespace, text[i : i + n], dim)
                 features[idx] = features.get(idx, 0.0) + 1.0
-    idx = _slot("dir", str(example.direction), hash_seed, dim)
+    idx = _slot("dir", str(example.direction), dim)
     features[idx] = features.get(idx, 0.0) + 1.0
     if example.tag is not None:
-        idx = _slot("tag", example.tag, hash_seed, dim)
+        idx = _slot("tag", example.tag, dim)
         features[idx] = features.get(idx, 0.0) + 1.0
     return features
 
 
-def assert_no_token_collisions(tokens: Iterable[tuple[str, str]], hash_seed: int = 0, dim: int = DIM) -> None:
+def assert_no_token_collisions(tokens: Iterable[tuple[str, str]], dim: int = DIM) -> None:
     """Fail fast if any two categorical tokens hash to one slot."""
     seen: dict[int, tuple[str, str]] = {}
     for namespace, token in tokens:
-        idx = _slot(namespace, token, hash_seed, dim)
+        idx = _slot(namespace, token, dim)
         if idx in seen and seen[idx] != (namespace, token):
             raise ValueError(f"hash collision between {seen[idx]} and {(namespace, token)} at slot {idx}")
         seen[idx] = (namespace, token)
@@ -151,11 +151,10 @@ def assert_no_token_collisions(tokens: Iterable[tuple[str, str]], hash_seed: int
 class ToyScorer:
     """Dense-weight linear regressor over hashed features."""
 
-    def __init__(self, dim: int = DIM, hash_seed: int = 0) -> None:
+    def __init__(self, dim: int = DIM) -> None:
         if dim & (dim - 1) != 0 or dim <= 0:
             raise ValueError("feature dimension must be a power of two")
         self.dim = dim
-        self.hash_seed = hash_seed
         self.weights = np.zeros(dim, dtype=np.float64)
         self.bias = 0.0
         self.epoch_losses: tuple[float, ...] = ()
@@ -164,7 +163,7 @@ class ToyScorer:
         return self.bias + sum(self.weights[i] * v for i, v in features.items())
 
     def predict(self, example: SynthExample) -> float:
-        return self.predict_features(featurize(example, self.hash_seed, self.dim))
+        return self.predict_features(featurize(example, self.dim))
 
     def squared_error(self, features: dict[int, float], gold: float) -> float:
         return (self.predict_features(features) - gold) ** 2
@@ -181,7 +180,6 @@ def train(
     learning_rate: float = 5e-4,
     seed: int | str = 0,
     dim: int = DIM,
-    hash_seed: int = 0,
 ) -> ToyScorer:
     """Plain SGD on squared error with a per-epoch deterministic shuffle.
 
@@ -193,11 +191,11 @@ def train(
         raise ValueError("cannot train on an empty dataset")
     cached = []
     for ex in dataset:
-        features = featurize(ex, hash_seed, dim)
+        features = featurize(ex, dim)
         idx = np.fromiter(features.keys(), dtype=np.int64, count=len(features))
         val = np.fromiter(features.values(), dtype=np.float64, count=len(features))
         cached.append((idx, val, ex.gold_da))
-    scorer = ToyScorer(dim=dim, hash_seed=hash_seed)
+    scorer = ToyScorer(dim=dim)
     rng = random.Random(f"train:{seed}")
     order = list(range(len(cached)))
     losses = []
@@ -271,7 +269,6 @@ def distribution_bias_experiment(
     n_test: int = 200,
     epochs: int = 30,
     learning_rate: float = 5e-4,
-    dim: int = DIM,
 ) -> DistBiasReport:
     """Train on {all, top/bottom-75% of each direction}, score one test set.
 
@@ -294,7 +291,7 @@ def distribution_bias_experiment(
     ]
     rows = []
     for name, data in configs:
-        scorer = train(data, epochs=epochs, learning_rate=learning_rate, seed=seed, dim=dim)
+        scorer = train(data, epochs=epochs, learning_rate=learning_rate, seed=seed)
         rows.append((name, mean_score(scorer, test_a), mean_score(scorer, test_b)))
     return DistBiasReport(directions=(str(dir_a), str(dir_b)), rows=tuple(rows))
 
@@ -312,7 +309,6 @@ def tag_bias_experiment(
     n_test: int = 200,
     epochs: int = 150,
     learning_rate: float = 1e-3,
-    dim: int = DIM,
 ) -> TagBiasReport:
     """Train with year tags 2019-2021 whose gold means rise with the year,
     then score one fixed test set once per tag 2018-2025.
@@ -327,9 +323,7 @@ def tag_bias_experiment(
     cannot memorize individual examples, and training long enough that
     the slowly-moving tag-vs-intercept direction actually settles.
     """
-    assert_no_token_collisions(
-        [("tag", tag) for tag in TEST_TAGS] + [("dir", str(TAG_DIRECTION))], hash_seed=0, dim=dim
-    )
+    assert_no_token_collisions([("tag", tag) for tag in TEST_TAGS] + [("dir", str(TAG_DIRECTION))])
     base_mean = sum(TAG_TRAIN_MEANS.values()) / len(TAG_TRAIN_MEANS)
     train_set: list[SynthExample] = []
     for tag, mean_da in TAG_TRAIN_MEANS.items():
@@ -337,7 +331,7 @@ def tag_bias_experiment(
             generate_synth([(TAG_DIRECTION, mean_da)], n_per_tag, seed=f"{seed}/tag{tag}", tag=tag)
         )
     train_set.extend(generate_synth([(TAG_DIRECTION, base_mean)], n_per_tag, seed=f"{seed}/anchor"))
-    scorer = train(train_set, epochs=epochs, learning_rate=learning_rate, seed=seed, dim=dim)
+    scorer = train(train_set, epochs=epochs, learning_rate=learning_rate, seed=seed)
     test_set = generate_synth([(TAG_DIRECTION, base_mean)], n_test, seed=f"{seed}/test")
     rows = []
     for tag in TEST_TAGS:

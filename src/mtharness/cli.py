@@ -24,6 +24,7 @@ from typing import Sequence
 # few library constants it shows; tests check them against the library.
 from .evalset import (
     Direction,
+    check_language_code,
     format_score_rows,
     load_evalset,
     read_lines,
@@ -173,6 +174,7 @@ def _check_biaslab(ns: argparse.Namespace) -> None:
 
 
 def _check_profiles(ns: argparse.Namespace) -> None:
+    check_language_code(ns.lang)
     ns.input = _existing_file(ns.input, "corpus")
     if ns.size is not None and ns.size < 1:
         raise ConfigError("--size must be at least 1")
@@ -287,7 +289,7 @@ def run_cite(ns: argparse.Namespace) -> int:
 
 
 def run_check_reporting(ns: argparse.Namespace) -> int:
-    matches = check_reporting(ns.document.read_text(encoding="utf-8"))
+    matches = check_reporting("\n".join(read_lines(ns.document)))
     for match in matches:
         print(match)
     return EXIT_OK if matches else EXIT_NO_MATCH
@@ -484,14 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _runtime_errors() -> tuple[type[Exception], ...]:
-    """The errors a handler reports with exit 1. A ``ScorerError`` can only
-    come from a handler that imported the scorer, so it is looked up only
-    where that happened."""
-    scorer = sys.modules.get(f"{__package__}.scorer")
-    return (ValueError, KeyError, OSError) + ((scorer.ScorerError,) if scorer else ())
-
-
 # Characters that would break the one-line `# command` trailer: all of
 # C0 plus the other separators str.splitlines() breaks on.
 _TRAILER_BREAKERS = frozenset(map(chr, range(0x20))) | {"\x85", "\u2028", "\u2029"}
@@ -515,7 +509,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"mtharness: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _runtime_errors() as exc:
+    except (ValueError, KeyError, OSError) as exc:  # a ScorerError is a ValueError
         if isinstance(exc, OSError):
             # its args[0] is the errno: name the file and the cause instead
             message = f"{exc.filename}: {exc.strerror}" if exc.filename is not None and exc.strerror else str(exc)

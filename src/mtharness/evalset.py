@@ -14,6 +14,12 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 
+def check_language_code(code: str) -> None:
+    """Raise a ValueError unless ``code`` is two lowercase ASCII letters."""
+    if len(code) != 2 or not code.isascii() or not code.isalpha() or not code.islower():
+        raise ValueError(f"invalid language code {code!r}: expected two lowercase ASCII letters")
+
+
 @dataclass(frozen=True)
 class Direction:
     """A translation direction such as en-de.
@@ -25,9 +31,8 @@ class Direction:
     tgt_lang: str
 
     def __post_init__(self) -> None:
-        for code in (self.src_lang, self.tgt_lang):
-            if len(code) != 2 or not code.isascii() or not code.isalpha() or not code.islower():
-                raise ValueError(f"invalid language code {code!r}: expected two lowercase ASCII letters")
+        check_language_code(self.src_lang)
+        check_language_code(self.tgt_lang)
         if self.src_lang == self.tgt_lang:
             raise ValueError(f"source and target language are both {self.src_lang!r}")
 
@@ -187,6 +192,24 @@ def format_score_rows(table: ScoreTable) -> list[str]:
     return [f"{i}\t{score!r}" for i, score in enumerate(table.scores)]
 
 
+_NOT_FINITE = "is not finite"
+
+
+def parse_score(text: str) -> float:
+    """The score that ``text`` spells: what ``float()`` reads, except digit
+    groups such as ``0_5``, and finite. Otherwise a ValueError says the
+    text "is not a number" or, for nan and inf, "is not finite"."""
+    try:
+        score = float(text)
+    except ValueError:
+        score = None
+    if score is None or "_" in text:
+        raise ValueError("is not a number")
+    if not math.isfinite(score):
+        raise ValueError(_NOT_FINITE)
+    return score
+
+
 def read_score_rows(path: str | Path, key: str) -> Iterator[tuple[int, str, float]]:
     """Yield ``(lineno, key, score)`` for each ``KEY<TAB>score`` row.
 
@@ -202,13 +225,11 @@ def read_score_rows(path: str | Path, key: str) -> Iterator[tuple[int, str, floa
         if len(parts) != 2:
             raise ValueError(f"{path}: line {lineno}: expected {key}<TAB>score, got {line!r}")
         try:
-            score = float(parts[1])
-        except ValueError:
-            score = None
-        if score is None or "_" in parts[1]:  # float() also accepts digit groups such as 0_5
-            raise ValueError(f"{path}: line {lineno}: could not parse {line!r}: {parts[1]!r} is not a number")
-        if not math.isfinite(score):
-            raise ValueError(f"{path}: line {lineno}: score is not finite")
+            score = parse_score(parts[1])
+        except ValueError as exc:
+            if exc.args[0] == _NOT_FINITE:
+                raise ValueError(f"{path}: line {lineno}: score {_NOT_FINITE}") from None
+            raise ValueError(f"{path}: line {lineno}: could not parse {line!r}: {parts[1]!r} {exc}") from None
         yield lineno, parts[0], score
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .evalset import EvalSet, ScoreTable, read_lines
+from .evalset import EvalSet, ScoreTable, check_language_code, read_lines
 from .scorer import map_chunks
 
 NGRAM_ORDERS = (1, 2, 3, 4)
@@ -151,8 +151,10 @@ def build_language_profile(corpus_lines: Sequence[str], lang: str, k: int = DEFA
     """Profile a corpus: count n-grams over space-padded tokens, keep top k.
 
     Ranking is by descending frequency with lexicographic tie-break, so
-    two builds from the same corpus are identical.
+    two builds from the same corpus are identical. ``lang`` must be a code
+    a direction can name (two lowercase ASCII letters).
     """
+    check_language_code(lang)
     if not corpus_lines:
         raise ValueError("cannot build a language profile from an empty corpus")
     counts = _count_ngrams(corpus_lines)
@@ -178,6 +180,7 @@ def parse_profile(text: str) -> LanguageProfile:
     if len(header) != 2:
         raise ValueError(f"bad profile header {lines[0]!r}: expected lang<TAB>K")
     lang, k_text = header
+    check_language_code(lang)  # else no --direction could ever select this profile
     try:
         k = int(k_text)
     except ValueError:
@@ -215,8 +218,8 @@ def load_seed_lines(lang: str) -> list[str]:
     return read_lines(path)
 
 
-def bundled_profiles(langs: Sequence[str] = BUNDLED_SEED_LANGS, k: int = DEFAULT_PROFILE_SIZE) -> list[LanguageProfile]:
-    return [build_language_profile(load_seed_lines(lang), lang, k) for lang in langs]
+def bundled_profiles() -> list[LanguageProfile]:
+    return [build_language_profile(load_seed_lines(lang), lang) for lang in BUNDLED_SEED_LANGS]
 
 
 # --- language identification ---------------------------------------------

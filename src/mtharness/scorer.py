@@ -11,23 +11,25 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import signal
 import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, NoReturn, Sequence
 
-from .evalset import EvalSet, ScoreTable, read_score_table
+from .evalset import EvalSet, ScoreTable, parse_score, read_score_table
 
 if TYPE_CHECKING:
     import subprocess
 
 
-class ScorerError(RuntimeError):
+class ScorerError(ValueError):
     """A backend failed to produce one finite score per request."""
 
 
@@ -54,29 +56,21 @@ def escape_field(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+_UNESCAPES = {"\\\\": "\\", "\\t": "\t", "\\n": "\n"}
+
+
+def _unescape(match: re.Match) -> str:
+    escape = match.group()
+    if escape in _UNESCAPES:
+        return _UNESCAPES[escape]
+    if escape == "\\":
+        raise ScorerError("dangling backslash at end of wire field")
+    raise ScorerError(f"invalid wire escape {escape}")
+
+
 def unescape_field(text: str) -> str:
-    """Invert escape_field with a single left-to-right scan."""
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(text):
-            raise ScorerError("dangling backslash at end of wire field")
-        nxt = text[i + 1]
-        if nxt == "\\":
-            out.append("\\")
-        elif nxt == "t":
-            out.append("\t")
-        elif nxt == "n":
-            out.append("\n")
-        else:
-            raise ScorerError(f"invalid wire escape \\{nxt}")
-        i += 2
-    return "".join(out)
+    """Invert escape_field: each backslash and the character after it."""
+    return re.sub(r"\\.?", _unescape, text, flags=re.DOTALL)
 
 
 def format_request_line(request: ScoreRequest) -> str:
@@ -135,36 +129,12 @@ def _profile_similarity(a: Profile, b: Profile) -> float:
     return math.fsum(values) / len(values)
 
 
-class _PairMemo:
-    """Per-batch hypothesis↔other similarities, each computed once.
-
-    The memo holds floats only. The one n-gram profile kept across
-    calls is that of the latest hypothesis, since a segment's requests
-    arrive together, so memory grows with the number of distinct pairs,
-    not with the n-grams of every text in the batch.
-    """
-
-    def __init__(self) -> None:
-        self._memo: dict[tuple[str, str], float] = {}
-        self._hyp: str | None = None
-        self._hyp_profile: Profile = []
-
-    def __call__(self, hyp: str, other: str) -> float:
-        key = (hyp, other)
-        value = self._memo.get(key)
-        if value is None:
-            if hyp != self._hyp:
-                self._hyp, self._hyp_profile = hyp, _ngram_profile(hyp)
-            value = self._memo[key] = _profile_similarity(self._hyp_profile, _ngram_profile(other))
-        return value
-
-
 # Reference-mode weights of hypothesis↔reference and hypothesis↔source.
 W_REF = 0.9
 W_SRC = 0.1
 
 
-def _blend(request: ScoreRequest, similarity: _PairMemo) -> float:
+def _blend(request: ScoreRequest, similarity: Callable[[str, str], float]) -> float:
     if request.reference is None:
         return similarity(request.hypothesis, request.source)
     return W_REF * similarity(request.hypothesis, request.reference) + W_SRC * similarity(request.hypothesis, request.source)
@@ -177,7 +147,7 @@ def surrogate_score(request: ScoreRequest) -> float:
     similarity (the source term makes reference/source swaps visibly
     change the score); QE mode is hypothesis↔source only.
     """
-    return _blend(request, _PairMemo())
+    return _score_chunk([request])[0]
 
 
 class SurrogateBackend:
@@ -194,7 +164,12 @@ class SurrogateBackend:
 
 
 def _score_chunk(requests: Sequence[ScoreRequest]) -> list[float]:
-    similarity = _PairMemo()
+    # Each (hypothesis, other text) similarity is computed once per chunk and
+    # kept as a float. The only n-gram profile kept across requests is the
+    # latest hypothesis's, since a segment's requests arrive together, so
+    # memory grows with the distinct pairs, not with every text's n-grams.
+    hyp_profile = lru_cache(maxsize=1)(_ngram_profile)
+    similarity = cache(lambda hyp, other: _profile_similarity(hyp_profile(hyp), _ngram_profile(other)))
     return [_blend(req, similarity) for req in requests]
 
 
@@ -500,14 +475,9 @@ class ExternalBackend:
         # number lines across the whole batch, as an unsharded run would
         for lineno, line in enumerate(out_lines, start=start + 1):
             try:
-                score = float(line.strip())
-            except ValueError:
-                score = None
-            if score is None or "_" in line:  # float() also accepts digit groups such as 1_0
-                raise ScorerError(f"external scorer output line {lineno} is not a number: {line!r}")
-            if not math.isfinite(score):
-                raise ScorerError(f"external scorer output line {lineno} is not finite: {line!r}")
-            scores.append(score)
+                scores.append(parse_score(line))
+            except ValueError as exc:
+                raise ScorerError(f"external scorer output line {lineno} {exc}: {line!r}") from None
         return scores
 
     def score_batch(self, requests: Sequence[ScoreRequest]) -> list[float]:

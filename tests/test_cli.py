@@ -223,7 +223,9 @@ class TestConfigErrors:
         ("de\t0\n", "bad profile header 'de\\t0': K must be at least 1"),
         ("", "empty profile text"),
         ("de\t3\nab\ncd\nab\n", "line 4: n-gram 'ab' repeats line 2"),
-    ], ids=["k-zero", "empty", "duplicate"])
+        ("DE\t1\nab\n", "invalid language code 'DE': expected two lowercase ASCII letters"),
+        ("\ufeffde\t1\nab\n", "invalid language code '\\ufeffde': expected two lowercase ASCII letters"),
+    ], ids=["k-zero", "empty", "duplicate", "upper-case-lang", "bom-lang"])
     def test_malformed_profile_names_the_file(self, corpus, capsys, text, message):
         (corpus / "child.py").write_text(RECORDING_CHILD, encoding="utf-8")
         (corpus / "bad.profile").write_text(text, encoding="utf-8")
@@ -296,6 +298,8 @@ class TestConfigErrors:
         (["multiref", *SCORE_ARGS, "--multiref", "max", "--system", ""], "--system must be non-empty"),
         (["signature", "--model", "x", "--interp", ""], "signature field interpreter_version must not be empty"),
         (["signature", "--model", "x", "--framework", ""], "signature field framework_version must not be empty"),
+        (["profiles", "build", "--lang", "DE", "--input", "src.txt"],
+         "invalid language code 'DE': expected two lowercase ASCII letters"),
     ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
             "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
             "missing-profile", "missing-ranking", "missing-document", "timeout-surrogate",
@@ -303,7 +307,7 @@ class TestConfigErrors:
             "empty-ranking-human", "empty-rankings", "profile-without-guard-lang", "min-len-without-guard-lang",
             "min-margin-without-guard-lang", "hist-range-nan", "hist-range-inf", "learning-rate-nan",
             "learning-rate-inf", "hist-range-without-hist-bins", "empty-system", "multiref-empty-system",
-            "signature-empty-interp", "signature-empty-framework"])
+            "signature-empty-interp", "signature-empty-framework", "profile-upper-case-lang"])
     def test_config_error_exits_2_without_output(self, corpus, capsys, args, message):
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
         before = sorted(corpus.iterdir())
@@ -344,6 +348,11 @@ class TestRuntimeErrors:
             assert capsys.readouterr().err == (
                 f"mtharness: error: bad.tsv: line 2: could not parse '1\\t{bad_score}': '{bad_score}' is not a number\n"
             )
+
+    def test_undecodable_document_names_the_file(self, corpus, capsys):
+        (corpus / "bad.txt").write_bytes(b"\xff\xfe")
+        assert main(["check-reporting", "bad.txt"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "mtharness: error: bad.txt: line 1 is not valid UTF-8 (invalid start byte)\n"
 
     def test_repeated_ranking_system_names_both_lines(self, corpus, capsys):
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")

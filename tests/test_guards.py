@@ -183,7 +183,9 @@ class TestProfiles:
         ("de\t-1\n", "bad profile header 'de\\t-1': K must be at least 1"),
         ("xx\t3\nab\ncd\nab\n", "line 4: n-gram 'ab' repeats line 2"),
         ("xx\t2\nab\n\n", "line 3: empty n-gram"),
-    ], ids=["k-zero", "k-negative", "duplicate", "empty-gram"])
+        ("DE\t1\nab\n", "invalid language code 'DE': expected two lowercase ASCII letters"),
+        ("\ufeffde\t1\nab\n", "invalid language code '\\ufeffde': expected two lowercase ASCII letters"),
+    ], ids=["k-zero", "k-negative", "duplicate", "empty-gram", "upper-case-lang", "bom-lang"])
     def test_parse_rejects_malformed_grams(self, text, message):
         with pytest.raises(ValueError) as exc:
             parse_profile(text)

@@ -16,13 +16,14 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtharness import scorer
-from mtharness.evalset import Direction, EvalSet, ScoreTable, Segment
+from mtharness.evalset import Direction, EvalSet, ScoreTable, Segment, read_score_table
 from mtharness.guards import load_seed_lines
 from mtharness.scorer import (
     ExternalBackend,
@@ -254,6 +255,20 @@ class TestSurrogateOracle:
             requests += agg_requests(src, hyp, ref, alt)
         assert SurrogateBackend().score_batch(requests) == [oracle_score(req) for req in requests]
 
+    def test_agg_shares_three_similarities_per_segment(self):
+        # each segment pairs its hypothesis with its source and two references
+        n = 25
+        requests = [
+            req for i in range(n) for req in agg_requests(f"source {i}", f"hypothesis {i}", f"reference {i}", f"other {i}")
+        ]
+        with chunking(1, min_chunk=None), \
+                mock.patch.object(scorer, "_profile_similarity", wraps=scorer._profile_similarity) as similarity, \
+                mock.patch.object(scorer, "_ngram_profile", wraps=scorer._ngram_profile) as profile:
+            scores = SurrogateBackend().score_batch(requests)
+        assert scores == [oracle_score(req) for req in requests]
+        assert similarity.call_count == 3 * n
+        assert profile.call_count == 4 * n
+
     def test_memory_stays_bounded(self):
         # 4000 distinct ~70-character requests; holding every text's n-gram
         # Counters for the whole batch would take hundreds of MB.
@@ -378,6 +393,21 @@ class TestExternal:
         backend = ExternalBackend(cmd)
         with pytest.raises(ScorerError, match="line 2 is not a number: '1_0'"):
             backend.score_batch([ScoreRequest("s", "h")] * 2)
+
+    @pytest.mark.parametrize("spelling, problem", [
+        ("0.5", None), (" 0.5", None), ("1e-3", None), ("0_5", "is not a number"), ("1_0.0", "is not a number"),
+        ("nan", "is not finite"), ("inf", "is not finite"), ("junk", "is not a number"),
+    ])
+    def test_score_table_and_child_read_a_number_alike(self, tmp_path, spelling, problem):
+        table = tmp_path / "scores.tsv"
+        table.write_text(f"0\t{spelling}\n", encoding="utf-8")
+        backend = ExternalBackend(child(tmp_path, f"print({spelling!r})\n"))
+        for read in (lambda: list(read_score_table(table).scores), lambda: backend.score_batch([ScoreRequest("s", "h")])):
+            if problem is None:
+                assert read() == [float(spelling)]
+            else:
+                with pytest.raises(ValueError, match=problem):  # a ScorerError is a ValueError
+                    read()
 
     def test_timeout_names_the_hung_shard(self, tmp_path):
         # answers the first shard, hangs on the second (requests 2..3)
