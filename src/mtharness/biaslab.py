@@ -18,8 +18,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .evalset import Direction
 
 # Experiment knobs, not claims. gold_da = clamp(mean + DA_SLOPE*(q-1/2) + noise),
@@ -155,18 +153,27 @@ class ToyScorer:
         if dim & (dim - 1) != 0 or dim <= 0:
             raise ValueError("feature dimension must be a power of two")
         self.dim = dim
-        self.weights = np.zeros(dim, dtype=np.float64)
+        self.weights = [0.0] * dim
         self.bias = 0.0
         self.epoch_losses: tuple[float, ...] = ()
 
     def predict_features(self, features: dict[int, float]) -> float:
-        return self.bias + sum(self.weights[i] * v for i, v in features.items())
+        """The model's one prediction: products added one at a time in the
+        features' order, then the bias. No BLAS dot (its summation order
+        depends on the CPU) and no ``sum()`` (its float algorithm changed in
+        Python 3.12), so the result is the same on every CPU and Python."""
+        weights = self.weights
+        total = 0.0
+        for i, v in features.items():
+            total += weights[i] * v
+        return self.bias + total
 
     def predict(self, example: SynthExample) -> float:
         return self.predict_features(featurize(example, self.dim))
 
     def squared_error(self, features: dict[int, float], gold: float) -> float:
-        return (self.predict_features(features) - gold) ** 2
+        err = self.predict_features(features) - gold
+        return err * err
 
     def gradient(self, features: dict[int, float], gold: float) -> tuple[dict[int, float], float]:
         """d/dw and d/db of the squared error on one example."""
@@ -189,12 +196,7 @@ def train(
     """
     if not dataset:
         raise ValueError("cannot train on an empty dataset")
-    cached = []
-    for ex in dataset:
-        features = featurize(ex, dim)
-        idx = np.fromiter(features.keys(), dtype=np.int64, count=len(features))
-        val = np.fromiter(features.values(), dtype=np.float64, count=len(features))
-        cached.append((idx, val, ex.gold_da))
+    cached = [(featurize(ex, dim), ex.gold_da) for ex in dataset]
     scorer = ToyScorer(dim=dim)
     rng = random.Random(f"train:{seed}")
     order = list(range(len(cached)))
@@ -204,11 +206,12 @@ def train(
         rng.shuffle(order)
         epoch_loss = 0.0
         for k in order:
-            idx, val, gold = cached[k]
-            err = scorer.bias + float(weights[idx] @ val) - gold
+            features, gold = cached[k]
+            err = scorer.predict_features(features) - gold
             epoch_loss += err * err
             step = 2.0 * learning_rate * err
-            weights[idx] -= step * val
+            for i, v in features.items():
+                weights[i] -= step * v
             scorer.bias -= step
         mean_loss = epoch_loss / len(cached)
         if not math.isfinite(mean_loss):

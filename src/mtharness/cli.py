@@ -20,8 +20,8 @@ from typing import Sequence
 # The scoring stack (scorer, guards, multiref), metastats and biaslab are
 # imported inside the handlers that run them, so each subcommand loads only
 # its own code: meta, signature, cite and check-reporting never load the
-# scorer, and only biaslab loads numpy. The parser therefore spells out the
-# few library constants it shows; tests check them against the library.
+# scorer. The parser therefore spells out the few library constants it
+# shows; tests check them against the library.
 from .evalset import (
     Direction,
     check_language_code,

@@ -142,6 +142,12 @@ def read_lines(path: str | Path) -> list[str]:
         except UnicodeDecodeError as line_exc:
             reason = line_exc.reason
         raise ValueError(f"{path}: line {lineno} is not valid UTF-8 ({reason})") from None
+    return split_lines(text)
+
+
+def split_lines(text: str) -> list[str]:
+    """The one definition of a line: split on LF, drop the empty line after
+    a final LF, and strip one trailing CR, so LF and CRLF text agree."""
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()

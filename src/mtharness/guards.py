@@ -15,7 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .evalset import EvalSet, ScoreTable, check_language_code, read_lines
+from .evalset import EvalSet, ScoreTable, check_language_code, read_lines, split_lines
 from .scorer import map_chunks
 
 NGRAM_ORDERS = (1, 2, 3, 4)
@@ -171,9 +171,7 @@ def serialize_profile(profile: LanguageProfile) -> str:
 
 
 def parse_profile(text: str) -> LanguageProfile:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = split_lines(text)  # grams come from str.split() tokens, so none ends in CR
     if not lines:
         raise ValueError("empty profile text")
     header = lines[0].split("\t")

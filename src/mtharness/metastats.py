@@ -7,8 +7,7 @@ histograms describe score distributions. Everything here is a pure function.
 Kendall tau takes O(n log n) time and O(n) memory: concordant minus
 discordant pairs comes from tie counts plus a merge-sort count of
 discordant pairs (Knight 1966), as an exact integer, so both tau
-variants match the all-pairs definition bit for bit. Only the standard
-library is used, so ``meta`` starts without numpy.
+variants match the all-pairs definition bit for bit.
 """
 
 from __future__ import annotations

@@ -156,6 +156,12 @@ def test_prediction_is_linear_in_features():
     )
 
 
+def test_squared_error_overflows_to_inf():
+    scorer = ToyScorer(dim=SMALL_DIM)
+    scorer.weights[3] = 1e200
+    assert scorer.squared_error({3: 1.0}, 0.0) == float("inf")
+
+
 def test_gradient_matches_central_finite_differences():
     rng = np.random.default_rng(11)
     scorer = ToyScorer(dim=SMALL_DIM)

@@ -548,6 +548,18 @@ class TestBiaslab:
     def test_bad_seeds_exits_2(self, corpus):
         assert main(["biaslab", "dist", "--seeds", "0"]) == EXIT_CONFIG
 
+    def test_rows_do_not_depend_on_the_blas_kernel(self, run_module, corpus):
+        # OpenBLAS picks its dot-product kernel, and so its summation order, by CPU family
+        args = ["biaslab", "dist", "--seeds", "1", "--n-per-group", "60", "--n-test", "30", "--epochs", "10"]
+        rows = []
+        for coretype in ("Haswell", "Prescott"):
+            proc = run_module([*args, "--out", f"{coretype}.tsv"], cwd=corpus,
+                              launcher=["env", f"OPENBLAS_CORETYPE={coretype}"])
+            assert proc.returncode == EXIT_OK, proc.stderr
+            lines = (corpus / f"{coretype}.tsv").read_text(encoding="utf-8").splitlines()
+            rows.append([line for line in lines if not line.startswith("#")])
+        assert rows[0] == rows[1]
+
 
 class TestProfiles:
     def test_build_roundtrip(self, corpus):
@@ -788,6 +800,8 @@ NUMPY_FREE_RUNS = {
                   "--out", "out.tsv"], "out.tsv", {"numpy"}),
     "meta": (["meta", "a.tsv", "b.tsv", "--hist-bins", "5", "--hist-out", "hist.tsv", "--tsv"], None,
              SCORING_STACK | {"json"}),
+    "biaslab": (["biaslab", "dist", "--seeds", "1", "--n-per-group", "40", "--n-test", "20", "--epochs", "5",
+                 "--out", "out.tsv"], "out.tsv", {"numpy"}),
 }
 
 
@@ -812,11 +826,8 @@ def test_subcommand_runs_without_numpy(run_module, numpy_free_corpus, capsys, na
     assert ((numpy_free_corpus / out).read_bytes() if out else proc.stdout) == expected
 
 
-@pytest.mark.parametrize("args", [
-    ["biaslab", "dist", "--seeds", "1"],
-], ids=["biaslab"])
-def test_numpy_block_is_felt_by_numpy_subcommands(run_module, corpus, args):
-    (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
-    proc = run_module(args, cwd=corpus, block={"numpy"})
+def test_module_block_is_felt(run_module, corpus):
+    proc = run_module(["score", *SCORE_ARGS, "--guard-lang", "--out", "out.tsv"], cwd=corpus,
+                      block={"mtharness.guards"})
     assert proc.returncode == EXIT_RUNTIME
-    assert "ModuleNotFoundError: import of numpy halted" in proc.stderr
+    assert "ModuleNotFoundError: import of mtharness.guards halted" in proc.stderr

@@ -185,7 +185,8 @@ class TestProfiles:
         ("xx\t2\nab\n\n", "line 3: empty n-gram"),
         ("DE\t1\nab\n", "invalid language code 'DE': expected two lowercase ASCII letters"),
         ("\ufeffde\t1\nab\n", "invalid language code '\\ufeffde': expected two lowercase ASCII letters"),
-    ], ids=["k-zero", "k-negative", "duplicate", "empty-gram", "upper-case-lang", "bom-lang"])
+        ("xx\t3\r\nab\r\ncd\r\nab\r\n", "line 4: n-gram 'ab' repeats line 2"),
+    ], ids=["k-zero", "k-negative", "duplicate", "empty-gram", "upper-case-lang", "bom-lang", "duplicate-crlf"])
     def test_parse_rejects_malformed_grams(self, text, message):
         with pytest.raises(ValueError) as exc:
             parse_profile(text)
