@@ -341,3 +341,61 @@ def tag_bias_experiment(
         retagged = [dataclasses.replace(ex, tag=tag) for ex in test_set]
         rows.append((tag, mean_score(scorer, retagged), tag in TAG_TRAIN_MEANS))
     return TagBiasReport(rows=tuple(rows))
+
+
+def experiment_rows(mode: str, seeds: Sequence[int], **knobs) -> tuple[list[str], list[str]]:
+    """Run one experiment (``dist`` or ``tags``) for each seed, in order.
+
+    Returns the TSV rows, header first, and the summary lines that say in
+    how many seeds the expected pattern showed. ``knobs`` go to the
+    experiment unchanged.
+    """
+    if mode == "dist":
+        rows = ["seed\tconfig\tmean_en-de\tmean_en-zh"]
+        up = down = 0
+        touched_shifts: list[float] = []
+        untouched_shifts: list[float] = []
+        for seed in seeds:
+            report = distribution_bias_experiment(seed, **knobs)
+            means = {name: (a, b) for name, a, b in report.rows}
+            for name, mean_a, mean_b in report.rows:
+                rows.append(f"{seed}\t{name}\t{mean_a!r}\t{mean_b!r}")
+            base_a, base_b = means["all"]
+            dir_a, dir_b = report.directions
+            up += means[f"top75:{dir_a}"][0] > base_a
+            down += means[f"bottom75:{dir_a}"][0] < base_a
+            touched_shifts += [
+                abs(means[f"top75:{dir_a}"][0] - base_a),
+                abs(means[f"bottom75:{dir_a}"][0] - base_a),
+            ]
+            untouched_shifts += [
+                abs(means[f"top75:{dir_a}"][1] - base_b),
+                abs(means[f"bottom75:{dir_a}"][1] - base_b),
+            ]
+        touched = sum(touched_shifts) / len(touched_shifts)
+        untouched = sum(untouched_shifts) / len(untouched_shifts)
+        summary = [
+            f"top-75% filtering raised the filtered direction in {up}/{len(seeds)} seeds",
+            f"bottom-75% filtering lowered it in {down}/{len(seeds)} seeds",
+            f"mean shift {touched:.4f} on the filtered direction vs {untouched:.4f} on the other"
+            f" (pattern {'held' if untouched < touched / 2 else 'did not hold'})",
+        ]
+    elif mode == "tags":
+        rows = ["seed\ttag\tmean_score\tseen"]
+        nondecreasing = 0
+        unseen_above = 0
+        for seed in seeds:
+            report = tag_bias_experiment(seed, **knobs)
+            means = {tag: mean for tag, mean, _ in report.rows}
+            for tag, mean, seen in report.rows:
+                rows.append(f"{seed}\t{tag}\t{mean!r}\t{int(seen)}")
+            nondecreasing += means["2019"] <= means["2020"] <= means["2021"]
+            best_unseen = max(means[t] for t, _, seen in report.rows if not seen and t != "2018")
+            unseen_above += best_unseen > means["2019"]
+        summary = [
+            f"score non-decreasing across seen tags 2019->2021 in {nondecreasing}/{len(seeds)} seeds",
+            f"an unseen tag (2022-2025) beat the 2019 tag in {unseen_above}/{len(seeds)} seeds",
+        ]
+    else:
+        raise ValueError(f"unknown biaslab mode {mode!r}: expected dist or tags")
+    return rows, summary

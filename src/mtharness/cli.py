@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import platform
 import shlex
 import sys
 from pathlib import Path
@@ -32,6 +31,9 @@ from .evalset import (
     system_score,
 )
 from .provenance import Signature, check_reporting, cite, make_signature
+
+# what platform.python_version() returns, without importing platform
+_PYTHON_VERSION = sys.version.partition(" ")[0]
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -184,7 +186,7 @@ def _check_profiles(ns: argparse.Namespace) -> None:
 
 
 def _trailer(ns: argparse.Namespace, model: str, extra: Sequence[str] = ()) -> list[str]:
-    signature = make_signature(model=model, interpreter_version=platform.python_version())
+    signature = make_signature(model=model, interpreter_version=_PYTHON_VERSION)
     return [*extra, f"# signature {signature}", f"# command {shlex.join(['mtharness', *ns.argv])}"]
 
 
@@ -298,7 +300,6 @@ def run_check_reporting(ns: argparse.Namespace) -> int:
 def run_biaslab(ns: argparse.Namespace) -> int:
     from . import biaslab
 
-    seeds = [ns.seed + i for i in range(ns.seeds)]
     # only the knobs given on the command line; the experiments own the defaults
     given = {
         "n_per_direction" if ns.mode == "dist" else "n_per_tag": ns.n_per_group,
@@ -307,53 +308,8 @@ def run_biaslab(ns: argparse.Namespace) -> int:
         "learning_rate": ns.learning_rate,
     }
     knobs = {name: value for name, value in given.items() if value is not None}
-    rows: list[str] = []
-    if ns.mode == "dist":
-        rows.append("seed\tconfig\tmean_en-de\tmean_en-zh")
-        up = down = 0
-        touched_shifts: list[float] = []
-        untouched_shifts: list[float] = []
-        for seed in seeds:
-            report = biaslab.distribution_bias_experiment(seed, **knobs)
-            means = {name: (a, b) for name, a, b in report.rows}
-            for name, mean_a, mean_b in report.rows:
-                rows.append(f"{seed}\t{name}\t{mean_a!r}\t{mean_b!r}")
-            base_a, base_b = means["all"]
-            dir_a, dir_b = report.directions
-            up += means[f"top75:{dir_a}"][0] > base_a
-            down += means[f"bottom75:{dir_a}"][0] < base_a
-            touched_shifts += [
-                abs(means[f"top75:{dir_a}"][0] - base_a),
-                abs(means[f"bottom75:{dir_a}"][0] - base_a),
-            ]
-            untouched_shifts += [
-                abs(means[f"top75:{dir_a}"][1] - base_b),
-                abs(means[f"bottom75:{dir_a}"][1] - base_b),
-            ]
-        touched = sum(touched_shifts) / len(touched_shifts)
-        untouched = sum(untouched_shifts) / len(untouched_shifts)
-        summary = [
-            f"top-75% filtering raised the filtered direction in {up}/{len(seeds)} seeds",
-            f"bottom-75% filtering lowered it in {down}/{len(seeds)} seeds",
-            f"mean shift {touched:.4f} on the filtered direction vs {untouched:.4f} on the other"
-            f" (pattern {'held' if untouched < touched / 2 else 'did not hold'})",
-        ]
-    else:
-        rows.append("seed\ttag\tmean_score\tseen")
-        nondecreasing = 0
-        unseen_above = 0
-        for seed in seeds:
-            report = biaslab.tag_bias_experiment(seed, **knobs)
-            means = {tag: mean for tag, mean, _ in report.rows}
-            for tag, mean, seen in report.rows:
-                rows.append(f"{seed}\t{tag}\t{mean!r}\t{int(seen)}")
-            nondecreasing += means["2019"] <= means["2020"] <= means["2021"]
-            best_unseen = max(means[t] for t, _, seen in report.rows if not seen and t != "2018")
-            unseen_above += best_unseen > means["2019"]
-        summary = [
-            f"score non-decreasing across seen tags 2019->2021 in {nondecreasing}/{len(seeds)} seeds",
-            f"an unseen tag (2022-2025) beat the 2019 tag in {unseen_above}/{len(seeds)} seeds",
-        ]
+    seeds = [ns.seed + i for i in range(ns.seeds)]
+    rows, summary = biaslab.experiment_rows(ns.mode, seeds, **knobs)
     _emit(rows + _trailer(ns, model=f"biaslab-{ns.mode}", extra=[f"# {s}" for s in summary]), ns.out)
     if ns.out:
         for line in summary:
@@ -448,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     signature.set_defaults(handler=run_signature, validate=_check_signature)
     signature.add_argument("--model", default="unk")
     signature.add_argument("--prec", default="unk", help="fp32, fp16, qint8 or unk")
-    signature.add_argument("--interp", default=platform.python_version())
+    signature.add_argument("--interp", default=_PYTHON_VERSION)
     signature.add_argument("--framework", default="unk")
 
     cite_parser = sub.add_parser("cite", help="print URL and BibTeX for a model")

@@ -9,9 +9,46 @@ at load time: scorer backends must see the bytes the user supplied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields, in order, in ``__slots__`` and sets them
+    in its own ``__init__`` through ``object.__setattr__``. Two records
+    are equal, and hash alike, when they are of the same class and their
+    fields are equal; the repr is ``Name(field=value, ...)``; assigning or
+    deleting an attribute raises AttributeError. (``dataclasses`` would
+    give the same, but importing it costs every command several ms.)
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def check_language_code(code: str) -> None:
@@ -20,21 +57,23 @@ def check_language_code(code: str) -> None:
         raise ValueError(f"invalid language code {code!r}: expected two lowercase ASCII letters")
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Record):
     """A translation direction such as en-de.
 
     Codes are two-letter lowercase ASCII; source and target must differ.
     """
 
+    __slots__ = ("src_lang", "tgt_lang")
     src_lang: str
     tgt_lang: str
 
-    def __post_init__(self) -> None:
-        check_language_code(self.src_lang)
-        check_language_code(self.tgt_lang)
-        if self.src_lang == self.tgt_lang:
-            raise ValueError(f"source and target language are both {self.src_lang!r}")
+    def __init__(self, src_lang: str, tgt_lang: str) -> None:
+        check_language_code(src_lang)
+        check_language_code(tgt_lang)
+        if src_lang == tgt_lang:
+            raise ValueError(f"source and target language are both {src_lang!r}")
+        object.__setattr__(self, "src_lang", src_lang)
+        object.__setattr__(self, "tgt_lang", tgt_lang)
 
     @classmethod
     def parse(cls, text: str) -> "Direction":
@@ -48,21 +87,23 @@ class Direction:
         return f"{self.src_lang}-{self.tgt_lang}"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """One aligned (source, hypothesis, references) tuple."""
 
+    __slots__ = ("index", "source", "hypothesis", "references")
     index: int
     source: str
     hypothesis: str
-    references: tuple[str, ...] = ()
+    references: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "references", tuple(self.references))
+    def __init__(self, index: int, source: str, hypothesis: str, references: Sequence[str] = ()) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "hypothesis", hypothesis)
+        object.__setattr__(self, "references", tuple(references))
 
 
-@dataclass(frozen=True)
-class EvalSet:
+class EvalSet(Record):
     """An ordered, aligned collection of segments for one system.
 
     Segment indices are contiguous from 0 and every segment carries the
@@ -70,20 +111,24 @@ class EvalSet:
     rejects them later); zero references per segment means QE mode.
     """
 
+    __slots__ = ("direction", "system_name", "segments")
     direction: Direction
     system_name: str
     segments: tuple[Segment, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.system_name:
+    def __init__(self, direction: Direction, system_name: str, segments: Sequence[Segment]) -> None:
+        segments = tuple(segments)
+        if not system_name:
             raise ValueError("system_name must be non-empty")
-        for position, seg in enumerate(self.segments):
+        for position, seg in enumerate(segments):
             if seg.index != position:
                 raise ValueError(f"segment indices must be contiguous from 0; position {position} has index {seg.index}")
-        counts = {len(seg.references) for seg in self.segments}
+        counts = {len(seg.references) for seg in segments}
         if len(counts) > 1:
             raise ValueError(f"all segments must carry the same reference count, found {sorted(counts)}")
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "system_name", system_name)
+        object.__setattr__(self, "segments", segments)
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -93,8 +138,7 @@ class EvalSet:
         return len(self.segments[0].references) if self.segments else 0
 
 
-@dataclass(frozen=True)
-class ScoreTable:
+class ScoreTable(Record):
     """Per-segment scores for one system.
 
     Scores are positional: the score at position i belongs to segment
@@ -102,14 +146,17 @@ class ScoreTable:
     in its GuardReport, not here.
     """
 
+    __slots__ = ("system_name", "scores")
     system_name: str
     scores: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
-        for i, score in enumerate(self.scores):
-            if not math.isfinite(score):
-                raise ValueError(f"score at index {i} is not finite: {score!r}")
+    def __init__(self, system_name: str, scores: Sequence[float]) -> None:
+        scores = tuple(map(float, scores))
+        if not all(map(math.isfinite, scores)):
+            i = next(i for i, score in enumerate(scores) if not math.isfinite(score))
+            raise ValueError(f"score at index {i} is not finite: {scores[i]!r}")
+        object.__setattr__(self, "system_name", system_name)
+        object.__setattr__(self, "scores", scores)
 
     def __len__(self) -> int:
         return len(self.scores)

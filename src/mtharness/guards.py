@@ -10,12 +10,11 @@ enough to catch whole-segment wrong-language output.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .evalset import EvalSet, ScoreTable, check_language_code, read_lines, split_lines
+from .evalset import EvalSet, Record, ScoreTable, check_language_code, read_lines, split_lines
 from .scorer import map_chunks
 
 NGRAM_ORDERS = (1, 2, 3, 4)
@@ -27,21 +26,30 @@ REASON_EMPTY = "empty"
 REASON_LANG = "lang_mismatch"
 
 _SEED_DIR = Path(__file__).parent / "data" / "seeds"
+# serialize_profile(build_language_profile(load_seed_lines(lang), lang)) for
+# each bundled language, shipped built: reading one takes far less time than
+# counting its corpus. A test rebuilds them from the seeds.
+_PROFILE_DIR = Path(__file__).parent / "data" / "profiles"
 BUNDLED_SEED_LANGS = ("de", "en", "ru", "uk", "zh")
 
 
-@dataclass(frozen=True)
-class GuardEntry:
+class GuardEntry(Record):
     """One guarded (or borderline) segment in an audit report."""
 
+    __slots__ = ("index", "reason", "detected_lang", "confidence")
     index: int
     reason: str
-    detected_lang: str | None = None
-    confidence: float = 1.0
+    detected_lang: str | None
+    confidence: float
+
+    def __init__(self, index: int, reason: str, detected_lang: str | None = None, confidence: float = 1.0) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "detected_lang", detected_lang)
+        object.__setattr__(self, "confidence", confidence)
 
 
-@dataclass(frozen=True)
-class GuardReport:
+class GuardReport(Record):
     """Audit of one guard pass: what was zeroed, and what looked odd.
 
     per_segment holds exactly the guarded segments (guarded_count is its
@@ -49,15 +57,20 @@ class GuardReport:
     below the confidence threshold and were left untouched.
     """
 
+    __slots__ = ("total", "per_segment", "unreliable")
     total: int
-    per_segment: tuple[GuardEntry, ...] = ()
-    unreliable: tuple[GuardEntry, ...] = ()
+    per_segment: tuple[GuardEntry, ...]
+    unreliable: tuple[GuardEntry, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_segment", tuple(self.per_segment))
-        object.__setattr__(self, "unreliable", tuple(self.unreliable))
-        if self.guarded_count > self.total:
+    def __init__(
+        self, total: int, per_segment: Sequence[GuardEntry] = (), unreliable: Sequence[GuardEntry] = ()
+    ) -> None:
+        per_segment = tuple(per_segment)
+        if len(per_segment) > total:
             raise ValueError("more guarded segments than segments")
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "per_segment", per_segment)
+        object.__setattr__(self, "unreliable", tuple(unreliable))
 
     @property
     def guarded_count(self) -> int:
@@ -106,17 +119,19 @@ def apply_empty_guard(evalset: EvalSet, scores: ScoreTable) -> tuple[ScoreTable,
 # --- language profiles ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LanguageProfile:
+class LanguageProfile(Record):
     """Top-K character n-grams of a language, most frequent first."""
 
+    __slots__ = ("lang", "ranked_ngrams")
     lang: str
     ranked_ngrams: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ranked_ngrams", tuple(self.ranked_ngrams))
-        if len(set(self.ranked_ngrams)) != len(self.ranked_ngrams):
+    def __init__(self, lang: str, ranked_ngrams: Sequence[str]) -> None:
+        ranked_ngrams = tuple(ranked_ngrams)
+        if len(set(ranked_ngrams)) != len(ranked_ngrams):
             raise ValueError("profile contains duplicate n-grams")
+        object.__setattr__(self, "lang", lang)
+        object.__setattr__(self, "ranked_ngrams", ranked_ngrams)
 
     def __len__(self) -> int:
         return len(self.ranked_ngrams)
@@ -217,7 +232,9 @@ def load_seed_lines(lang: str) -> list[str]:
 
 
 def bundled_profiles() -> list[LanguageProfile]:
-    return [build_language_profile(load_seed_lines(lang), lang) for lang in BUNDLED_SEED_LANGS]
+    """The profiles of the bundled languages, in BUNDLED_SEED_LANGS order,
+    each as built from its seed corpus with the default size."""
+    return [read_profile(_PROFILE_DIR / f"{lang}.txt") for lang in BUNDLED_SEED_LANGS]
 
 
 # --- language identification ---------------------------------------------

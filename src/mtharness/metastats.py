@@ -15,27 +15,27 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
-from .evalset import read_score_rows
+from .evalset import Record, read_score_rows
 
 _LEAF = 256  # values per insertion-sorted leaf of the merge sort
 
 
-@dataclass(frozen=True)
-class SystemRanking:
+class SystemRanking(Record):
     """Named systems with scores; order of entries carries no meaning."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[str, float], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple((name, float(score)) for name, score in self.entries))
-        names = [name for name, _ in self.entries]
+    def __init__(self, entries: Sequence[tuple[str, float]]) -> None:
+        entries = tuple((name, float(score)) for name, score in entries)
+        names = [name for name, _ in entries]
         if len(set(names)) != len(names):
             raise ValueError("system names in a ranking must be unique")
+        object.__setattr__(self, "entries", entries)
 
     def as_dict(self) -> dict[str, float]:
         return dict(self.entries)
@@ -56,13 +56,24 @@ def read_ranking(path: str | Path) -> SystemRanking:
     return SystemRanking(tuple(entries))
 
 
-@dataclass(frozen=True)
-class MetaReport:
+class MetaReport(Record):
+    __slots__ = ("n", "mae", "tau_a", "tau_c", "pairwise_acc")
     n: int
     mae: float
-    tau_a: float | None = None
-    tau_c: float | None = None
-    pairwise_acc: float | None = None
+    tau_a: float | None
+    tau_c: float | None
+    pairwise_acc: float | None
+
+    def __init__(
+        self,
+        n: int,
+        mae: float,
+        tau_a: float | None = None,
+        tau_c: float | None = None,
+        pairwise_acc: float | None = None,
+    ) -> None:
+        for name, value in zip(self.__slots__, (n, mae, tau_a, tau_c, pairwise_acc)):
+            object.__setattr__(self, name, value)
 
 
 def _check_paired(a: Sequence[float], b: Sequence[float], what: str) -> None:
@@ -210,7 +221,7 @@ def histogram(scores: Sequence[float], bin_count: int, lo: float, hi: float) -> 
 def format_meta_report(report: MetaReport, tsv: bool = False) -> str:
     """Aligned ``key  value`` lines, or ``key<TAB>value`` rows with
     ``tsv``; absent statistics are omitted."""
-    rows = [(f.name, repr(value)) for f in fields(report) if (value := getattr(report, f.name)) is not None]
+    rows = [(name, repr(value)) for name in report.__slots__ if (value := getattr(report, name)) is not None]
     if tsv:
         return "".join(f"{key}\t{value}\n" for key, value in rows)
     width = max(len(key) for key, _ in rows)

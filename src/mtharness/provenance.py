@@ -10,9 +10,10 @@ silent fallback to the base-framework paper.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+
+from .evalset import Record
 
 PRECISIONS = ("fp32", "fp16", "qint8", "unk")
 UNKNOWN = "unk"
@@ -28,30 +29,37 @@ _REPORTING_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """The four provenance fields behind one scoring run.
 
     "Python" and "Comet" in the rendered form are fixed wire-format
     tokens, regardless of what produced the scores.
     """
 
+    __slots__ = ("model", "interpreter_version", "framework_version", "precision")
     model: str
-    interpreter_version: str = UNKNOWN
-    framework_version: str = UNKNOWN
-    precision: str = UNKNOWN
+    interpreter_version: str
+    framework_version: str
+    precision: str
 
-    def __post_init__(self) -> None:
-        if not self.model:
+    def __init__(
+        self,
+        model: str,
+        interpreter_version: str = UNKNOWN,
+        framework_version: str = UNKNOWN,
+        precision: str = UNKNOWN,
+    ) -> None:
+        if not model:
             raise ValueError("signature needs a non-empty model identifier")
-        for name in ("interpreter_version", "framework_version"):
-            if not getattr(self, name):
+        for name, value in (("interpreter_version", interpreter_version), ("framework_version", framework_version)):
+            if not value:
                 raise ValueError(f"signature field {name} must not be empty; {UNKNOWN!r} marks an unknown version")
-        if self.precision not in PRECISIONS:
-            raise ValueError(f"precision must be one of {', '.join(PRECISIONS)}, got {self.precision!r}")
-        for name in ("model", "interpreter_version", "framework_version", "precision"):
-            if "|" in getattr(self, name):
+        if precision not in PRECISIONS:
+            raise ValueError(f"precision must be one of {', '.join(PRECISIONS)}, got {precision!r}")
+        for name, value in zip(self.__slots__, (model, interpreter_version, framework_version, precision)):
+            if "|" in value:
                 raise ValueError(f"signature field {name} must not contain '|'")
+            object.__setattr__(self, name, value)
 
     def render(self) -> str:
         return f"Python{self.interpreter_version}|Comet{self.framework_version}|{self.precision}|{self.model}"
@@ -84,17 +92,20 @@ def parse_signature(text: str) -> Signature:
 # --- citations ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CitationRecord:
+class CitationRecord(Record):
+    __slots__ = ("model_pattern", "url", "bibtex")
     model_pattern: str
     url: str
     bibtex: str
 
-    def __post_init__(self) -> None:
-        if not self.url:
-            raise ValueError(f"citation {self.model_pattern!r} has an empty url")
-        if not self.bibtex.startswith("@"):
-            raise ValueError(f"citation {self.model_pattern!r} bibtex must start with '@'")
+    def __init__(self, model_pattern: str, url: str, bibtex: str) -> None:
+        if not url:
+            raise ValueError(f"citation {model_pattern!r} has an empty url")
+        if not bibtex.startswith("@"):
+            raise ValueError(f"citation {model_pattern!r} bibtex must start with '@'")
+        object.__setattr__(self, "model_pattern", model_pattern)
+        object.__setattr__(self, "url", url)
+        object.__setattr__(self, "bibtex", bibtex)
 
 
 def _normalize(identifier: str) -> str:

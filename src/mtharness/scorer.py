@@ -17,13 +17,12 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, NoReturn, Sequence
 
-from .evalset import EvalSet, ScoreTable, parse_score, read_score_table
+from .evalset import EvalSet, Record, ScoreTable, parse_score, read_score_table
 
 if TYPE_CHECKING:
     import subprocess
@@ -33,13 +32,18 @@ class ScorerError(ValueError):
     """A backend failed to produce one finite score per request."""
 
 
-@dataclass(frozen=True)
-class ScoreRequest:
+class ScoreRequest(Record):
     """One (source, hypothesis, reference) triple; reference None = QE."""
 
+    __slots__ = ("source", "hypothesis", "reference")
     source: str
     hypothesis: str
-    reference: str | None = None
+    reference: str | None
+
+    def __init__(self, source: str, hypothesis: str, reference: str | None = None) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "hypothesis", hypothesis)
+        object.__setattr__(self, "reference", reference)
 
 
 # --- wire protocol -----------------------------------------------------

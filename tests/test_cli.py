@@ -785,21 +785,25 @@ def test_signal_mid_score_ends_every_worker(start_module, corpus, signum):
 
 # Modules that meta, signature, cite and check-reporting must run without.
 SCORING_STACK = {"numpy", "mtharness.scorer", "mtharness.guards", "mtharness.multiref", "subprocess"}
+# Start-up modules that only biaslab needs (it uses dataclasses.replace).
+BIASLAB_ONLY = {"dataclasses", "platform"}
 
 # Each run exits 0 with numpy and the modules it does not need blocked;
 # (arguments, output file or None for stdout, blocked modules)
 NUMPY_FREE_RUNS = {
-    "score": (["score", *SCORE_ARGS, "--guard-empty", "--guard-lang", "--out", "out.tsv"], "out.tsv", {"numpy"}),
-    "score-unguarded": (["score", *SCORE_ARGS, "--out", "out.tsv"], "out.tsv", {"numpy", "mtharness.guards"}),
+    "score": (["score", *SCORE_ARGS, "--guard-empty", "--guard-lang", "--out", "out.tsv"], "out.tsv",
+              {"numpy"} | BIASLAB_ONLY),
+    "score-unguarded": (["score", *SCORE_ARGS, "--out", "out.tsv"], "out.tsv",
+                        {"numpy", "mtharness.guards"} | BIASLAB_ONLY),
     "multiref": (["multiref", *SCORE_ARGS, "--ref", "ref2.txt", "--multiref", "agg", "--out", "out.tsv"],
-                 "out.tsv", {"numpy", "mtharness.guards"}),
-    "signature": (SIGNATURE_ARGS, None, SCORING_STACK | {"json"}),
-    "cite": (["cite", "wmt22-comet-da"], None, SCORING_STACK),
-    "check-reporting": (["check-reporting", "doc.txt"], None, SCORING_STACK | {"json"}),
+                 "out.tsv", {"numpy", "mtharness.guards"} | BIASLAB_ONLY),
+    "signature": (SIGNATURE_ARGS, None, SCORING_STACK | BIASLAB_ONLY | {"json", "inspect"}),
+    "cite": (["cite", "wmt22-comet-da"], None, SCORING_STACK | BIASLAB_ONLY),
+    "check-reporting": (["check-reporting", "doc.txt"], None, SCORING_STACK | BIASLAB_ONLY | {"json"}),
     "profiles": (["profiles", "build", "--lang", "de", "--input", "hyp.txt", "--size", "50",
-                  "--out", "out.tsv"], "out.tsv", {"numpy"}),
+                  "--out", "out.tsv"], "out.tsv", {"numpy"} | BIASLAB_ONLY),
     "meta": (["meta", "a.tsv", "b.tsv", "--hist-bins", "5", "--hist-out", "hist.tsv", "--tsv"], None,
-             SCORING_STACK | {"json"}),
+             SCORING_STACK | BIASLAB_ONLY | {"json", "inspect"}),
     "biaslab": (["biaslab", "dist", "--seeds", "1", "--n-per-group", "40", "--n-test", "20", "--epochs", "5",
                  "--out", "out.tsv"], "out.tsv", {"numpy"}),
 }

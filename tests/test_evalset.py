@@ -1,6 +1,7 @@
 """Tests for the data model and line-file ingestion."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from mtharness.evalset import (
     Direction,
     EvalSet,
+    Record,
     ScoreTable,
     Segment,
     format_score_rows,
@@ -18,6 +20,11 @@ from mtharness.evalset import (
     read_score_table,
     system_score,
 )
+
+from mtharness.guards import GuardEntry, GuardReport, LanguageProfile
+from mtharness.metastats import MetaReport, SystemRanking
+from mtharness.provenance import CitationRecord, Signature
+from mtharness.scorer import ScoreRequest
 
 from helpers import write_evalset, write_score_table
 
@@ -247,3 +254,164 @@ class TestScoreTableIO:
         p.write_text("0\t0.5\tsurplus\n")
         with pytest.raises(ValueError, match="index<TAB>score"):
             read_score_table(p)
+
+
+# --- records -----------------------------------------------------------------
+
+EN_DE = Direction("en", "de")
+SEG = Segment(0, "a", "b", ("c",))
+
+# (class, every field by keyword, the dataclass-style repr of that record,
+#  one field changed, the fields a call with only the required ones fills in)
+RECORDS = [
+    pytest.param(
+        Direction, {"src_lang": "en", "tgt_lang": "de"}, "Direction(src_lang='en', tgt_lang='de')",
+        {"tgt_lang": "zh"}, None, id="Direction",
+    ),
+    pytest.param(
+        Segment, {"index": 0, "source": "a", "hypothesis": "b", "references": ("c",)},
+        "Segment(index=0, source='a', hypothesis='b', references=('c',))",
+        {"index": 1}, {"references": ()}, id="Segment",
+    ),
+    pytest.param(
+        EvalSet, {"direction": EN_DE, "system_name": "sys", "segments": (SEG,)},
+        "EvalSet(direction=Direction(src_lang='en', tgt_lang='de'), system_name='sys',"
+        " segments=(Segment(index=0, source='a', hypothesis='b', references=('c',)),))",
+        {"system_name": "other"}, None, id="EvalSet",
+    ),
+    pytest.param(
+        ScoreTable, {"system_name": "sys", "scores": (0.5, 0.25)}, "ScoreTable(system_name='sys', scores=(0.5, 0.25))",
+        {"scores": (0.5,)}, None, id="ScoreTable",
+    ),
+    pytest.param(
+        Signature, {"model": "m", "interpreter_version": "3.11", "framework_version": "2.2", "precision": "fp32"},
+        "Signature(model='m', interpreter_version='3.11', framework_version='2.2', precision='fp32')",
+        {"precision": "fp16"}, {"interpreter_version": "unk", "framework_version": "unk", "precision": "unk"},
+        id="Signature",
+    ),
+    pytest.param(
+        CitationRecord, {"model_pattern": "k", "url": "https://x", "bibtex": "@misc{k}"},
+        "CitationRecord(model_pattern='k', url='https://x', bibtex='@misc{k}')",
+        {"url": "https://y"}, None, id="CitationRecord",
+    ),
+    pytest.param(
+        SystemRanking, {"entries": (("a", 1.0), ("b", 0.5))}, "SystemRanking(entries=(('a', 1.0), ('b', 0.5)))",
+        {"entries": ()}, None, id="SystemRanking",
+    ),
+    pytest.param(
+        MetaReport, {"n": 3, "mae": 0.5, "tau_a": 0.25, "tau_c": 0.125, "pairwise_acc": 1.0},
+        "MetaReport(n=3, mae=0.5, tau_a=0.25, tau_c=0.125, pairwise_acc=1.0)",
+        {"n": 4}, {"tau_a": None, "tau_c": None, "pairwise_acc": None}, id="MetaReport",
+    ),
+    pytest.param(
+        GuardEntry, {"index": 2, "reason": "lang_mismatch", "detected_lang": "en", "confidence": 0.5},
+        "GuardEntry(index=2, reason='lang_mismatch', detected_lang='en', confidence=0.5)",
+        {"confidence": 0.25}, {"detected_lang": None, "confidence": 1.0}, id="GuardEntry",
+    ),
+    pytest.param(
+        GuardReport, {"total": 3, "per_segment": (GuardEntry(0, "empty"),), "unreliable": ()},
+        "GuardReport(total=3, per_segment=(GuardEntry(index=0, reason='empty', detected_lang=None, confidence=1.0),),"
+        " unreliable=())",
+        {"total": 4}, {"per_segment": (), "unreliable": ()}, id="GuardReport",
+    ),
+    pytest.param(
+        LanguageProfile, {"lang": "de", "ranked_ngrams": (" ", "e")}, "LanguageProfile(lang='de', ranked_ngrams=(' ', 'e'))",
+        {"lang": "en"}, None, id="LanguageProfile",
+    ),
+    pytest.param(
+        ScoreRequest, {"source": "s", "hypothesis": "h", "reference": "r"},
+        "ScoreRequest(source='s', hypothesis='h', reference='r')",
+        {"reference": None}, {"reference": None}, id="ScoreRequest",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, expected_repr, changed, defaults", RECORDS)
+class TestRecords:
+    def test_fields_in_order(self, cls, fields, expected_repr, changed, defaults):
+        assert issubclass(cls, Record)
+        assert cls.__slots__ == tuple(fields)
+        record = cls(*fields.values())
+        assert {name: getattr(record, name) for name in fields} == fields
+        assert not hasattr(record, "__dict__")
+
+    def test_equal_fields_give_equal_records_and_hashes(self, cls, fields, expected_repr, changed, defaults):
+        a, b = cls(**fields), cls(*fields.values())
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        other = cls(**{**fields, **changed})
+        assert other != a and not other == a
+
+    def test_never_equal_to_another_class(self, cls, fields, expected_repr, changed, defaults):
+        other = type(cls.__name__, (cls,), {"__slots__": ()})  # same name, same fields
+        record = cls(**fields)
+        assert record != other(**fields) and other(**fields) != record
+        assert record != tuple(fields.values())
+
+    def test_repr_has_dataclass_form(self, cls, fields, expected_repr, changed, defaults):
+        assert repr(cls(**fields)) == expected_repr
+
+    def test_assigning_or_deleting_raises(self, cls, fields, expected_repr, changed, defaults):
+        record = cls(**fields)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, fields[name])
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) == fields[name]
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_defaults_and_keywords(self, cls, fields, expected_repr, changed, defaults):
+        if defaults is None:
+            with pytest.raises(TypeError):
+                cls(*list(fields.values())[:-1])
+            return
+        required = {name: value for name, value in fields.items() if name not in defaults}
+        record = cls(**required)
+        assert {name: getattr(record, name) for name in defaults} == defaults
+        assert record == cls(*required.values(), **defaults)
+
+    def test_pickle_round_trip(self, cls, fields, expected_repr, changed, defaults):
+        record = cls(**fields)
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize("cls, arguments, message", [
+    (Direction, ("en", "en"), "source and target language are both 'en'"),
+    (Direction, ("EN", "de"), "invalid language code 'EN'"),
+    (EvalSet, (EN_DE, "", ()), "system_name must be non-empty"),
+    (EvalSet, (EN_DE, "sys", (Segment(1, "a", "b"),)), "position 0 has index 1"),
+    (EvalSet, (EN_DE, "sys", (Segment(0, "a", "b"), Segment(1, "a", "b", ("c",)))), "same reference count, found [0, 1]"),
+    (ScoreTable, ("sys", (0.5, math.nan)), "score at index 1 is not finite: nan"),
+    (ScoreTable, ("sys", (math.inf,)), "score at index 0 is not finite: inf"),
+    (Signature, ("",), "signature needs a non-empty model identifier"),
+    (Signature, ("m", ""), "signature field interpreter_version must not be empty"),
+    (Signature, ("m", "unk", "unk", "fp64"), "precision must be one of fp32, fp16, qint8, unk, got 'fp64'"),
+    (Signature, ("m", "unk", "2|2"), "signature field framework_version must not contain '|'"),
+    (CitationRecord, ("k", "", "@misc{k}"), "citation 'k' has an empty url"),
+    (CitationRecord, ("k", "https://x", "misc"), "citation 'k' bibtex must start with '@'"),
+    (SystemRanking, ((("a", 1.0), ("a", 0.5)),), "system names in a ranking must be unique"),
+    (GuardReport, (0, [GuardEntry(0, "empty")]), "more guarded segments than segments"),
+    (LanguageProfile, ("de", ["e", "e"]), "profile contains duplicate n-grams"),
+])
+def test_record_validation_still_raises(cls, arguments, message):
+    with pytest.raises(ValueError) as info:
+        cls(*arguments)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("cls, arguments, field, expected", [
+    (Segment, (0, "a", "b", ["c"]), "references", ("c",)),
+    (EvalSet, (EN_DE, "sys", [SEG]), "segments", (SEG,)),
+    (ScoreTable, ("sys", [1, 0.5]), "scores", (1.0, 0.5)),
+    (SystemRanking, ([["a", 1]],), "entries", (("a", 1.0),)),
+    (GuardReport, (2, [GuardEntry(0, "empty")], [GuardEntry(1, "empty")]), "unreliable", (GuardEntry(1, "empty"),)),
+    (LanguageProfile, ("de", ["e"]), "ranked_ngrams", ("e",)),
+])
+def test_record_sequences_become_tuples(cls, arguments, field, expected):
+    value = getattr(cls(*arguments), field)
+    assert type(value) is tuple and value == expected
+    assert all(type(v) is type(e) for v, e in zip(value, expected))

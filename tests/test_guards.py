@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mtharness.cli import EXIT_OK, main
 from mtharness.evalset import Direction, EvalSet, ScoreTable, Segment, system_score
 from mtharness.guards import (
+    _PROFILE_DIR,
     BUNDLED_SEED_LANGS,
     DEFAULT_MIN_LEN,
     DEFAULT_PROFILE_SIZE,
@@ -23,6 +24,7 @@ from mtharness.guards import (
     _count_ngrams,
     _out_of_place_distance,
     _ranked,
+    _rank_table,
     _RankTable,
     apply_empty_guard,
     apply_lang_guard,
@@ -225,6 +227,14 @@ class TestProfiles:
         assert written.startswith(expected)
         assert all(line.startswith("# ") for line in written[len(expected) :].splitlines())
 
+    @pytest.mark.parametrize("lang", BUNDLED_SEED_LANGS)
+    def test_shipped_profile_is_built_from_its_seed_corpus(self, lang):
+        built = serialize_profile(build_language_profile(load_seed_lines(lang), lang))
+        assert (_PROFILE_DIR / f"{lang}.txt").read_bytes() == built.encode("utf-8")
+
+    def test_bundled_profiles_equal_profiles_built_from_the_seeds(self):
+        assert bundled_profiles() == [build_language_profile(load_seed_lines(lang), lang) for lang in BUNDLED_SEED_LANGS]
+
     def test_parse_ignores_comment_trailer(self):
         profile = build_language_profile(["ab ab ab"], "xx", k=10)
         text = serialize_profile(profile) + "# signature whatever\n# command mtharness profiles build\n"
@@ -295,6 +305,15 @@ class TestIdentifyLanguage:
                     grams = _ranked(_count_ngrams([line]), table.penalty)
                     expected = [_out_of_place_distance(grams, p, table.penalty) for p in profile_set]
                     assert table.distances(grams) == expected
+
+    def test_rank_table_is_reused_for_equal_profiles(self, profiles):
+        _rank_table.cache_clear()
+        identify_language("Das ist ein deutscher Satz.", profiles)
+        rebuilt = [parse_profile(serialize_profile(p)) for p in profiles]
+        assert all(a is not b for a, b in zip(rebuilt, profiles))
+        identify_language("Das ist ein deutscher Satz.", rebuilt)
+        info = _rank_table.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
     def test_needs_two_profiles(self, profiles):
         with pytest.raises(ValueError, match="at least two"):
