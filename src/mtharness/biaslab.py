@@ -15,6 +15,7 @@ import math
 import random
 import string
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -119,20 +120,17 @@ def _slot(namespace: str, token: str, dim: int) -> int:
     return zlib.crc32(key) % dim
 
 
-def featurize(example: SynthExample, dim: int = DIM) -> dict[int, float]:
+def featurize(example: SynthExample, dim: int = DIM) -> Counter[int]:
     """Hashed sparse counts: hyp and ref n-grams in separate namespaces,
-    one direction token, and one tag token when a tag is present."""
-    features: dict[int, float] = {}
+    one direction token, and one tag token when a tag is present. Slots
+    come in the order they are first seen."""
+    features: Counter[int] = Counter()
     for namespace, text in (("hyp", example.hypothesis), ("ref", example.reference)):
         for n in NGRAM_ORDERS:
-            for i in range(len(text) - n + 1):
-                idx = _slot(namespace, text[i : i + n], dim)
-                features[idx] = features.get(idx, 0.0) + 1.0
-    idx = _slot("dir", str(example.direction), dim)
-    features[idx] = features.get(idx, 0.0) + 1.0
+            features.update(_slot(namespace, text[i : i + n], dim) for i in range(len(text) - n + 1))
+    features[_slot("dir", str(example.direction), dim)] += 1
     if example.tag is not None:
-        idx = _slot("tag", example.tag, dim)
-        features[idx] = features.get(idx, 0.0) + 1.0
+        features[_slot("tag", example.tag, dim)] += 1
     return features
 
 
@@ -167,9 +165,6 @@ class ToyScorer:
         for i, v in features.items():
             total += weights[i] * v
         return self.bias + total
-
-    def predict(self, example: SynthExample) -> float:
-        return self.predict_features(featurize(example, self.dim))
 
     def squared_error(self, features: dict[int, float], gold: float) -> float:
         err = self.predict_features(features) - gold
@@ -224,7 +219,7 @@ def train(
 def mean_score(scorer: ToyScorer, dataset: Sequence[SynthExample]) -> float:
     if not dataset:
         raise ValueError("cannot average over an empty dataset")
-    return math.fsum(scorer.predict(ex) for ex in dataset) / len(dataset)
+    return math.fsum(scorer.predict_features(featurize(ex, scorer.dim)) for ex in dataset) / len(dataset)
 
 
 # --- dataset surgery ------------------------------------------------------

@@ -114,12 +114,6 @@ def _check_score(ns: argparse.Namespace) -> None:
         if value is not None and not ns.guard_lang:
             raise ConfigError(f"{flag} only applies with --guard-lang")
     ns.profile = [_existing_file(path, "profile") for path in ns.profile or []]
-    expected = ns.direction.tgt_lang
-    if ns.guard_lang and not ns.profile:
-        from .guards import BUNDLED_SEED_LANGS
-
-        if expected not in BUNDLED_SEED_LANGS:
-            raise ConfigError(f"no bundled language profile for {expected!r}; pass --profile files")
 
 
 def _check_multiref(ns: argparse.Namespace) -> None:
@@ -207,7 +201,7 @@ def _build_backend(ns: argparse.Namespace):
     if ns.backend_kind == "surrogate":
         return SurrogateBackend()
     if ns.backend_kind == "precomputed":
-        return PrecomputedBackend(ns.backend_args[0])
+        return PrecomputedBackend(read_score_table(ns.backend_args[0]))
     return ExternalBackend(ns.backend_args, shard_size=ns.shard_size, timeout=ns.timeout)
 
 
@@ -223,7 +217,7 @@ def run_score(ns: argparse.Namespace) -> int:
         # fine: identification keeps the best match per language.
         profiles = guards.bundled_profiles() + [guards.read_profile(path) for path in ns.profile]
         if expected not in {p.lang for p in profiles}:
-            raise ConfigError(f"no language profile for expected language {expected!r}")
+            raise ConfigError(f"no language profile for expected language {expected!r}; pass --profile files")
     evalset = load_evalset(ns.src, ns.hyp, ns.ref, ns.direction, ns.system)
     table = score_evalset(_build_backend(ns), evalset)
     guard_lines: list[str] = []

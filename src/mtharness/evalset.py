@@ -215,29 +215,13 @@ def load_evalset(
     have the same line count or a ValueError names each file and its
     count.
     """
-    columns: list[tuple[str, list[str]]] = [
-        (str(src_path), read_lines(src_path)),
-        (str(hyp_path), read_lines(hyp_path)),
-    ]
-    for ref_path in ref_paths:
-        columns.append((str(ref_path), read_lines(ref_path)))
-    counts = {len(lines) for _, lines in columns}
-    if len(counts) > 1:
-        detail = ", ".join(f"{name}: {len(lines)} lines" for name, lines in columns)
+    paths = [src_path, hyp_path, *ref_paths]
+    columns = [read_lines(path) for path in paths]
+    if len({len(lines) for lines in columns}) > 1:
+        detail = ", ".join(f"{path}: {len(lines)} lines" for path, lines in zip(paths, columns))
         raise ValueError(f"line count mismatch across input files ({detail})")
-    src_lines = columns[0][1]
-    hyp_lines = columns[1][1]
-    ref_columns = [lines for _, lines in columns[2:]]
-    segments = tuple(
-        Segment(
-            index=i,
-            source=src_lines[i],
-            hypothesis=hyp_lines[i],
-            references=tuple(col[i] for col in ref_columns),
-        )
-        for i in range(len(src_lines))
-    )
-    return EvalSet(direction=direction, system_name=system_name, segments=segments)
+    segments = [Segment(i, src, hyp, refs) for i, (src, hyp, *refs) in enumerate(zip(*columns))]
+    return EvalSet(direction, system_name, segments)
 
 
 def format_score_rows(table: ScoreTable) -> list[str]:
@@ -286,8 +270,9 @@ def read_score_rows(path: str | Path, key: str) -> Iterator[tuple[int, str, floa
         yield lineno, parts[0], score
 
 
-def read_score_table(path: str | Path, system_name: str = "") -> ScoreTable:
-    """Load a score TSV of ``index<TAB>score`` rows (see read_score_rows).
+def read_score_table(path: str | Path) -> ScoreTable:
+    """Load a score TSV of ``index<TAB>score`` rows (see read_score_rows),
+    as a table named by its path.
 
     Indices must be exactly 0..n-1 in order, written as plain decimals
     (no sign, space, leading zero or digit group): one score per segment
@@ -298,4 +283,4 @@ def read_score_table(path: str | Path, system_name: str = "") -> ScoreTable:
         if key != str(len(scores)):
             raise ValueError(f"{path}: line {lineno}: expected index {len(scores)}, got {key!r}")
         scores.append(score)
-    return ScoreTable(system_name=system_name or str(path), scores=tuple(scores))
+    return ScoreTable(str(path), scores)

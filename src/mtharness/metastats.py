@@ -37,9 +37,6 @@ class SystemRanking(Record):
             raise ValueError("system names in a ranking must be unique")
         object.__setattr__(self, "entries", entries)
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.entries)
-
 
 def read_ranking(path: str | Path) -> SystemRanking:
     """Load a ``system<TAB>score`` TSV (see read_score_rows); each system
@@ -186,8 +183,8 @@ def pairwise_accuracy(metric: SystemRanking, human: SystemRanking) -> float:
     tie it; a tie against a strict order disagrees. Hence any ranking
     compared with itself scores 1.
     """
-    metric_scores = metric.as_dict()
-    human_scores = human.as_dict()
+    metric_scores = dict(metric.entries)
+    human_scores = dict(human.entries)
     if set(metric_scores) != set(human_scores):
         raise ValueError("rankings cover different system sets")
     names = sorted(metric_scores)

@@ -19,10 +19,9 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import cache, lru_cache
 from itertools import repeat
-from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, NoReturn, Sequence
 
-from .evalset import EvalSet, Record, ScoreTable, parse_score, read_score_table
+from .evalset import EvalSet, Record, ScoreTable, parse_score, split_lines
 
 if TYPE_CHECKING:
     import subprocess
@@ -186,9 +185,7 @@ class PrecomputedBackend:
     table is misaligned and is an error, never truncated.
     """
 
-    def __init__(self, table: ScoreTable | str | Path) -> None:
-        if not isinstance(table, ScoreTable):
-            table = read_score_table(table)
+    def __init__(self, table: ScoreTable) -> None:
         self._scores = table.scores
         self._source = table.system_name
 
@@ -468,11 +465,9 @@ class ExternalBackend:
             raise ScorerError(f"external scorer for {span} exited with status {status}{detail}")
         stdout.seek(0)
         try:
-            out_lines = stdout.read().decode("utf-8").split("\n")
+            out_lines = split_lines(stdout.read().decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise ScorerError(f"external scorer output for {span} is not valid UTF-8 ({exc.reason})") from None
-        if out_lines and out_lines[-1] == "":
-            out_lines.pop()
         if len(out_lines) != count:
             raise ScorerError(f"external scorer for {span} answered {len(out_lines)} lines for {count} requests")
         scores: list[float] = []
@@ -572,20 +567,10 @@ class ExternalBackend:
         return [score for start in starts for score in results[start]]
 
 
-def requests_from_evalset(evalset: EvalSet) -> list[ScoreRequest]:
-    """Plain single-pass requests: first reference if any, else QE."""
+def score_evalset(backend, evalset: EvalSet) -> ScoreTable:
+    """Plain single-pass scoring: one request per segment, against its
+    reference if it has one, else reference-free (QE)."""
     if evalset.n_references > 1:
         raise ValueError("evalset has multiple references; pick a multi-reference strategy instead of plain scoring")
-    return [
-        ScoreRequest(
-            source=seg.source,
-            hypothesis=seg.hypothesis,
-            reference=seg.references[0] if seg.references else None,
-        )
-        for seg in evalset.segments
-    ]
-
-
-def score_evalset(backend, evalset: EvalSet) -> ScoreTable:
-    scores = backend.score_batch(requests_from_evalset(evalset))
-    return ScoreTable(system_name=evalset.system_name, scores=tuple(scores))
+    requests = [ScoreRequest(seg.source, seg.hypothesis, *seg.references) for seg in evalset.segments]
+    return ScoreTable(evalset.system_name, backend.score_batch(requests))

@@ -15,6 +15,7 @@ from mtharness.biaslab import (
     assert_no_token_collisions,
     corrupt_text,
     distribution_bias_experiment,
+    experiment_rows,
     featurize,
     filter_fraction,
     generate_synth,
@@ -194,7 +195,7 @@ def test_gradient_matches_central_finite_differences():
 def test_training_memorizes_single_example():
     ex = generate_synth([(EN_DE, 0.7)], 1, seed="memo")[0]
     scorer = train([ex], epochs=60, dim=SMALL_DIM)
-    assert abs(scorer.predict(ex) - ex.gold_da) < 1e-3
+    assert abs(scorer.predict_features(featurize(ex, SMALL_DIM)) - ex.gold_da) < 1e-3
 
 
 def test_epoch_losses_recorded_finite_and_shrinking():
@@ -285,6 +286,11 @@ def test_filter_rejects_bad_arguments():
 
 
 # --- experiment reports -------------------------------------------------------
+
+
+def test_experiment_rows_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown biaslab mode 'x': expected dist or tags"):
+        experiment_rows("x", [0])
 
 
 def test_distribution_report_shape():

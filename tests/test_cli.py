@@ -252,7 +252,7 @@ class TestConfigErrors:
         (["score", *SCORE_ARGS, "--min-len", "-1"], "--min-len must be nonnegative"),
         (["score", *SCORE_ARGS, "--min-margin", "1.5"], "--min-margin must be in [0, 1]"),
         (["score", "--src", "src.txt", "--hyp", "hyp.txt", "--direction", "en-fr", "--guard-lang"],
-         "no bundled language profile for 'fr'"),
+         "no language profile for expected language 'fr'; pass --profile files"),
         (["multiref", "--src", "src.txt", "--hyp", "hyp.txt", "--direction", "en-de", "--multiref", "max"],
          "multiref needs at least one --ref"),
         (["score", *SCORE_ARGS, "--backend", "external:child", "--shard-size", "0"],
@@ -300,6 +300,9 @@ class TestConfigErrors:
         (["signature", "--model", "x", "--framework", ""], "signature field framework_version must not be empty"),
         (["profiles", "build", "--lang", "DE", "--input", "src.txt"],
          "invalid language code 'DE': expected two lowercase ASCII letters"),
+        (["score", *SCORE_ARGS, "--backend", "external:a|b"],
+         "backend spec must not contain '|' (it is embedded in the signature)"),
+        (["score", *SCORE_ARGS, "--backend", "external: "], "external backend command is empty"),
     ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
             "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
             "missing-profile", "missing-ranking", "missing-document", "timeout-surrogate",
@@ -307,7 +310,8 @@ class TestConfigErrors:
             "empty-ranking-human", "empty-rankings", "profile-without-guard-lang", "min-len-without-guard-lang",
             "min-margin-without-guard-lang", "hist-range-nan", "hist-range-inf", "learning-rate-nan",
             "learning-rate-inf", "hist-range-without-hist-bins", "empty-system", "multiref-empty-system",
-            "signature-empty-interp", "signature-empty-framework", "profile-upper-case-lang"])
+            "signature-empty-interp", "signature-empty-framework", "profile-upper-case-lang",
+            "external-pipe", "external-blank-command"])
     def test_config_error_exits_2_without_output(self, corpus, capsys, args, message):
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
         before = sorted(corpus.iterdir())

@@ -226,7 +226,7 @@ class TestScoreTableIO:
         t = ScoreTable("sys", tuple(rng.uniform(-2, 2) for _ in range(200)))
         p = tmp_path / "scores.tsv"
         write_score_table(t, p)
-        again = read_score_table(p, "sys")
+        again = read_score_table(p)
         assert again.scores == t.scores
 
     def test_comments_skipped(self, tmp_path):

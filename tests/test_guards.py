@@ -188,7 +188,9 @@ class TestProfiles:
         ("DE\t1\nab\n", "invalid language code 'DE': expected two lowercase ASCII letters"),
         ("\ufeffde\t1\nab\n", "invalid language code '\\ufeffde': expected two lowercase ASCII letters"),
         ("xx\t3\r\nab\r\ncd\r\nab\r\n", "line 4: n-gram 'ab' repeats line 2"),
-    ], ids=["k-zero", "k-negative", "duplicate", "empty-gram", "upper-case-lang", "bom-lang", "duplicate-crlf"])
+        ("de\tx\n", "bad profile header 'de\\tx': K is not an integer"),
+    ], ids=["k-zero", "k-negative", "duplicate", "empty-gram", "upper-case-lang", "bom-lang", "duplicate-crlf",
+            "k-not-integer"])
     def test_parse_rejects_malformed_grams(self, text, message):
         with pytest.raises(ValueError) as exc:
             parse_profile(text)
@@ -234,6 +236,10 @@ class TestProfiles:
 
     def test_bundled_profiles_equal_profiles_built_from_the_seeds(self):
         assert bundled_profiles() == [build_language_profile(load_seed_lines(lang), lang) for lang in BUNDLED_SEED_LANGS]
+
+    def test_no_seed_corpus_for_an_unshipped_language(self):
+        with pytest.raises(ValueError, match=r"no bundled seed corpus for 'fr' \(have de, en, ru, uk, zh\)"):
+            load_seed_lines("fr")
 
     def test_parse_ignores_comment_trailer(self):
         profile = build_language_profile(["ab ab ab"], "xx", k=10)
@@ -319,6 +325,11 @@ class TestIdentifyLanguage:
         with pytest.raises(ValueError, match="at least two"):
             identify_language("whatever text this is", profiles[:1])
 
+    def test_needs_two_languages(self, profiles):
+        small_de = build_language_profile(load_seed_lines("de"), "de", k=50)
+        with pytest.raises(ValueError, match="profiles cover fewer than two distinct languages"):
+            _RankTable([next(p for p in profiles if p.lang == "de"), small_de])
+
     def test_mixed_profile_sizes_do_not_skew(self, profiles):
         # a smaller profile must not win on absent-gram penalties alone
         small_uk = build_language_profile(load_seed_lines("uk"), "uk", k=120)
@@ -390,6 +401,11 @@ class TestLangGuard:
         guarded, report = apply_lang_guard(es, ScoreTable("sys", (0.5,) * 3), profiles, "en", min_len=0)
         assert [entry.index for entry in report.per_segment + report.unreliable] == [2]
         assert guarded.scores[:2] == (0.5, 0.5)
+
+    def test_misaligned_rejected(self, profiles):
+        es = evalset_from_hyps(["a", "b"])
+        with pytest.raises(ValueError, match="score table has 1 rows for 2 segments"):
+            apply_lang_guard(es, ScoreTable("sys", (0.5,)), profiles, "de")
 
     def test_expected_lang_needs_profile(self, profiles):
         es = evalset_from_hyps(["whatever"])

@@ -266,6 +266,11 @@ class TestPairwiseAccuracy:
         with pytest.raises(ValueError, match="different system sets"):
             pairwise_accuracy(m, h)
 
+    def test_one_system_rejected(self):
+        r = SystemRanking((("a", 0.5),))
+        with pytest.raises(ValueError, match="needs at least two systems"):
+            pairwise_accuracy(r, r)
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             SystemRanking((("a", 0.5), ("a", 0.4)))

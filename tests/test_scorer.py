@@ -313,7 +313,7 @@ class TestPrecomputed:
     def test_loads_from_tsv(self, tmp_path):
         p = tmp_path / "scores.tsv"
         p.write_text("0\t0.25\n1\t0.75\n# trailer\n")
-        backend = PrecomputedBackend(p)
+        backend = PrecomputedBackend(read_score_table(p))
         assert backend.score_batch([ScoreRequest("s", "h")] * 2) == [0.25, 0.75]
 
 
@@ -425,6 +425,14 @@ class TestExternal:
     def test_timeout_must_be_positive_and_finite(self, timeout):
         with pytest.raises(ValueError, match="timeout must be positive and finite"):
             ExternalBackend(["scorer"], timeout=timeout)
+
+    @pytest.mark.parametrize("command, shard_size, message", [
+        ([], None, "external backend needs a non-empty command"),
+        (["scorer"], 0, "shard_size must be at least 1"),
+    ], ids=["empty-command", "shard-size-zero"])
+    def test_constructor_rejects(self, command, shard_size, message):
+        with pytest.raises(ValueError, match=message):
+            ExternalBackend(command, shard_size=shard_size)
 
     def test_empty_batch_spawns_nothing(self):
         backend = ExternalBackend(["/nonexistent/scorer"])
