@@ -168,7 +168,8 @@ def _mismatches(got, golden):
 
 def test_outputs_match_golden(run_module, inputs, tmp_path):
     got = _run_matrix(run_module, inputs, tmp_path, [], MATRIX)
-    assert got["score-crlf"]["crlf.tsv"]["rows"] == got["score-plain"]["plain.tsv"]["rows"]
+    assert got["score-crlf"]["crlf.tsv"]["rows"] == got["score-plain"]["plain.tsv"]["rows"], \
+        "a CRLF copy of the source scores differently from the LF one"
     if not GOLDEN.exists():
         GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         pytest.fail(f"{GOLDEN} was missing and has been written from this code; check it in")
