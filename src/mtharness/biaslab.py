@@ -10,16 +10,14 @@ to the training examples.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import string
 import zlib
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .evalset import Direction
+from .evalset import Direction, Record
 
 # Experiment knobs, not claims. gold_da = clamp(mean + DA_SLOPE*(q-1/2) + noise),
 # and a quality-q hypothesis keeps its reference chars with prob 1 - (1-q)*CORRUPTION_SCALE.
@@ -41,15 +39,27 @@ TAG_TRAIN_MEANS = {"2019": 0.721, "2020": 0.735, "2021": 0.749}
 TEST_TAGS = tuple(str(year) for year in range(2018, 2026))
 
 
-@dataclass(frozen=True)
-class SynthExample:
+class SynthExample(Record):
+    __slots__ = ("direction", "source", "hypothesis", "reference", "gold_da", "quality", "tag")
     direction: Direction
     source: str
     hypothesis: str
     reference: str
     gold_da: float
     quality: float
-    tag: str | None = None
+    tag: str | None
+
+    def __init__(
+        self,
+        direction: Direction,
+        source: str,
+        hypothesis: str,
+        reference: str,
+        gold_da: float,
+        quality: float,
+        tag: str | None = None,
+    ) -> None:
+        super().__init__(direction, source, hypothesis, reference, gold_da, quality, tag)
 
 
 def _direction_alphabet(direction: Direction, side: str) -> str:
@@ -97,18 +107,8 @@ def generate_synth(
             rate = (1.0 - quality) * CORRUPTION_SCALE
             hypothesis = corrupt_text(reference, rate, tgt_alphabet, rng)
             source = "".join(rng.choice(src_alphabet) for _ in range(length))
-            gold = mean_da + DA_SLOPE * (quality - 0.5) + rng.gauss(0.0, DA_NOISE_SIGMA)
-            examples.append(
-                SynthExample(
-                    direction=direction,
-                    source=source,
-                    hypothesis=hypothesis,
-                    reference=reference,
-                    gold_da=min(max(gold, 0.0), 1.0),
-                    quality=quality,
-                    tag=tag,
-                )
-            )
+            gold = min(max(mean_da + DA_SLOPE * (quality - 0.5) + rng.gauss(0.0, DA_NOISE_SIGMA), 0.0), 1.0)
+            examples.append(SynthExample(direction, source, hypothesis, reference, gold, quality, tag))
     return examples
 
 
@@ -253,12 +253,15 @@ def filter_fraction(
 # --- experiments ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistBiasReport:
+class DistBiasReport(Record):
     """Mean test-set score per direction for each training-data filter."""
 
+    __slots__ = ("directions", "rows")
     directions: tuple[str, str]
     rows: tuple[tuple[str, float, float], ...]  # (config, mean A, mean B)
+
+    def __init__(self, directions: tuple[str, str], rows: tuple[tuple[str, float, float], ...]) -> None:
+        super().__init__(directions, rows)
 
 
 def distribution_bias_experiment(
@@ -294,11 +297,14 @@ def distribution_bias_experiment(
     return DistBiasReport(directions=(str(dir_a), str(dir_b)), rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class TagBiasReport:
+class TagBiasReport(Record):
     """Mean predicted score when the whole test set carries one tag."""
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[str, float, bool], ...]  # (tag, mean score, seen in training)
+
+    def __init__(self, rows: tuple[tuple[str, float, bool], ...]) -> None:
+        super().__init__(rows)
 
 
 def tag_bias_experiment(
@@ -322,7 +328,7 @@ def tag_bias_experiment(
     the slowly-moving tag-vs-intercept direction actually settles.
     """
     assert_no_token_collisions([("tag", tag) for tag in TEST_TAGS] + [("dir", str(TAG_DIRECTION))])
-    base_mean = sum(TAG_TRAIN_MEANS.values()) / len(TAG_TRAIN_MEANS)
+    base_mean = math.fsum(TAG_TRAIN_MEANS.values()) / len(TAG_TRAIN_MEANS)
     train_set: list[SynthExample] = []
     for tag, mean_da in TAG_TRAIN_MEANS.items():
         train_set.extend(
@@ -333,7 +339,10 @@ def tag_bias_experiment(
     test_set = generate_synth([(TAG_DIRECTION, base_mean)], n_test, seed=f"{seed}/test")
     rows = []
     for tag in TEST_TAGS:
-        retagged = [dataclasses.replace(ex, tag=tag) for ex in test_set]
+        retagged = [
+            SynthExample(ex.direction, ex.source, ex.hypothesis, ex.reference, ex.gold_da, ex.quality, tag)
+            for ex in test_set
+        ]
         rows.append((tag, mean_score(scorer, retagged), tag in TAG_TRAIN_MEANS))
     return TagBiasReport(rows=tuple(rows))
 
@@ -367,8 +376,8 @@ def experiment_rows(mode: str, seeds: Sequence[int], **knobs) -> tuple[list[str]
                 abs(means[f"top75:{dir_a}"][1] - base_b),
                 abs(means[f"bottom75:{dir_a}"][1] - base_b),
             ]
-        touched = sum(touched_shifts) / len(touched_shifts)
-        untouched = sum(untouched_shifts) / len(untouched_shifts)
+        touched = math.fsum(touched_shifts) / len(touched_shifts)
+        untouched = math.fsum(untouched_shifts) / len(untouched_shifts)
         summary = [
             f"top-75% filtering raised the filtered direction in {up}/{len(seeds)} seeds",
             f"bottom-75% filtering lowered it in {down}/{len(seeds)} seeds",

@@ -140,6 +140,8 @@ def _check_meta(ns: argparse.Namespace) -> None:
         raise ConfigError("--hist-bins and --hist-out must be given together")
     if ns.hist_bins is not None and ns.hist_bins < 1:
         raise ConfigError("--hist-bins must be at least 1")
+    if ns.out and ns.hist_out and Path(ns.out).resolve() == Path(ns.hist_out).resolve():
+        raise ConfigError("--out and --hist-out must name different files")
     if ns.hist_range is not None:
         if ns.hist_bins is None:
             raise ConfigError("--hist-range only applies with --hist-bins")

@@ -16,18 +16,34 @@ from typing import Iterator, Sequence
 class Record:
     """Base of the package's immutable records.
 
-    A subclass names its fields, in order, in ``__slots__`` and sets them
-    in its own ``__init__`` through ``object.__setattr__``. Two records
-    are equal, and hash alike, when they are of the same class and their
+    A subclass names the fields it adds, in order, in ``__slots__``. Its
+    fields are those of the records it derives from, then its own; they
+    are learnt once, into ``_fields``, when the class is created. Its
+    ``__init__`` checks and converts its arguments, then passes one value
+    per field, in field order, to ``Record.__init__``. Two records are
+    equal, and hash alike, when they are of the same class and their
     fields are equal; the repr is ``Name(field=value, ...)``; assigning or
-    deleting an attribute raises AttributeError. (``dataclasses`` would
-    give the same, but importing it costs every command several ms.)
+    deleting an attribute raises AttributeError. (The standard library's
+    frozen-record decorator would give the same, but importing its module
+    costs every command several ms.)
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields += cls.__dict__.get("__slots__", ())
+        # each slot's own setter: binding through it skips the attribute
+        # lookup that object.__setattr__ makes
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -38,7 +54,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -72,8 +88,7 @@ class Direction(Record):
         check_language_code(tgt_lang)
         if src_lang == tgt_lang:
             raise ValueError(f"source and target language are both {src_lang!r}")
-        object.__setattr__(self, "src_lang", src_lang)
-        object.__setattr__(self, "tgt_lang", tgt_lang)
+        super().__init__(src_lang, tgt_lang)
 
     @classmethod
     def parse(cls, text: str) -> "Direction":
@@ -97,10 +112,7 @@ class Segment(Record):
     references: tuple[str, ...]
 
     def __init__(self, index: int, source: str, hypothesis: str, references: Sequence[str] = ()) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "hypothesis", hypothesis)
-        object.__setattr__(self, "references", tuple(references))
+        super().__init__(index, source, hypothesis, tuple(references))
 
 
 class EvalSet(Record):
@@ -126,9 +138,7 @@ class EvalSet(Record):
         counts = {len(seg.references) for seg in segments}
         if len(counts) > 1:
             raise ValueError(f"all segments must carry the same reference count, found {sorted(counts)}")
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "system_name", system_name)
-        object.__setattr__(self, "segments", segments)
+        super().__init__(direction, system_name, segments)
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -155,8 +165,7 @@ class ScoreTable(Record):
         if not all(map(math.isfinite, scores)):
             i = next(i for i, score in enumerate(scores) if not math.isfinite(score))
             raise ValueError(f"score at index {i} is not finite: {scores[i]!r}")
-        object.__setattr__(self, "system_name", system_name)
-        object.__setattr__(self, "scores", scores)
+        super().__init__(system_name, scores)
 
     def __len__(self) -> int:
         return len(self.scores)

@@ -43,10 +43,7 @@ class GuardEntry(Record):
     confidence: float
 
     def __init__(self, index: int, reason: str, detected_lang: str | None = None, confidence: float = 1.0) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "detected_lang", detected_lang)
-        object.__setattr__(self, "confidence", confidence)
+        super().__init__(index, reason, detected_lang, confidence)
 
 
 class GuardReport(Record):
@@ -68,9 +65,7 @@ class GuardReport(Record):
         per_segment = tuple(per_segment)
         if len(per_segment) > total:
             raise ValueError("more guarded segments than segments")
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "per_segment", per_segment)
-        object.__setattr__(self, "unreliable", tuple(unreliable))
+        super().__init__(total, per_segment, tuple(unreliable))
 
     @property
     def guarded_count(self) -> int:
@@ -128,10 +123,11 @@ class LanguageProfile(Record):
 
     def __init__(self, lang: str, ranked_ngrams: Sequence[str]) -> None:
         ranked_ngrams = tuple(ranked_ngrams)
+        if not ranked_ngrams:
+            raise ValueError("a profile must hold at least one n-gram")
         if len(set(ranked_ngrams)) != len(ranked_ngrams):
             raise ValueError("profile contains duplicate n-grams")
-        object.__setattr__(self, "lang", lang)
-        object.__setattr__(self, "ranked_ngrams", ranked_ngrams)
+        super().__init__(lang, ranked_ngrams)
 
     def __len__(self) -> int:
         return len(self.ranked_ngrams)
@@ -186,7 +182,10 @@ def serialize_profile(profile: LanguageProfile) -> str:
 
 
 def parse_profile(text: str) -> LanguageProfile:
-    lines = split_lines(text)  # grams come from str.split() tokens, so none ends in CR
+    return _profile_from_lines(split_lines(text))  # grams come from str.split() tokens, so none ends in CR
+
+
+def _profile_from_lines(lines: Sequence[str]) -> LanguageProfile:
     if not lines:
         raise ValueError("empty profile text")
     header = lines[0].split("\t")
@@ -217,9 +216,10 @@ def parse_profile(text: str) -> LanguageProfile:
 
 def read_profile(path: str | Path) -> LanguageProfile:
     """Parse a profile file; a malformed one raises a ValueError naming it."""
+    lines = read_lines(path)  # names the file, and the line of a bad byte
     try:
-        return parse_profile(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError included
+        return _profile_from_lines(lines)
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -35,7 +35,7 @@ class SystemRanking(Record):
         names = [name for name, _ in entries]
         if len(set(names)) != len(names):
             raise ValueError("system names in a ranking must be unique")
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
 
 
 def read_ranking(path: str | Path) -> SystemRanking:
@@ -69,8 +69,7 @@ class MetaReport(Record):
         tau_c: float | None = None,
         pairwise_acc: float | None = None,
     ) -> None:
-        for name, value in zip(self.__slots__, (n, mae, tau_a, tau_c, pairwise_acc)):
-            object.__setattr__(self, name, value)
+        super().__init__(n, mae, tau_a, tau_c, pairwise_acc)
 
 
 def _check_paired(a: Sequence[float], b: Sequence[float], what: str) -> None:
@@ -218,7 +217,7 @@ def histogram(scores: Sequence[float], bin_count: int, lo: float, hi: float) -> 
 def format_meta_report(report: MetaReport, tsv: bool = False) -> str:
     """Aligned ``key  value`` lines, or ``key<TAB>value`` rows with
     ``tsv``; absent statistics are omitted."""
-    rows = [(name, repr(value)) for name in report.__slots__ if (value := getattr(report, name)) is not None]
+    rows = [(name, repr(value)) for name in report._fields if (value := getattr(report, name)) is not None]
     if tsv:
         return "".join(f"{key}\t{value}\n" for key, value in rows)
     width = max(len(key) for key, _ in rows)

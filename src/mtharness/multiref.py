@@ -68,20 +68,16 @@ def evaluate_system_multiref(strategy: str, evalset: EvalSet, backend) -> ScoreT
     combine = _COMBINERS.get(strategy)
     if combine is None:
         raise ValueError(f"unknown multi-reference strategy {strategy!r}; pick one of {', '.join(STRATEGIES)}")
-    if strategy == "agg":
-        if evalset.n_references != 2:
-            raise ValueError("agg requires exactly two references")
-        per_segment = 6
-        requests = [
-            req
-            for seg in evalset.segments
-            for req in _agg_requests(seg.source, seg.hypothesis, seg.references[0], seg.references[1])
-        ]
-    else:
-        if len(evalset) > 0 and evalset.n_references < 1:
-            raise ValueError("multi-reference scoring needs at least one reference")
-        per_segment = evalset.n_references
-        requests = [ScoreRequest(seg.source, seg.hypothesis, ref) for seg in evalset.segments for ref in seg.references]
-    flat = backend.score_batch(requests)
-    scores = [combine(flat[i * per_segment : (i + 1) * per_segment]) for i in range(len(evalset))]
+    if strategy == "agg" and evalset.n_references != 2:
+        raise ValueError("agg requires exactly two references")
+    if len(evalset) > 0 and evalset.n_references < 1:
+        raise ValueError("multi-reference scoring needs at least one reference")
+    per_segment = [
+        _agg_requests(seg.source, seg.hypothesis, *seg.references)
+        if strategy == "agg"
+        else [ScoreRequest(seg.source, seg.hypothesis, ref) for ref in seg.references]
+        for seg in evalset.segments
+    ]
+    flat = iter(backend.score_batch([req for requests in per_segment for req in requests]))
+    scores = [combine([next(flat) for _ in requests]) for requests in per_segment]
     return ScoreTable(system_name=evalset.system_name, scores=tuple(scores))

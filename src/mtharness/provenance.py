@@ -56,10 +56,10 @@ class Signature(Record):
                 raise ValueError(f"signature field {name} must not be empty; {UNKNOWN!r} marks an unknown version")
         if precision not in PRECISIONS:
             raise ValueError(f"precision must be one of {', '.join(PRECISIONS)}, got {precision!r}")
-        for name, value in zip(self.__slots__, (model, interpreter_version, framework_version, precision)):
+        for name, value in zip(self._fields, (model, interpreter_version, framework_version, precision)):
             if "|" in value:
                 raise ValueError(f"signature field {name} must not contain '|'")
-            object.__setattr__(self, name, value)
+        super().__init__(model, interpreter_version, framework_version, precision)
 
     def render(self) -> str:
         return f"Python{self.interpreter_version}|Comet{self.framework_version}|{self.precision}|{self.model}"
@@ -103,9 +103,7 @@ class CitationRecord(Record):
             raise ValueError(f"citation {model_pattern!r} has an empty url")
         if not bibtex.startswith("@"):
             raise ValueError(f"citation {model_pattern!r} bibtex must start with '@'")
-        object.__setattr__(self, "model_pattern", model_pattern)
-        object.__setattr__(self, "url", url)
-        object.__setattr__(self, "bibtex", bibtex)
+        super().__init__(model_pattern, url, bibtex)
 
 
 def _normalize(identifier: str) -> str:

@@ -40,9 +40,7 @@ class ScoreRequest(Record):
     reference: str | None
 
     def __init__(self, source: str, hypothesis: str, reference: str | None = None) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "hypothesis", hypothesis)
-        object.__setattr__(self, "reference", reference)
+        super().__init__(source, hypothesis, reference)
 
 
 # --- wire protocol -----------------------------------------------------

@@ -265,9 +265,10 @@ def test_filter_leaves_other_directions_untouched():
 
 
 def test_filter_ties_break_by_original_index():
-    import dataclasses
-
-    data = [dataclasses.replace(ex, gold_da=0.5) for ex in generate_synth([(EN_DE, 0.5)], 10, seed="tie")]
+    data = [
+        SynthExample(ex.direction, ex.source, ex.hypothesis, ex.reference, 0.5, ex.quality, ex.tag)
+        for ex in generate_synth([(EN_DE, 0.5)], 10, seed="tie")
+    ]
     kept = filter_fraction(data, EN_DE, "top", 0.5)
     assert kept == data[5:]
     assert filter_fraction(data, EN_DE, "bottom", 0.5) == data[:5]

@@ -225,10 +225,12 @@ class TestConfigErrors:
         ("de\t3\nab\ncd\nab\n", "line 4: n-gram 'ab' repeats line 2"),
         ("DE\t1\nab\n", "invalid language code 'DE': expected two lowercase ASCII letters"),
         ("\ufeffde\t1\nab\n", "invalid language code '\\ufeffde': expected two lowercase ASCII letters"),
-    ], ids=["k-zero", "empty", "duplicate", "upper-case-lang", "bom-lang"])
+        (b"de\t2\nab\n\xff\n", "line 3 is not valid UTF-8 (invalid start byte)"),
+        ("de\t2\nab\n\n", "line 3: empty n-gram"),
+    ], ids=["k-zero", "empty", "duplicate", "upper-case-lang", "bom-lang", "not-utf8", "empty-last-gram"])
     def test_malformed_profile_names_the_file(self, corpus, capsys, text, message):
         (corpus / "child.py").write_text(RECORDING_CHILD, encoding="utf-8")
-        (corpus / "bad.profile").write_text(text, encoding="utf-8")
+        (corpus / "bad.profile").write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         assert main(["score", *SCORE_ARGS, "--guard-lang", "--profile", "bad.profile",
                      "--backend", f"external:{sys.executable} child.py", "--out", "scores.tsv"]) == EXIT_RUNTIME
         assert not (corpus / "child-ran").exists()
@@ -303,6 +305,8 @@ class TestConfigErrors:
         (["score", *SCORE_ARGS, "--backend", "external:a|b"],
          "backend spec must not contain '|' (it is embedded in the signature)"),
         (["score", *SCORE_ARGS, "--backend", "external: "], "external backend command is empty"),
+        (["meta", "a.tsv", "a.tsv", "--hist-bins", "3", "--hist-out", "out.txt"],
+         "--out and --hist-out must name different files"),
     ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
             "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
             "missing-profile", "missing-ranking", "missing-document", "timeout-surrogate",
@@ -311,7 +315,7 @@ class TestConfigErrors:
             "min-margin-without-guard-lang", "hist-range-nan", "hist-range-inf", "learning-rate-nan",
             "learning-rate-inf", "hist-range-without-hist-bins", "empty-system", "multiref-empty-system",
             "signature-empty-interp", "signature-empty-framework", "profile-upper-case-lang",
-            "external-pipe", "external-blank-command"])
+            "external-pipe", "external-blank-command", "hist-out-is-out"])
     def test_config_error_exits_2_without_output(self, corpus, capsys, args, message):
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
         before = sorted(corpus.iterdir())
@@ -789,27 +793,25 @@ def test_signal_mid_score_ends_every_worker(start_module, corpus, signum):
 
 # Modules that meta, signature, cite and check-reporting must run without.
 SCORING_STACK = {"numpy", "mtharness.scorer", "mtharness.guards", "mtharness.multiref", "subprocess"}
-# Start-up modules that only biaslab needs (it uses dataclasses.replace).
-BIASLAB_ONLY = {"dataclasses", "platform"}
+# Modules that no subcommand needs: the records are Record classes, not dataclasses.
+NEVER_NEEDED = {"numpy", "dataclasses", "inspect", "platform"}
 
-# Each run exits 0 with numpy and the modules it does not need blocked;
+# Each run exits 0 with the modules it does not need blocked;
 # (arguments, output file or None for stdout, blocked modules)
 NUMPY_FREE_RUNS = {
-    "score": (["score", *SCORE_ARGS, "--guard-empty", "--guard-lang", "--out", "out.tsv"], "out.tsv",
-              {"numpy"} | BIASLAB_ONLY),
-    "score-unguarded": (["score", *SCORE_ARGS, "--out", "out.tsv"], "out.tsv",
-                        {"numpy", "mtharness.guards"} | BIASLAB_ONLY),
+    "score": (["score", *SCORE_ARGS, "--guard-empty", "--guard-lang", "--out", "out.tsv"], "out.tsv", NEVER_NEEDED),
+    "score-unguarded": (["score", *SCORE_ARGS, "--out", "out.tsv"], "out.tsv", NEVER_NEEDED | {"mtharness.guards"}),
     "multiref": (["multiref", *SCORE_ARGS, "--ref", "ref2.txt", "--multiref", "agg", "--out", "out.tsv"],
-                 "out.tsv", {"numpy", "mtharness.guards"} | BIASLAB_ONLY),
-    "signature": (SIGNATURE_ARGS, None, SCORING_STACK | BIASLAB_ONLY | {"json", "inspect"}),
-    "cite": (["cite", "wmt22-comet-da"], None, SCORING_STACK | BIASLAB_ONLY),
-    "check-reporting": (["check-reporting", "doc.txt"], None, SCORING_STACK | BIASLAB_ONLY | {"json"}),
+                 "out.tsv", NEVER_NEEDED | {"mtharness.guards"}),
+    "signature": (SIGNATURE_ARGS, None, SCORING_STACK | NEVER_NEEDED | {"json"}),
+    "cite": (["cite", "wmt22-comet-da"], None, SCORING_STACK | NEVER_NEEDED),
+    "check-reporting": (["check-reporting", "doc.txt"], None, SCORING_STACK | NEVER_NEEDED | {"json"}),
     "profiles": (["profiles", "build", "--lang", "de", "--input", "hyp.txt", "--size", "50",
-                  "--out", "out.tsv"], "out.tsv", {"numpy"} | BIASLAB_ONLY),
+                  "--out", "out.tsv"], "out.tsv", NEVER_NEEDED),
     "meta": (["meta", "a.tsv", "b.tsv", "--hist-bins", "5", "--hist-out", "hist.tsv", "--tsv"], None,
-             SCORING_STACK | BIASLAB_ONLY | {"json", "inspect"}),
+             SCORING_STACK | NEVER_NEEDED | {"json"}),
     "biaslab": (["biaslab", "dist", "--seeds", "1", "--n-per-group", "40", "--n-test", "20", "--epochs", "5",
-                 "--out", "out.tsv"], "out.tsv", {"numpy"}),
+                 "--out", "out.tsv"], "out.tsv", NEVER_NEEDED),
 }
 
 

@@ -21,6 +21,7 @@ from mtharness.evalset import (
     system_score,
 )
 
+from mtharness.biaslab import DistBiasReport, SynthExample, TagBiasReport
 from mtharness.guards import GuardEntry, GuardReport, LanguageProfile
 from mtharness.metastats import MetaReport, SystemRanking
 from mtharness.provenance import CitationRecord, Signature
@@ -261,6 +262,11 @@ class TestScoreTableIO:
 EN_DE = Direction("en", "de")
 SEG = Segment(0, "a", "b", ("c",))
 
+
+class DirectionSubclass(Direction):
+    __slots__ = ()  # adds no field: it has Direction's
+
+
 # (class, every field by keyword, the dataclass-style repr of that record,
 #  one field changed, the fields a call with only the required ones fills in)
 RECORDS = [
@@ -323,6 +329,27 @@ RECORDS = [
         "ScoreRequest(source='s', hypothesis='h', reference='r')",
         {"reference": None}, {"reference": None}, id="ScoreRequest",
     ),
+    pytest.param(
+        SynthExample,
+        {"direction": EN_DE, "source": "s", "hypothesis": "h", "reference": "r", "gold_da": 0.5, "quality": 0.25,
+         "tag": "2020"},
+        "SynthExample(direction=Direction(src_lang='en', tgt_lang='de'), source='s', hypothesis='h', reference='r',"
+        " gold_da=0.5, quality=0.25, tag='2020')",
+        {"gold_da": 0.75}, {"tag": None}, id="SynthExample",
+    ),
+    pytest.param(
+        DistBiasReport, {"directions": ("en-de", "en-zh"), "rows": (("all", 0.5, 0.25),)},
+        "DistBiasReport(directions=('en-de', 'en-zh'), rows=(('all', 0.5, 0.25),))",
+        {"rows": ()}, None, id="DistBiasReport",
+    ),
+    pytest.param(
+        TagBiasReport, {"rows": (("2019", 0.5, True),)}, "TagBiasReport(rows=(('2019', 0.5, True),))",
+        {"rows": ()}, None, id="TagBiasReport",
+    ),
+    pytest.param(
+        DirectionSubclass, {"src_lang": "en", "tgt_lang": "de"}, "DirectionSubclass(src_lang='en', tgt_lang='de')",
+        {"src_lang": "fr"}, None, id="subclass-without-fields",
+    ),
 ]
 
 
@@ -330,7 +357,7 @@ RECORDS = [
 class TestRecords:
     def test_fields_in_order(self, cls, fields, expected_repr, changed, defaults):
         assert issubclass(cls, Record)
-        assert cls.__slots__ == tuple(fields)
+        assert cls._fields == tuple(fields)
         record = cls(*fields.values())
         assert {name: getattr(record, name) for name in fields} == fields
         assert not hasattr(record, "__dict__")
@@ -396,6 +423,7 @@ class TestRecords:
     (SystemRanking, ((("a", 1.0), ("a", 0.5)),), "system names in a ranking must be unique"),
     (GuardReport, (0, [GuardEntry(0, "empty")]), "more guarded segments than segments"),
     (LanguageProfile, ("de", ["e", "e"]), "profile contains duplicate n-grams"),
+    (LanguageProfile, ("de", []), "a profile must hold at least one n-gram"),
 ])
 def test_record_validation_still_raises(cls, arguments, message):
     with pytest.raises(ValueError) as info:

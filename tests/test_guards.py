@@ -162,6 +162,11 @@ class TestProfiles:
         with pytest.raises(ValueError, match="no tokens"):
             build_language_profile(["   ", ""], "xx")
 
+    def test_zero_ngrams_rejected(self):
+        # such a profile would serialize as `de<TAB>0`, which parse_profile rejects
+        with pytest.raises(ValueError, match="a profile must hold at least one n-gram"):
+            build_language_profile(load_seed_lines("de"), "de", k=0)
+
     def test_serialization_roundtrip(self):
         profile = build_language_profile(load_seed_lines("uk"), "uk", k=120)
         text = serialize_profile(profile)
