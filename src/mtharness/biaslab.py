@@ -245,7 +245,7 @@ def filter_fraction(
         raise ValueError(f"no examples for direction {direction}")
     in_direction.sort()
     k = round(fraction * len(in_direction))
-    chosen = in_direction[-k:] if keep == "top" else in_direction[:k]
+    chosen = in_direction[len(in_direction) - k :] if keep == "top" else in_direction[:k]
     kept_indices = {i for _, i in chosen}
     return [ex for i, ex in enumerate(dataset) if ex.direction != direction or i in kept_indices]
 

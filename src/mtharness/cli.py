@@ -52,11 +52,11 @@ def _existing_file(path: str, what: str) -> Path:
     return resolved
 
 
-def _parse_backend_spec(spec: str) -> tuple[str, tuple[str, ...]]:
+def _parse_backend_spec(spec: str) -> tuple[str, tuple[str, ...] | tuple[Path]]:
     """Split a backend spec into (kind, details).
 
-    Accepted forms: ``surrogate``, ``precomputed:PATH``, and
-    ``external:COMMAND`` (COMMAND is shell-split).
+    Accepted forms: ``surrogate``, ``precomputed:PATH`` (details: the
+    Path), and ``external:COMMAND`` (COMMAND is shell-split).
     """
     if "|" in spec:
         raise ConfigError("backend spec must not contain '|' (it is embedded in the signature)")
@@ -64,8 +64,7 @@ def _parse_backend_spec(spec: str) -> tuple[str, tuple[str, ...]]:
         return "surrogate", ()
     kind, _, rest = spec.partition(":")
     if kind == "precomputed" and rest:
-        _existing_file(rest, "precomputed score")
-        return "precomputed", (rest,)
+        return "precomputed", (_existing_file(rest, "precomputed score"),)
     if kind == "external" and rest:
         command = tuple(shlex.split(rest))
         if not command:
@@ -82,7 +81,19 @@ def _parse_backend_spec(spec: str) -> tuple[str, tuple[str, ...]]:
 # replace file arguments by Paths and the direction by a Direction.
 
 
-def _check_scoring(ns: argparse.Namespace) -> None:
+def _check_outputs(inputs: Sequence[Path | None], *outputs: tuple[str, str | None]) -> None:
+    """No output may name a file the run reads, or another output: writing it would destroy the file."""
+    taken = {path.resolve(): "a file this run reads" for path in inputs if path}
+    for flag, path in outputs:
+        if path:
+            resolved = Path(path).resolve()
+            if resolved in taken:
+                raise ConfigError(f"{flag} {path} names {taken[resolved]}")
+            taken[resolved] = f"the same file as {flag}"
+
+
+def _check_scoring(ns: argparse.Namespace) -> list[Path]:
+    """Checks the arguments score and multiref share; returns the input files among them."""
     if not ns.system:
         raise ConfigError("--system must be non-empty")
     ns.src = _existing_file(ns.src, "source")
@@ -100,10 +111,11 @@ def _check_scoring(ns: argparse.Namespace) -> None:
             raise ConfigError("--timeout only applies to an external backend")
         if not (ns.timeout > 0 and math.isfinite(ns.timeout)):
             raise ConfigError(f"--timeout must be positive and finite, got {ns.timeout}")
+    return [ns.src, ns.hyp, *ns.ref, *(ns.backend_args if ns.backend_kind == "precomputed" else ())]
 
 
 def _check_score(ns: argparse.Namespace) -> None:
-    _check_scoring(ns)
+    inputs = _check_scoring(ns)
     if len(ns.ref) > 1:
         raise ConfigError("score takes at most one --ref; use the multiref subcommand")
     if ns.min_len is not None and ns.min_len < 0:
@@ -114,10 +126,11 @@ def _check_score(ns: argparse.Namespace) -> None:
         if value is not None and not ns.guard_lang:
             raise ConfigError(f"{flag} only applies with --guard-lang")
     ns.profile = [_existing_file(path, "profile") for path in ns.profile or []]
+    _check_outputs([*inputs, *ns.profile], ("--out", ns.out))
 
 
 def _check_multiref(ns: argparse.Namespace) -> None:
-    _check_scoring(ns)
+    _check_outputs(_check_scoring(ns), ("--out", ns.out))
     if ns.strategy == "agg" and len(ns.ref) != 2:
         raise ConfigError("agg requires exactly two --ref flags")
     if not ns.ref:
@@ -140,8 +153,7 @@ def _check_meta(ns: argparse.Namespace) -> None:
         raise ConfigError("--hist-bins and --hist-out must be given together")
     if ns.hist_bins is not None and ns.hist_bins < 1:
         raise ConfigError("--hist-bins must be at least 1")
-    if ns.out and ns.hist_out and Path(ns.out).resolve() == Path(ns.hist_out).resolve():
-        raise ConfigError("--out and --hist-out must name different files")
+    _check_outputs([*ns.scores, ns.ranking_metric, ns.ranking_human], ("--out", ns.out), ("--hist-out", ns.hist_out))
     if ns.hist_range is not None:
         if ns.hist_bins is None:
             raise ConfigError("--hist-range only applies with --hist-bins")
@@ -174,6 +186,7 @@ def _check_biaslab(ns: argparse.Namespace) -> None:
 def _check_profiles(ns: argparse.Namespace) -> None:
     check_language_code(ns.lang)
     ns.input = _existing_file(ns.input, "corpus")
+    _check_outputs([ns.input], ("--out", ns.out))
     if ns.size is not None and ns.size < 1:
         raise ConfigError("--size must be at least 1")
 
@@ -461,7 +474,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"mtharness: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, KeyError, OSError) as exc:  # a ScorerError is a ValueError
+    except (ValueError, KeyError, OSError, OverflowError) as exc:  # a ScorerError is a ValueError
         if isinstance(exc, OSError):
             # its args[0] is the errno: name the file and the cause instead
             message = f"{exc.filename}: {exc.strerror}" if exc.filename is not None and exc.strerror else str(exc)

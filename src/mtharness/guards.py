@@ -345,14 +345,10 @@ def apply_lang_guard(
         return [(None, 0.0) if is_empty_hypothesis(hyp) else table.identify(hyp, min_len) for hyp in hyps]
 
     detections = map_chunks(identify_chunk, [seg.hypothesis for seg in evalset.segments])
-    entries = []
-    unreliable = []
+    entries: list[GuardEntry] = []
+    unreliable: list[GuardEntry] = []
     for seg, (detected, margin) in zip(evalset.segments, detections):
-        if detected is None or detected == expected_lang:
-            continue
-        if margin >= min_margin:
-            entries.append(GuardEntry(seg.index, REASON_LANG, detected, margin))
-        else:
-            unreliable.append(GuardEntry(seg.index, REASON_LANG, detected, margin))
+        if detected is not None and detected != expected_lang:
+            (entries if margin >= min_margin else unreliable).append(GuardEntry(seg.index, REASON_LANG, detected, margin))
     report = GuardReport(total=len(evalset), per_segment=entries, unreliable=unreliable)
     return _zero_guarded(scores, report), report

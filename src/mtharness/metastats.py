@@ -204,13 +204,12 @@ def histogram(scores: Sequence[float], bin_count: int, lo: float, hi: float) -> 
     to the end bins, so the counts always sum to len(scores)."""
     if bin_count < 1:
         raise ValueError("bin_count must be at least 1")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"invalid histogram range [{lo}, {hi}]")
     width = (hi - lo) / bin_count
     counts = [0] * bin_count
-    for score in scores:
-        k = int((score - lo) // width)
-        counts[min(max(k, 0), bin_count - 1)] += 1
+    for score in scores:  # clamped into [lo, hi] first, so a huge score cannot overflow to inf
+        counts[min(int((min(max(score, lo), hi) - lo) // width), bin_count - 1)] += 1
     return [(lo + (k + 0.5) * width, counts[k]) for k in range(bin_count)]
 
 

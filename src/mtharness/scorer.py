@@ -219,10 +219,25 @@ def _kill_group(proc: subprocess.Popen) -> None:
         pass  # every member has already exited
 
 
-# Where a running child has no pidfd to wait on, how long the calling
-# thread sleeps between two checks of its running children; each check is
+# While a running child has no pidfd to wait on, the longest the calling
+# thread waits between two checks of its running children; each check is
 # one non-blocking wait per child.
 _POLL_S = 0.002
+
+
+class _Child(Record):
+    """A running external scorer: its process, the files holding its
+    stdout and stderr, its deadline, and its pidfd, which is readable once
+    it exits (None where ``os.pidfd_open`` is missing or refused)."""
+
+    __slots__ = ("proc", "stdout", "stderr", "deadline", "pidfd")
+
+    def __init__(self, proc: subprocess.Popen, stdout: BinaryIO, stderr: BinaryIO, deadline: float) -> None:
+        try:
+            pidfd = os.pidfd_open(proc.pid)
+        except (AttributeError, OSError):
+            pidfd = None
+        super().__init__(proc, stdout, stderr, deadline, pidfd)
 
 
 class _Terminated(BaseException):
@@ -428,10 +443,11 @@ class ExternalBackend:
     started is killed and its shard fails; with no timeout the backend
     waits for as long as it takes.
 
-    The calling thread runs the whole pool. It sleeps on the running
-    children's pidfds until one of them exits or the earliest deadline
-    comes; where the platform gives no pidfd, it checks each running child
-    every ``_POLL_S`` seconds. A child's stdin, stdout and stderr are
+    The calling thread runs the whole pool. Each wait is one
+    ``select.poll`` on the running children's pidfds, until one of them
+    exits or its deadline comes; while a child without a pidfd runs (the
+    platform gives none, or refused it), the wait lasts at most
+    ``_POLL_S`` seconds. A child's stdin, stdout and stderr are
     unlinked temporary files, not pipes, so a child is done when it has
     exited, and a grandchild that left the child's process group (e.g.
     through setsid) is never waited for, also when the child succeeds.
@@ -490,11 +506,23 @@ class ExternalBackend:
         starts = range(0, len(lines), size)
         slots = min(_usable_cpus(), len(starts))
         unstarted = iter(starts)
-        # by a shard's first request: its child, the child's stdout and stderr, and its deadline
-        running: dict[int, tuple[subprocess.Popen, BinaryIO, BinaryIO, float]] = {}
-        pidfds: dict[int, int] = {}  # by a shard's first request: its running child's pidfd, where it has one
+        running: dict[int, _Child] = {}  # by a shard's first request
         results: dict[int, list[float]] = {}
         failures: dict[int, ScorerError] = {}
+
+        def end(start: int) -> None:
+            """Kills the shard's child's group if the child still runs, reaps
+            the child, and closes its files and its pidfd."""
+            child = running[start]
+            if child.proc.returncode is None:
+                _kill_group(child.proc)
+            child.proc.wait()
+            del running[start]
+            child.stdout.close()
+            child.stderr.close()
+            if child.pidfd is not None:
+                os.close(child.pidfd)
+
         with _unwind_on_termination():
             try:
                 while True:
@@ -505,61 +533,41 @@ class ExternalBackend:
                             stdout, stderr = tempfile.TemporaryFile(), tempfile.TemporaryFile()
                             deadline = math.inf if self.timeout is None else time.monotonic() + self.timeout
                             try:  # stored as it returns: the cleanup below must see every child
-                                running[start] = subprocess.Popen(
+                                running[start] = _Child(subprocess.Popen(
                                     self.command, stdin=stdin, stdout=stdout, stderr=stderr, start_new_session=True
-                                ), stdout, stderr, deadline
+                                ), stdout, stderr, deadline)
                             except OSError as exc:
                                 stdout.close()
                                 stderr.close()
-                                error = f"could not run external scorer {self.command[0]!r}: {exc}"
-                                failures[start] = ScorerError(error)
-                            else:
-                                try:  # readable once the child exits
-                                    pidfds[start] = os.pidfd_open(running[start][0].pid)
-                                except (AttributeError, OSError):  # no pidfd_open here, or it was refused
-                                    pass
+                                failures[start] = ScorerError(f"could not run external scorer {self.command[0]!r}: {exc}")
                     if not running:
                         break
-                    if len(pidfds) < len(running):  # a child without a pidfd is polled
-                        time.sleep(_POLL_S)
-                    else:  # sleep until a child exits or the earliest deadline comes
-                        exits = select.poll()  # not select.select, which fails on descriptors past 1023
-                        for pidfd in pidfds.values():
-                            exits.register(pidfd, select.POLLIN)
-                        wait = min(deadline for *_, deadline in running.values()) - time.monotonic()
-                        exits.poll(None if wait == math.inf else max(wait, 0.0) * 1000)
-                    for start, (proc, stdout, stderr, deadline) in list(running.items()):
+                    exits = select.poll()  # not select.select, which fails on descriptors past 1023
+                    for child in running.values():
+                        if child.pidfd is not None:
+                            exits.register(child.pidfd, select.POLLIN)
+                    # until a child with a pidfd exits or its deadline comes; one without is checked every _POLL_S
+                    now = time.monotonic()
+                    wait = min(child.deadline - now if child.pidfd is not None else _POLL_S for child in running.values())
+                    exits.poll(None if wait == math.inf else max(wait, 0.0) * 1000)
+                    for start, child in list(running.items()):
                         count = min(size, len(lines) - start)
-                        if proc.poll() is not None:
+                        if child.proc.poll() is not None:
                             try:
-                                results[start] = self._answers(proc.returncode, stdout, stderr, count, start)
+                                results[start] = self._answers(child.proc.returncode, child.stdout, child.stderr, count, start)
                             except ScorerError as exc:
                                 failures[start] = exc
-                        else:
-                            if failures and min(failures) < start:
-                                pass  # an earlier shard failed, so this one's result cannot be used
-                            elif time.monotonic() >= deadline:
-                                failures[start] = ScorerError(
-                                    f"external scorer for requests {start}..{start + count - 1}"
-                                    f" did not finish within {self.timeout:g} s and was killed"
-                                )
-                            else:
+                        elif not failures or min(failures) > start:  # else an earlier shard failed: this result is unusable
+                            if time.monotonic() < child.deadline:
                                 continue
-                            _kill_group(proc)
-                            proc.wait()
-                        del running[start]
-                        stdout.close()
-                        stderr.close()
-                        if start in pidfds:
-                            os.close(pidfds.pop(start))
+                            failures[start] = ScorerError(
+                                f"external scorer for requests {start}..{start + count - 1}"
+                                f" did not finish within {self.timeout:g} s and was killed"
+                            )
+                        end(start)
             finally:  # after an exception such as KeyboardInterrupt: end every child in flight
-                for pidfd in pidfds.values():
-                    os.close(pidfd)
-                for proc, stdout, stderr, _ in running.values():
-                    _kill_group(proc)
-                    proc.wait()
-                    stdout.close()
-                    stderr.close()
+                for start in list(running):
+                    end(start)
         if failures:
             raise failures[min(failures)]  # the earliest failure, as a serial run would report
         return [score for start in starts for score in results[start]]

@@ -27,16 +27,16 @@ def run_module():
     names the command. Modules named in ``block`` cannot be imported in
     the child: a ``None`` entry in ``sys.modules`` makes their import raise
     ``ImportError``. A ``launcher`` such as ``["taskset", "-c", "0"]``
-    starts the interpreter."""
+    starts the interpreter, which is ``python`` (by default this one)."""
     env = _module_env()
 
-    def run(args, cwd, timeout=60, block=(), launcher=()):
+    def run(args, cwd, timeout=60, block=(), launcher=(), python=sys.executable):
         launch = ["-m", "mtharness"]
         if block:
             launch = ["-c", f"import sys; sys.modules.update(dict.fromkeys({sorted(block)!r}));"
                             " from mtharness.cli import main; sys.exit(main())"]
         return subprocess.run(
-            [*launcher, sys.executable, *launch, *args],
+            [*launcher, python, *launch, *args],
             cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
         )
 

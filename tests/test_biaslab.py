@@ -239,6 +239,12 @@ def test_filter_fraction_one_is_identity():
     assert filter_fraction(data, EN_DE, "top", 1.0) == data
 
 
+@pytest.mark.parametrize("keep", ["top", "bottom"])
+def test_filter_keeping_zero_examples_keeps_none_of_the_direction(keep):
+    data = generate_synth([(EN_DE, 0.7), (EN_ZH, 0.6)], 4, seed=1)  # 0.1 of 4 rounds to 0
+    assert filter_fraction(data, EN_DE, keep, 0.1) == [ex for ex in data if ex.direction == EN_ZH]
+
+
 def test_filter_keeps_highest_75():
     data = generate_synth([(EN_DE, 0.7)], 100, seed="top")
     kept = filter_fraction(data, EN_DE, "top", 0.75)

@@ -306,7 +306,7 @@ class TestConfigErrors:
          "backend spec must not contain '|' (it is embedded in the signature)"),
         (["score", *SCORE_ARGS, "--backend", "external: "], "external backend command is empty"),
         (["meta", "a.tsv", "a.tsv", "--hist-bins", "3", "--hist-out", "out.txt"],
-         "--out and --hist-out must name different files"),
+         "--hist-out out.txt names the same file as --out"),
     ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
             "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
             "missing-profile", "missing-ranking", "missing-document", "timeout-surrogate",
@@ -325,6 +325,37 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+    @pytest.mark.parametrize("args, victim", [
+        (["score", *SCORE_ARGS, "--out", "hyp.txt"], "hyp.txt"),
+        (["score", *SCORE_ARGS, "--out", "./src.txt"], "src.txt"),
+        (["score", *SCORE_ARGS, "--out", "sub/../ref.txt"], "ref.txt"),
+        (["score", *SCORE_ARGS, "--guard-lang", "--profile", "de.profile", "--out", "de.profile"], "de.profile"),
+        (["score", *SCORE_ARGS, "--backend", "precomputed:a.tsv", "--out", "a.tsv"], "a.tsv"),
+        (["multiref", *SCORE_ARGS, "--ref", "src.txt", "--multiref", "agg", "--out", "ref.txt"], "ref.txt"),
+        (["meta", "a.tsv", "b.tsv", "--out", "a.tsv"], "a.tsv"),
+        (["meta", "a.tsv", "b.tsv", "--hist-bins", "2", "--hist-out", "b.tsv"], "b.tsv"),
+        (["meta", "a.tsv", "b.tsv", "--ranking-metric", "r.tsv", "--ranking-human", "r.tsv", "--out", "r.tsv"], "r.tsv"),
+        (["profiles", "build", "--lang", "de", "--input", "ref.txt", "--out", "ref.txt"], "ref.txt"),
+        (["score", *SCORE_ARGS, "--out", "link.txt"], "hyp.txt"),
+    ], ids=["score-hyp", "score-src", "score-ref", "score-profile", "score-precomputed", "multiref-ref",
+            "meta-out", "meta-hist-out", "meta-ranking", "profiles-input", "symlink-to-input"])
+    def test_output_naming_an_input_exits_2_without_output(self, corpus, capsys, args, victim):
+        (corpus / "sub").mkdir()
+        (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n2\t0.75\n", encoding="utf-8")
+        (corpus / "b.tsv").write_text("0\t0.5\n1\t0.5\n2\t0.5\n", encoding="utf-8")
+        (corpus / "r.tsv").write_text("A\t0.5\nB\t0.25\n", encoding="utf-8")
+        write_profile(build_language_profile(REF_LINES, "de"), corpus / "de.profile")
+        (corpus / "link.txt").symlink_to("hyp.txt")
+        before = {path: path.read_bytes() for path in corpus.iterdir() if path.is_file()}
+        assert main(args) == EXIT_CONFIG
+        assert {path: path.read_bytes() for path in corpus.iterdir() if path.is_file()} == before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mtharness: error: --")
+        assert captured.err.endswith(" names a file this run reads\n")
+        assert (corpus / victim).read_bytes() == before[corpus / victim]
 
 
 class TestRuntimeErrors:
@@ -421,6 +452,14 @@ class TestRuntimeErrors:
         assert len(forked) == 1 and process_gone(forked[0])
         assert not (corpus / "scores.tsv").exists()
 
+    def test_overflowing_system_score_exits_1_with_one_line(self, corpus, capsys):
+        (corpus / "pre.tsv").write_text("0\t1e308\n1\t1e308\n2\t1e308\n", encoding="utf-8")
+        assert main(["score", *SCORE_ARGS, "--backend", "precomputed:pre.tsv", "--out", "scores.tsv"]) == EXIT_RUNTIME
+        assert not (corpus / "scores.tsv").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mtharness: error: intermediate overflow in fsum\n"
+
     @pytest.mark.parametrize("out, cause", [
         ("missing/scores.tsv", "No such file or directory"),
         ("outdir", "Is a directory"),
@@ -479,6 +518,14 @@ class TestMeta:
                      if not l.startswith("#")]
         assert [row.split("\t")[0] for row in hist_rows] == ["0.25", "0.75"]
         assert sum(int(row.split("\t")[1]) for row in hist_rows) == 3
+
+    def test_huge_score_lands_in_the_last_histogram_bin(self, corpus):
+        (corpus / "big.tsv").write_text("0\t1e308\n1\t0.5\n", encoding="utf-8")
+        (corpus / "b.tsv").write_text("0\t0.5\n1\t0.5\n", encoding="utf-8")
+        args = ["meta", "big.tsv", "b.tsv", "--out", "m.txt", "--hist-bins", "7", "--hist-out", "h.tsv"]
+        assert main(args) == EXIT_OK
+        rows = [line.split("\t") for line in (corpus / "h.tsv").read_text(encoding="utf-8").splitlines()]
+        assert [int(row[1]) for row in rows if not row[0].startswith("#")] == [0, 0, 0, 1, 0, 0, 1]
 
     def test_unpaired_tables_name_both_files(self, corpus, capsys):
         (corpus / "a.tsv").write_text("0\t0.1\n1\t0.9\n", encoding="utf-8")

@@ -6,8 +6,10 @@ change that moves every row passes it. This test compares each output
 with a digest taken once and checked in: the SHA-256 of its rows, and of
 its trailer without the ``# signature`` and ``# command`` lines (they name
 the interpreter and the paths of this run). Commands whose work is split
-over the usable CPUs run a second time on one CPU, and must match the
-same digests.
+over the usable CPUs run a second time on one CPU, and the whole matrix
+runs again under each other CPython 3.10-3.13 that pyenv has installed;
+all must match the same digests. The CLI needs only the standard library,
+so those interpreters need no pytest.
 
 When ``golden.json`` is missing, the test writes it from the code under
 test and fails, naming the file: delete it to regenerate, and name each
@@ -16,6 +18,7 @@ changed digest and the reason in CHANGES.md.
 
 import hashlib
 import json
+import os
 import random
 import shutil
 import sys
@@ -148,12 +151,12 @@ def _digests(data):
     return {"rows": _sha256(b"\n".join(rows)), "trailer": _sha256(b"\n".join(trailer))}
 
 
-def _run_matrix(run_module, inputs, workdir, launcher, cells):
+def _run_matrix(run_module, inputs, workdir, launcher, cells, python=sys.executable):
     for path in inputs.iterdir():
         shutil.copy(path, workdir)
     results = {}
     for name, args, outputs, _ in cells:
-        proc = run_module(args, cwd=workdir, launcher=launcher)
+        proc = run_module(args, cwd=workdir, launcher=launcher, python=python)
         result = {"exit": proc.returncode, "stdout": _sha256(proc.stdout.encode("utf-8")), "stderr": proc.stderr}
         for output in outputs:
             path = workdir / output
@@ -164,6 +167,12 @@ def _run_matrix(run_module, inputs, workdir, launcher, cells):
 
 def _mismatches(got, golden):
     return [name for name in got if got[name] != golden.get(name)]
+
+
+def _golden():
+    if not GOLDEN.exists():
+        pytest.fail(f"{GOLDEN} is missing; test_outputs_match_golden writes it")
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_outputs_match_golden(run_module, inputs, tmp_path):
@@ -181,10 +190,25 @@ def test_outputs_match_golden(run_module, inputs, tmp_path):
 
 @pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset to restrict the CPUs")
 def test_outputs_on_one_cpu_match_golden(run_module, inputs, tmp_path):
-    if not GOLDEN.exists():
-        pytest.fail(f"{GOLDEN} is missing; test_outputs_match_golden writes it")
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    golden = _golden()
     cells = [cell for cell in MATRIX if cell[3]]
     got = _run_matrix(run_module, inputs, tmp_path, ["taskset", "-c", "0"], cells)
     bad = _mismatches(got, golden)
     assert not bad, f"one-CPU outputs differ from {GOLDEN.name} in {bad}: " + json.dumps({n: got[n] for n in bad}, indent=1)
+
+
+def _other_interpreters():
+    """Each CPython 3.10-3.13 that pyenv has installed, other than this one."""
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    this = Path(sys.executable).resolve()
+    return [path for path in sorted(versions.glob("3.1[0-3]*/bin/python3")) if path.resolve() != this]
+
+
+@pytest.mark.parametrize("python", _other_interpreters() or [None], ids=lambda python: python and python.parts[-3])
+def test_outputs_under_other_interpreters_match_golden(run_module, inputs, tmp_path, python):
+    if python is None:
+        pytest.skip("pyenv has installed no other CPython 3.10-3.13")
+    golden = _golden()
+    got = _run_matrix(run_module, inputs, tmp_path, [], MATRIX, python=str(python))
+    bad = _mismatches(got, golden)
+    assert not bad, f"outputs under {python} differ from {GOLDEN.name} in {bad}: " + json.dumps({n: got[n] for n in bad}, indent=1)

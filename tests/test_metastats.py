@@ -305,6 +305,8 @@ class TestHistogram:
         bins = histogram([-5.0, 99.0], 3, 0.0, 1.0)
         assert bins[0][1] == 1
         assert bins[-1][1] == 1
+        # however far out: a huge score must not overflow on its way to a bin
+        assert [count for _, count in histogram([-1e308, 1e308, -math.inf, math.inf], 7, 0.0, 1.0)] == [2, 0, 0, 0, 0, 0, 2]
 
     def test_29_bin_centers(self):
         bins = histogram([50.0], 29, 0.0, 100.0)
@@ -320,7 +322,7 @@ class TestHistogram:
         with pytest.raises(ValueError, match="bin_count"):
             histogram([0.5], 0, 0.0, 1.0)
 
-    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0)])
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308)])
     def test_non_finite_range_rejected(self, lo, hi):
         with pytest.raises(ValueError, match=re.escape(f"invalid histogram range [{lo}, {hi}]")):
             histogram([0.5], 3, lo, hi)

@@ -890,6 +890,8 @@ class TestChunkedSurrogate:
         assert len(forked) == 1 and reaped(forked[0])
 
     def test_worker_resets_inherited_signal_handlers(self):
+        # SIGINT too: a shell starts a background job with it ignored
+        previous_int = signal.signal(signal.SIGINT, signal.default_int_handler)
         previous = signal.signal(signal.SIGUSR1, lambda signum, frame: None)
         try:
             with chunking(2):
@@ -899,6 +901,7 @@ class TestChunkedSurrogate:
                 )
         finally:
             signal.signal(signal.SIGUSR1, previous)
+            signal.signal(signal.SIGINT, previous_int)
         assert handlers[0][0] is signal.default_int_handler  # the parent's chunk, under the parent's handlers
         assert handlers[1] == (signal.SIG_DFL, signal.SIG_DFL)
 
