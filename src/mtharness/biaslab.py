@@ -166,14 +166,17 @@ class ToyScorer:
             total += weights[i] * v
         return self.bias + total
 
-    def squared_error(self, features: dict[int, float], gold: float) -> float:
+    def step(self, features: dict[int, float], gold: float, learning_rate: float) -> float:
+        """One SGD step on the squared error of one example: each weight and
+        the bias move by ``learning_rate`` times their derivative, 2 * err * v
+        and 2 * err. Returns the squared error before the step."""
         err = self.predict_features(features) - gold
+        step = 2.0 * learning_rate * err
+        weights = self.weights
+        for i, v in features.items():
+            weights[i] -= step * v
+        self.bias -= step
         return err * err
-
-    def gradient(self, features: dict[int, float], gold: float) -> tuple[dict[int, float], float]:
-        """d/dw and d/db of the squared error on one example."""
-        err = self.predict_features(features) - gold
-        return {i: 2.0 * err * v for i, v in features.items()}, 2.0 * err
 
 
 def train(
@@ -196,18 +199,12 @@ def train(
     rng = random.Random(f"train:{seed}")
     order = list(range(len(cached)))
     losses = []
-    weights = scorer.weights
     for _ in range(epochs):
         rng.shuffle(order)
         epoch_loss = 0.0
         for k in order:
-            features, gold = cached[k]
-            err = scorer.predict_features(features) - gold
-            epoch_loss += err * err
-            step = 2.0 * learning_rate * err
-            for i, v in features.items():
-                weights[i] -= step * v
-            scorer.bias -= step
+            features, gold = cached[k]  # not step(*cached[k], ...): a star call costs about 10% of training
+            epoch_loss += scorer.step(features, gold, learning_rate)
         mean_loss = epoch_loss / len(cached)
         if not math.isfinite(mean_loss):
             raise ValueError(f"training diverged (epoch loss {mean_loss}); lower the learning rate")

@@ -17,10 +17,10 @@ from pathlib import Path
 from typing import Sequence
 
 # The scoring stack (scorer, guards, multiref), metastats and biaslab are
-# imported inside the handlers that run them, so each subcommand loads only
-# its own code: meta, signature, cite and check-reporting never load the
-# scorer. The parser therefore spells out the few library constants it
-# shows; tests check them against the library.
+# imported inside the checks and handlers that use them, so each subcommand
+# loads only its own code: meta, signature, cite and check-reporting never
+# load the scorer. The parser therefore spells out the few library
+# constants it shows; tests check them against the library.
 from .evalset import (
     Direction,
     check_language_code,
@@ -52,40 +52,21 @@ def _existing_file(path: str, what: str) -> Path:
     return resolved
 
 
-def _parse_backend_spec(spec: str) -> tuple[str, tuple[str, ...] | tuple[Path]]:
-    """Split a backend spec into (kind, details).
-
-    Accepted forms: ``surrogate``, ``precomputed:PATH`` (details: the
-    Path), and ``external:COMMAND`` (COMMAND is shell-split).
-    """
-    if "|" in spec:
-        raise ConfigError("backend spec must not contain '|' (it is embedded in the signature)")
-    if spec == "surrogate":
-        return "surrogate", ()
-    kind, _, rest = spec.partition(":")
-    if kind == "precomputed" and rest:
-        return "precomputed", (_existing_file(rest, "precomputed score"),)
-    if kind == "external" and rest:
-        command = tuple(shlex.split(rest))
-        if not command:
-            raise ConfigError("external backend command is empty")
-        return "external", command
-    raise ConfigError(
-        f"unknown backend spec {spec!r}: use surrogate, precomputed:PATH or external:COMMAND"
-    )
-
-
 # --- validation: each subparser's `validate` runs before its handler ------
 #
 # A ValueError raised here exits 2 before anything is written. The checks
-# replace file arguments by Paths and the direction by a Direction.
+# replace file arguments by Paths, the direction by a Direction and the
+# backend spec by what scores the run (see _check_scoring).
 
 
 def _check_outputs(inputs: Sequence[Path | None], *outputs: tuple[str, str | None]) -> None:
-    """No output may name a file the run reads, or another output: writing it would destroy the file."""
+    """An output given must name a file (an omitted one is stdout), and no output may name a file the
+    run reads, or another output: writing it would destroy the file."""
     taken = {path.resolve(): "a file this run reads" for path in inputs if path}
     for flag, path in outputs:
-        if path:
+        if path == "":
+            raise ConfigError(f"{flag} must name a file")
+        if path is not None:
             resolved = Path(path).resolve()
             if resolved in taken:
                 raise ConfigError(f"{flag} {path} names {taken[resolved]}")
@@ -93,25 +74,38 @@ def _check_outputs(inputs: Sequence[Path | None], *outputs: tuple[str, str | Non
 
 
 def _check_scoring(ns: argparse.Namespace) -> list[Path]:
-    """Checks the arguments score and multiref share; returns the input files among them."""
+    """Checks the arguments score and multiref share; returns the input files among them.
+
+    ``--backend`` becomes ``ns.scorer``: a SurrogateBackend for
+    ``surrogate``, an ExternalBackend for ``external:COMMAND`` (COMMAND
+    is shell-split; the backend checks its own arguments), and the
+    table's Path for ``precomputed:PATH``.
+    """
+    from .scorer import ExternalBackend, SurrogateBackend
+
     if not ns.system:
         raise ConfigError("--system must be non-empty")
     ns.src = _existing_file(ns.src, "source")
     ns.hyp = _existing_file(ns.hyp, "hypothesis")
     ns.ref = [_existing_file(ref, "reference") for ref in ns.ref or []]
     ns.direction = Direction.parse(ns.direction)
-    ns.backend_kind, ns.backend_args = _parse_backend_spec(ns.backend)
-    if ns.shard_size is not None:
-        if ns.backend_kind != "external":
-            raise ConfigError("--shard-size only applies to an external backend")
-        if ns.shard_size < 1:
-            raise ConfigError("--shard-size must be at least 1")
-    if ns.timeout is not None:
-        if ns.backend_kind != "external":
-            raise ConfigError("--timeout only applies to an external backend")
-        if not (ns.timeout > 0 and math.isfinite(ns.timeout)):
-            raise ConfigError(f"--timeout must be positive and finite, got {ns.timeout}")
-    return [ns.src, ns.hyp, *ns.ref, *(ns.backend_args if ns.backend_kind == "precomputed" else ())]
+    if "|" in ns.backend:
+        raise ConfigError("backend spec must not contain '|' (it is embedded in the signature)")
+    kind, _, rest = ns.backend.partition(":")
+    if ns.backend == "surrogate":
+        ns.scorer = SurrogateBackend()
+    elif kind == "precomputed" and rest:
+        ns.scorer = _existing_file(rest, "precomputed score")
+    elif kind == "external" and rest:
+        ns.scorer = ExternalBackend(shlex.split(rest), shard_size=ns.shard_size, timeout=ns.timeout)
+    else:
+        raise ConfigError(
+            f"unknown backend spec {ns.backend!r}: use surrogate, precomputed:PATH or external:COMMAND"
+        )
+    for flag, value in (("--shard-size", ns.shard_size), ("--timeout", ns.timeout)):
+        if value is not None and kind != "external":
+            raise ConfigError(f"{flag} only applies to an external backend")
+    return [ns.src, ns.hyp, *ns.ref, ns.scorer if isinstance(ns.scorer, Path) else None]
 
 
 def _check_score(ns: argparse.Namespace) -> None:
@@ -135,7 +129,7 @@ def _check_multiref(ns: argparse.Namespace) -> None:
         raise ConfigError("agg requires exactly two --ref flags")
     if not ns.ref:
         raise ConfigError("multiref needs at least one --ref")
-    if ns.backend_kind == "precomputed":
+    if isinstance(ns.scorer, Path):
         raise ConfigError(
             "multiref cannot use a precomputed backend: its scores are keyed by segment,"
             " not by (segment, reference) request"
@@ -151,17 +145,14 @@ def _check_meta(ns: argparse.Namespace) -> None:
         ns.ranking_human = _existing_file(ns.ranking_human, "ranking")
     if (ns.hist_bins is None) != (ns.hist_out is None):
         raise ConfigError("--hist-bins and --hist-out must be given together")
-    if ns.hist_bins is not None and ns.hist_bins < 1:
-        raise ConfigError("--hist-bins must be at least 1")
     _check_outputs([*ns.scores, ns.ranking_metric, ns.ranking_human], ("--out", ns.out), ("--hist-out", ns.hist_out))
-    if ns.hist_range is not None:
-        if ns.hist_bins is None:
-            raise ConfigError("--hist-range only applies with --hist-bins")
-        lo, hi = ns.hist_range
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigError(f"--hist-range needs finite LO and HI, got {lo} {hi}")
-        if lo >= hi:
-            raise ConfigError(f"--hist-range needs LO < HI, got {lo} {hi}")
+    if ns.hist_bins is not None:
+        from .metastats import check_histogram
+
+        ns.hist_range = ns.hist_range or (0.0, 1.0)
+        check_histogram(ns.hist_bins, *ns.hist_range)
+    elif ns.hist_range is not None:
+        raise ConfigError("--hist-range only applies with --hist-bins")
 
 
 def _check_signature(ns: argparse.Namespace) -> None:
@@ -173,6 +164,7 @@ def _check_document(ns: argparse.Namespace) -> None:
 
 
 def _check_biaslab(ns: argparse.Namespace) -> None:
+    _check_outputs([], ("--out", ns.out))
     if ns.seeds < 1:
         raise ConfigError("--seeds must be at least 1")
     for knob in ("n_per_group", "n_test", "epochs"):
@@ -201,7 +193,7 @@ def _trailer(ns: argparse.Namespace, model: str, extra: Sequence[str] = ()) -> l
 
 def _emit(lines: Sequence[str], out: str | None) -> None:
     text = "".join(line + "\n" for line in lines)
-    if not out:
+    if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
@@ -210,19 +202,7 @@ def _emit(lines: Sequence[str], out: str | None) -> None:
 # --- subcommands -----------------------------------------------------------
 
 
-def _build_backend(ns: argparse.Namespace):
-    from .scorer import ExternalBackend, PrecomputedBackend, SurrogateBackend
-
-    if ns.backend_kind == "surrogate":
-        return SurrogateBackend()
-    if ns.backend_kind == "precomputed":
-        return PrecomputedBackend(read_score_table(ns.backend_args[0]))
-    return ExternalBackend(ns.backend_args, shard_size=ns.shard_size, timeout=ns.timeout)
-
-
 def run_score(ns: argparse.Namespace) -> int:
-    from .scorer import score_evalset
-
     if ns.guard_empty or ns.guard_lang:
         from . import guards
 
@@ -234,7 +214,14 @@ def run_score(ns: argparse.Namespace) -> int:
         if expected not in {p.lang for p in profiles}:
             raise ConfigError(f"no language profile for expected language {expected!r}; pass --profile files")
     evalset = load_evalset(ns.src, ns.hyp, ns.ref, ns.direction, ns.system)
-    table = score_evalset(_build_backend(ns), evalset)
+    if isinstance(ns.scorer, Path):
+        table = read_score_table(ns.scorer)
+        if len(table) != len(evalset):
+            raise ValueError(f"precomputed table {ns.scorer} has {len(table)} scores for {len(evalset)} segments")
+    else:
+        from .scorer import score_evalset
+
+        table = score_evalset(ns.scorer, evalset)
     guard_lines: list[str] = []
     if ns.guard_empty:
         table, report = guards.apply_empty_guard(evalset, table)
@@ -255,7 +242,7 @@ def run_multiref(ns: argparse.Namespace) -> int:
     from . import multiref
 
     evalset = load_evalset(ns.src, ns.hyp, ns.ref, ns.direction, ns.system)
-    table = multiref.evaluate_system_multiref(ns.strategy, evalset, _build_backend(ns))
+    table = multiref.evaluate_system_multiref(ns.strategy, evalset, ns.scorer)
     extra = [
         f"# system-score {system_score(table)!r}",
         f"# multiref {ns.strategy} over {evalset.n_references} references",
@@ -281,7 +268,7 @@ def run_meta(ns: argparse.Namespace) -> int:
     report = metastats.MetaReport(n=len(a), mae=metastats.mae(a, b), tau_a=tau_a, tau_c=tau_c, pairwise_acc=pairwise)
     _emit(metastats.format_meta_report(report, tsv=ns.tsv).splitlines() + _trailer(ns, model="meta"), ns.out)
     if ns.hist_bins is not None:
-        bins = metastats.histogram(a, ns.hist_bins, *(ns.hist_range or (0.0, 1.0)))
+        bins = metastats.histogram(a, ns.hist_bins, *ns.hist_range)
         hist_rows = [f"{center!r}\t{count}" for center, count in bins]
         _emit(hist_rows + _trailer(ns, model="meta", extra=["# histogram of first score file"]), ns.hist_out)
     return EXIT_OK

@@ -149,23 +149,22 @@ class EvalSet(Record):
 
 
 class ScoreTable(Record):
-    """Per-segment scores for one system.
+    """Per-segment scores.
 
     Scores are positional: the score at position i belongs to segment
     index i of the associated EvalSet. What a guard zeroed is recorded
     in its GuardReport, not here.
     """
 
-    __slots__ = ("system_name", "scores")
-    system_name: str
+    __slots__ = ("scores",)
     scores: tuple[float, ...]
 
-    def __init__(self, system_name: str, scores: Sequence[float]) -> None:
+    def __init__(self, scores: Sequence[float]) -> None:
         scores = tuple(map(float, scores))
         if not all(map(math.isfinite, scores)):
             i = next(i for i, score in enumerate(scores) if not math.isfinite(score))
             raise ValueError(f"score at index {i} is not finite: {scores[i]!r}")
-        super().__init__(system_name, scores)
+        super().__init__(scores)
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -280,8 +279,7 @@ def read_score_rows(path: str | Path, key: str) -> Iterator[tuple[int, str, floa
 
 
 def read_score_table(path: str | Path) -> ScoreTable:
-    """Load a score TSV of ``index<TAB>score`` rows (see read_score_rows),
-    as a table named by its path.
+    """Load a score TSV of ``index<TAB>score`` rows (see read_score_rows).
 
     Indices must be exactly 0..n-1 in order, written as plain decimals
     (no sign, space, leading zero or digit group): one score per segment
@@ -292,4 +290,4 @@ def read_score_table(path: str | Path) -> ScoreTable:
         if key != str(len(scores)):
             raise ValueError(f"{path}: line {lineno}: expected index {len(scores)}, got {key!r}")
         scores.append(score)
-    return ScoreTable(str(path), scores)
+    return ScoreTable(scores)

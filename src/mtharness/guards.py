@@ -91,7 +91,7 @@ def _zero_guarded(scores: ScoreTable, report: GuardReport) -> ScoreTable:
     new_scores = list(scores.scores)
     for entry in report.per_segment:
         new_scores[entry.index] = 0.0
-    return ScoreTable(scores.system_name, tuple(new_scores))
+    return ScoreTable(new_scores)
 
 
 # --- empty-hypothesis guard ---------------------------------------------
@@ -166,6 +166,8 @@ def build_language_profile(corpus_lines: Sequence[str], lang: str, k: int = DEFA
     a direction can name (two lowercase ASCII letters).
     """
     check_language_code(lang)
+    if k < 1:
+        raise ValueError(f"profile size must be at least 1, got {k}")
     if not corpus_lines:
         raise ValueError("cannot build a language profile from an empty corpus")
     counts = _count_ngrams(corpus_lines)

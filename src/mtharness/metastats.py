@@ -199,13 +199,19 @@ def pairwise_accuracy(metric: SystemRanking, human: SystemRanking) -> float:
     return agree / total
 
 
+def check_histogram(bin_count: int, lo: float, hi: float) -> None:
+    """Raise a ValueError unless ``histogram`` can make ``bin_count`` bins
+    on [lo, hi]: at least one bin, and lo < hi with a finite width."""
+    if bin_count < 1:
+        raise ValueError(f"histogram bin count must be at least 1, got {bin_count}")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError(f"invalid histogram range [{lo}, {hi}]")
+
+
 def histogram(scores: Sequence[float], bin_count: int, lo: float, hi: float) -> list[tuple[float, int]]:
     """Counts over uniform bins on [lo, hi]; out-of-range values clamp
     to the end bins, so the counts always sum to len(scores)."""
-    if bin_count < 1:
-        raise ValueError("bin_count must be at least 1")
-    if not (lo < hi and math.isfinite(hi - lo)):
-        raise ValueError(f"invalid histogram range [{lo}, {hi}]")
+    check_histogram(bin_count, lo, hi)
     width = (hi - lo) / bin_count
     counts = [0] * bin_count
     for score in scores:  # clamped into [lo, hi] first, so a huge score cannot overflow to inf

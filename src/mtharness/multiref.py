@@ -80,4 +80,4 @@ def evaluate_system_multiref(strategy: str, evalset: EvalSet, backend) -> ScoreT
     ]
     flat = iter(backend.score_batch([req for requests in per_segment for req in requests]))
     scores = [combine([next(flat) for _ in requests]) for requests in per_segment]
-    return ScoreTable(system_name=evalset.system_name, scores=tuple(scores))
+    return ScoreTable(scores)

@@ -1,10 +1,11 @@
 """Pluggable segment scorers.
 
-Three backends share one batch interface: a precomputed index-keyed
-score table, an external process spoken to over a bit-exact
-line-oriented wire protocol, and a built-in deterministic lexical
-surrogate for tests and demos. Real neural metrics stay out of process
-by design; this module only moves triples in and scores out.
+Two backends share one batch interface: an external process spoken to
+over a bit-exact line-oriented wire protocol, and a built-in
+deterministic lexical surrogate for tests and demos. Real neural
+metrics stay out of process by design; this module only moves triples
+in and scores out. (Precomputed scores are not a backend: they are a
+score table, read and checked by the CLI.)
 """
 
 from __future__ import annotations
@@ -172,32 +173,6 @@ def _score_chunk(requests: Sequence[ScoreRequest]) -> list[float]:
     hyp_profile = lru_cache(maxsize=1)(_ngram_profile)
     similarity = cache(lambda hyp, other: _profile_similarity(hyp_profile(hyp), _ngram_profile(other)))
     return [_blend(req, similarity) for req in requests]
-
-
-class PrecomputedBackend:
-    """Serves stored scores keyed by batch position (= segment index).
-
-    Index keys avoid any text-normalization ambiguity: request i of the
-    batch is answered with the stored score for index i. The batch must
-    have exactly one request per stored score; a longer or shorter
-    table is misaligned and is an error, never truncated.
-    """
-
-    def __init__(self, table: ScoreTable) -> None:
-        self._scores = table.scores
-        self._source = table.system_name
-
-    def score_batch(self, requests: Sequence[ScoreRequest]) -> list[float]:
-        _check_homogeneous(requests)
-        if len(requests) > len(self._scores):
-            raise ScorerError(
-                f"precomputed table {self._source} has {len(self._scores)} scores but index {len(requests) - 1} was requested"
-            )
-        if len(requests) < len(self._scores):
-            raise ScorerError(
-                f"precomputed table {self._source} has {len(self._scores)} scores but only {len(requests)} were requested"
-            )
-        return list(self._scores)
 
 
 def _usable_cpus() -> int:
@@ -462,9 +437,9 @@ class ExternalBackend:
         if not command:
             raise ValueError("external backend needs a non-empty command")
         if shard_size is not None and shard_size < 1:
-            raise ValueError("shard_size must be at least 1")
+            raise ValueError(f"shard size must be at least 1, got {shard_size}")
         if timeout is not None and not (timeout > 0 and math.isfinite(timeout)):
-            raise ValueError("timeout must be positive and finite")
+            raise ValueError(f"timeout must be positive and finite, got {timeout}")
         self.command = tuple(command)
         self.shard_size = shard_size
         self.timeout = timeout
@@ -579,4 +554,4 @@ def score_evalset(backend, evalset: EvalSet) -> ScoreTable:
     if evalset.n_references > 1:
         raise ValueError("evalset has multiple references; pick a multi-reference strategy instead of plain scoring")
     requests = [ScoreRequest(seg.source, seg.hypothesis, *seg.references) for seg in evalset.segments]
-    return ScoreTable(evalset.system_name, backend.score_batch(requests))
+    return ScoreTable(backend.score_batch(requests))

@@ -440,19 +440,36 @@ def test_11_gradient_check(criterion):
         scorer.bias = rng.uniform(-0.2, 0.2)
         examples = generate_synth([(Direction("en", "de"), 0.7)], 10, seed="acceptance:grad")
         h = 1e-6
+        learning_rate = 5e-4
+
+        def squared_error(features, gold):
+            return (scorer.predict_features(features) - gold) ** 2
+
         for ex in examples:
             features = featurize(ex, dim=dim)
-            grad_w, _ = scorer.gradient(features, ex.gold_da)
+            numeric_w = {}
             for idx in rng.sample(sorted(features), min(10, len(features))):
                 orig = scorer.weights[idx]
                 scorer.weights[idx] = orig + h
-                up = scorer.squared_error(features, ex.gold_da)
+                up = squared_error(features, ex.gold_da)
                 scorer.weights[idx] = orig - h
-                down = scorer.squared_error(features, ex.gold_da)
+                down = squared_error(features, ex.gold_da)
                 scorer.weights[idx] = orig
-                numeric = (up - down) / (2 * h)
-                relative = abs(grad_w[idx] - numeric) / max(abs(numeric), 1e-8)
+                numeric_w[idx] = (up - down) / (2 * h)
+            b_before = scorer.bias
+            scorer.bias = b_before + h
+            up = squared_error(features, ex.gold_da)
+            scorer.bias = b_before - h
+            down = squared_error(features, ex.gold_da)
+            scorer.bias = b_before
+            numeric_b = (up - down) / (2 * h)
+            w_before = list(scorer.weights)
+            scorer.step(features, ex.gold_da, learning_rate)  # the step train takes
+            for idx, numeric in numeric_w.items():
+                relative = abs((w_before[idx] - scorer.weights[idx]) / learning_rate - numeric) / max(abs(numeric), 1e-8)
                 assert relative < 1e-4, f"gradient off by {relative:.2e} at slot {idx}"
+            relative = abs((b_before - scorer.bias) / learning_rate - numeric_b) / max(abs(numeric_b), 1e-8)
+            assert relative < 1e-4, f"bias gradient off by {relative:.2e}"
 
     criterion(11, "gradient-check", body)
 

@@ -160,36 +160,49 @@ def test_prediction_is_linear_in_features():
 def test_squared_error_overflows_to_inf():
     scorer = ToyScorer(dim=SMALL_DIM)
     scorer.weights[3] = 1e200
-    assert scorer.squared_error({3: 1.0}, 0.0) == float("inf")
+    assert scorer.step({3: 1.0}, 0.0, 5e-4) == float("inf")
 
 
 def test_gradient_matches_central_finite_differences():
+    """The step training takes moves each weight and the bias by the
+    learning rate times the derivative of (prediction - gold) ** 2."""
     rng = np.random.default_rng(11)
     scorer = ToyScorer(dim=SMALL_DIM)
     scorer.weights[:] = rng.normal(scale=0.05, size=SMALL_DIM)
     scorer.bias = 0.1
     data = generate_synth([(EN_DE, 0.7)], 10, seed="grad")
     h = 1e-6
+    learning_rate = 5e-4
+
+    def squared_error(features, gold):
+        return (scorer.predict_features(features) - gold) ** 2
+
     for ex in data:
         features = featurize(ex, dim=SMALL_DIM)
-        grad_w, grad_b = scorer.gradient(features, ex.gold_da)
         picked = rng.choice(sorted(features), size=min(10, len(features)), replace=False)
+        numeric_w = {}
         for idx in picked:
             orig = scorer.weights[idx]
             scorer.weights[idx] = orig + h
-            up = scorer.squared_error(features, ex.gold_da)
+            up = squared_error(features, ex.gold_da)
             scorer.weights[idx] = orig - h
-            down = scorer.squared_error(features, ex.gold_da)
+            down = squared_error(features, ex.gold_da)
             scorer.weights[idx] = orig
-            numeric = (up - down) / (2 * h)
-            assert abs(grad_w[idx] - numeric) / max(abs(numeric), 1e-8) < 1e-4
-        scorer.bias += h
-        up = scorer.squared_error(features, ex.gold_da)
-        scorer.bias -= 2 * h
-        down = scorer.squared_error(features, ex.gold_da)
-        scorer.bias += h
-        numeric = (up - down) / (2 * h)
-        assert abs(grad_b - numeric) / max(abs(numeric), 1e-8) < 1e-4
+            numeric_w[idx] = (up - down) / (2 * h)
+        b_before = scorer.bias
+        scorer.bias = b_before + h
+        up = squared_error(features, ex.gold_da)
+        scorer.bias = b_before - h
+        down = squared_error(features, ex.gold_da)
+        scorer.bias = b_before
+        numeric_b = (up - down) / (2 * h)
+        w_before = list(scorer.weights)
+        scorer.step(features, ex.gold_da, learning_rate)
+        for idx, numeric in numeric_w.items():
+            grad_w = (w_before[idx] - scorer.weights[idx]) / learning_rate
+            assert abs(grad_w - numeric) / max(abs(numeric), 1e-8) < 1e-4
+        grad_b = (b_before - scorer.bias) / learning_rate
+        assert abs(grad_b - numeric_b) / max(abs(numeric_b), 1e-8) < 1e-4
 
 
 def test_training_memorizes_single_example():

@@ -258,11 +258,12 @@ class TestConfigErrors:
         (["multiref", "--src", "src.txt", "--hyp", "hyp.txt", "--direction", "en-de", "--multiref", "max"],
          "multiref needs at least one --ref"),
         (["score", *SCORE_ARGS, "--backend", "external:child", "--shard-size", "0"],
-         "--shard-size must be at least 1"),
+         "shard size must be at least 1, got 0"),
         (["meta", "a.tsv", "a.tsv", "--hist-bins", "5"], "--hist-bins and --hist-out must be given together"),
-        (["meta", "a.tsv", "a.tsv", "--hist-bins", "0", "--hist-out", "h.tsv"], "--hist-bins must be at least 1"),
+        (["meta", "a.tsv", "a.tsv", "--hist-bins", "0", "--hist-out", "h.tsv"],
+         "histogram bin count must be at least 1, got 0"),
         (["meta", "a.tsv", "a.tsv", "--hist-bins", "5", "--hist-out", "h.tsv", "--hist-range", "1", "0"],
-         "--hist-range needs LO < HI, got 1.0 0.0"),
+         "invalid histogram range [1.0, 0.0]"),
         (["biaslab", "dist", "--n-per-group", "0"], "--n-per-group must be at least 1"),
         (["biaslab", "tags", "--n-test", "0"], "--n-test must be at least 1"),
         (["biaslab", "dist", "--epochs", "0"], "--epochs must be at least 1"),
@@ -277,22 +278,22 @@ class TestConfigErrors:
         (["multiref", *SCORE_ARGS, "--multiref", "max", "--timeout", "5"],
          "--timeout only applies to an external backend"),
         (["score", *SCORE_ARGS, "--backend", "external:child", "--timeout", "0"],
-         "--timeout must be positive and finite, got 0.0"),
+         "timeout must be positive and finite, got 0.0"),
         (["score", *SCORE_ARGS, "--backend", "external:child", "--timeout", "-1"],
-         "--timeout must be positive and finite, got -1.0"),
+         "timeout must be positive and finite, got -1.0"),
         (["score", *SCORE_ARGS, "--backend", "external:child", "--timeout", "nan"],
-         "--timeout must be positive and finite, got nan"),
+         "timeout must be positive and finite, got nan"),
         (["multiref", *SCORE_ARGS, "--multiref", "max", "--backend", "external:child", "--timeout", "inf"],
-         "--timeout must be positive and finite, got inf"),
+         "timeout must be positive and finite, got inf"),
         (["meta", "a.tsv", "a.tsv", "--ranking-metric", "a.tsv", "--ranking-human", ""], "ranking file not found"),
         (["meta", "a.tsv", "a.tsv", "--ranking-metric", "", "--ranking-human", ""], "ranking file not found"),
         (["score", *SCORE_ARGS, "--profile", "px.txt"], "--profile only applies with --guard-lang"),
         (["score", *SCORE_ARGS, "--min-len", "5"], "--min-len only applies with --guard-lang"),
         (["score", *SCORE_ARGS, "--min-margin", "0.9"], "--min-margin only applies with --guard-lang"),
         (["meta", "a.tsv", "a.tsv", "--hist-bins", "5", "--hist-out", "h.tsv", "--hist-range", "nan", "1"],
-         "--hist-range needs finite LO and HI, got nan 1.0"),
+         "invalid histogram range [nan, 1.0]"),
         (["meta", "a.tsv", "a.tsv", "--hist-bins", "5", "--hist-out", "h.tsv", "--hist-range", "0", "inf"],
-         "--hist-range needs finite LO and HI, got 0.0 inf"),
+         "invalid histogram range [0.0, inf]"),
         (["biaslab", "dist", "--learning-rate", "nan"], "--learning-rate must be positive and finite, got nan"),
         (["biaslab", "tags", "--learning-rate", "inf"], "--learning-rate must be positive and finite, got inf"),
         (["meta", "a.tsv", "a.tsv", "--hist-range", "5", "1"], "--hist-range only applies with --hist-bins"),
@@ -304,9 +305,11 @@ class TestConfigErrors:
          "invalid language code 'DE': expected two lowercase ASCII letters"),
         (["score", *SCORE_ARGS, "--backend", "external:a|b"],
          "backend spec must not contain '|' (it is embedded in the signature)"),
-        (["score", *SCORE_ARGS, "--backend", "external: "], "external backend command is empty"),
+        (["score", *SCORE_ARGS, "--backend", "external: "], "external backend needs a non-empty command"),
         (["meta", "a.tsv", "a.tsv", "--hist-bins", "3", "--hist-out", "out.txt"],
          "--hist-out out.txt names the same file as --out"),
+        (["meta", "a.tsv", "a.tsv", "--hist-bins", "2", "--hist-range", " -1e308", "1e308", "--hist-out", "h.tsv"],
+         "invalid histogram range [-1e+308, 1e+308]"),
     ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
             "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
             "missing-profile", "missing-ranking", "missing-document", "timeout-surrogate",
@@ -315,7 +318,7 @@ class TestConfigErrors:
             "min-margin-without-guard-lang", "hist-range-nan", "hist-range-inf", "learning-rate-nan",
             "learning-rate-inf", "hist-range-without-hist-bins", "empty-system", "multiref-empty-system",
             "signature-empty-interp", "signature-empty-framework", "profile-upper-case-lang",
-            "external-pipe", "external-blank-command", "hist-out-is-out"])
+            "external-pipe", "external-blank-command", "hist-out-is-out", "hist-range-overflows"])
     def test_config_error_exits_2_without_output(self, corpus, capsys, args, message):
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
         before = sorted(corpus.iterdir())
@@ -356,6 +359,24 @@ class TestConfigErrors:
         assert captured.err.startswith("mtharness: error: --")
         assert captured.err.endswith(" names a file this run reads\n")
         assert (corpus / victim).read_bytes() == before[corpus / victim]
+
+    @pytest.mark.parametrize("args, flag", [
+        (["score", *SCORE_ARGS, "--out", ""], "--out"),
+        (["multiref", *SCORE_ARGS, "--multiref", "max", "--out", ""], "--out"),
+        (["meta", "a.tsv", "a.tsv", "--out", ""], "--out"),
+        (["meta", "a.tsv", "a.tsv", "--hist-bins", "2", "--hist-out", ""], "--hist-out"),
+        (["profiles", "build", "--lang", "de", "--input", "ref.txt", "--out", ""], "--out"),
+        (["biaslab", "dist", "--seeds", "1", "--n-per-group", "1", "--n-test", "1", "--epochs", "1", "--out", ""],
+         "--out"),
+    ], ids=["score", "multiref", "meta", "meta-hist-out", "profiles", "biaslab"])
+    def test_empty_output_path_exits_2_without_output(self, corpus, capsys, args, flag):
+        (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
+        before = sorted(corpus.iterdir())
+        assert main(args) == EXIT_CONFIG
+        assert sorted(corpus.iterdir()) == before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mtharness: error: {flag} must name a file\n"
 
 
 class TestRuntimeErrors:
@@ -410,13 +431,20 @@ class TestRuntimeErrors:
                      "--direction", "en-de", "--backend", "precomputed:pre.tsv"]) == EXIT_RUNTIME
         assert "1 scores" in capsys.readouterr().err
 
+    def test_qe_precomputed_rows_equal_the_table(self, corpus):
+        (corpus / "pre.tsv").write_text("0\t0.5\n1\t-0.25\n2\t1e-07\n", encoding="utf-8")
+        assert main(["score", "--src", "src.txt", "--hyp", "hyp.txt", "--direction", "en-de",
+                     "--backend", "precomputed:pre.tsv", "--out", "scores.tsv"]) == EXIT_OK
+        rows = [line for line in (corpus / "scores.tsv").read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+        assert rows == ["0\t0.5", "1\t-0.25", "2\t1e-07"]
+
     def test_long_precomputed_table_exits_1(self, corpus, capsys):
         (corpus / "pre.tsv").write_text("0\t0.5\n1\t0.6\n2\t0.7\n3\t0.8\n", encoding="utf-8")
         assert main(["score", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
                      "--direction", "en-de", "--backend", "precomputed:pre.tsv",
                      "--out", "scores.tsv"]) == EXIT_RUNTIME
         assert not (corpus / "scores.tsv").exists()
-        assert "pre.tsv has 4 scores but only 3 were requested" in capsys.readouterr().err
+        assert capsys.readouterr().err == "mtharness: error: precomputed table pre.tsv has 4 scores for 3 segments\n"
 
     def test_sharded_bad_answer_names_its_line_in_the_batch(self, corpus, capsys):
         (corpus / "src.txt").write_text("s0\ns1\ns2\ns3\n", encoding="utf-8")

@@ -111,33 +111,33 @@ class TestEvalSet:
 class TestScoreTable:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
-            ScoreTable("sys", (0.5, math.nan))
+            ScoreTable((0.5, math.nan))
         with pytest.raises(ValueError, match="finite"):
-            ScoreTable("sys", (math.inf,))
+            ScoreTable((math.inf,))
 
 
 class TestSystemScore:
     def test_known_mean(self):
         # [0.0, 1.0, 0.5, 0.5] averages to exactly 0.5
-        assert system_score(ScoreTable("sys", (0.0, 1.0, 0.5, 0.5))) == 0.5
+        assert system_score(ScoreTable((0.0, 1.0, 0.5, 0.5))) == 0.5
 
     def test_single_segment_is_identity(self):
-        assert system_score(ScoreTable("sys", (0.731,))) == 0.731
+        assert system_score(ScoreTable((0.731,))) == 0.731
 
     def test_constant_scores(self):
-        assert system_score(ScoreTable("sys", (0.25,) * 9)) == pytest.approx(0.25, abs=0)
+        assert system_score(ScoreTable((0.25,) * 9)) == pytest.approx(0.25, abs=0)
 
     def test_empty_table_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            system_score(ScoreTable("sys", ()))
+            system_score(ScoreTable(()))
 
     def test_permutation_invariance(self):
         rng = random.Random(7)
         scores = [rng.uniform(-1, 1) for _ in range(50)]
-        base = system_score(ScoreTable("sys", tuple(scores)))
+        base = system_score(ScoreTable(tuple(scores)))
         for _ in range(5):
             rng.shuffle(scores)
-            assert system_score(ScoreTable("sys", tuple(scores))) == pytest.approx(base, abs=1e-12)
+            assert system_score(ScoreTable(tuple(scores))) == pytest.approx(base, abs=1e-12)
 
 
 class TestLineFiles:
@@ -217,14 +217,14 @@ class TestLineFiles:
 
 class TestScoreTableIO:
     def test_rows_use_repr(self):
-        t = ScoreTable("sys", (0.1, 1.0 / 3.0))
+        t = ScoreTable((0.1, 1.0 / 3.0))
         rows = format_score_rows(t)
         assert rows[0] == "0\t0.1"
         assert rows[1] == f"1\t{1.0 / 3.0!r}"
 
     def test_roundtrip_is_exact(self, tmp_path):
         rng = random.Random(13)
-        t = ScoreTable("sys", tuple(rng.uniform(-2, 2) for _ in range(200)))
+        t = ScoreTable(tuple(rng.uniform(-2, 2) for _ in range(200)))
         p = tmp_path / "scores.tsv"
         write_score_table(t, p)
         again = read_score_table(p)
@@ -286,7 +286,7 @@ RECORDS = [
         {"system_name": "other"}, None, id="EvalSet",
     ),
     pytest.param(
-        ScoreTable, {"system_name": "sys", "scores": (0.5, 0.25)}, "ScoreTable(system_name='sys', scores=(0.5, 0.25))",
+        ScoreTable, {"scores": (0.5, 0.25)}, "ScoreTable(scores=(0.5, 0.25))",
         {"scores": (0.5,)}, None, id="ScoreTable",
     ),
     pytest.param(
@@ -412,8 +412,8 @@ class TestRecords:
     (EvalSet, (EN_DE, "", ()), "system_name must be non-empty"),
     (EvalSet, (EN_DE, "sys", (Segment(1, "a", "b"),)), "position 0 has index 1"),
     (EvalSet, (EN_DE, "sys", (Segment(0, "a", "b"), Segment(1, "a", "b", ("c",)))), "same reference count, found [0, 1]"),
-    (ScoreTable, ("sys", (0.5, math.nan)), "score at index 1 is not finite: nan"),
-    (ScoreTable, ("sys", (math.inf,)), "score at index 0 is not finite: inf"),
+    (ScoreTable, ((0.5, math.nan),), "score at index 1 is not finite: nan"),
+    (ScoreTable, ((math.inf,),), "score at index 0 is not finite: inf"),
     (Signature, ("",), "signature needs a non-empty model identifier"),
     (Signature, ("m", ""), "signature field interpreter_version must not be empty"),
     (Signature, ("m", "unk", "unk", "fp64"), "precision must be one of fp32, fp16, qint8, unk, got 'fp64'"),
@@ -434,7 +434,7 @@ def test_record_validation_still_raises(cls, arguments, message):
 @pytest.mark.parametrize("cls, arguments, field, expected", [
     (Segment, (0, "a", "b", ["c"]), "references", ("c",)),
     (EvalSet, (EN_DE, "sys", [SEG]), "segments", (SEG,)),
-    (ScoreTable, ("sys", [1, 0.5]), "scores", (1.0, 0.5)),
+    (ScoreTable, ([1, 0.5],), "scores", (1.0, 0.5)),
     (SystemRanking, ([["a", 1]],), "entries", (("a", 1.0),)),
     (GuardReport, (2, [GuardEntry(0, "empty")], [GuardEntry(1, "empty")]), "unreliable", (GuardEntry(1, "empty"),)),
     (LanguageProfile, ("de", ["e"]), "ranked_ngrams", ("e",)),

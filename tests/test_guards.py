@@ -104,7 +104,7 @@ class TestEmptyGuard:
 
     def test_noop_without_empties(self):
         es = evalset_from_hyps(["eins", "zwei"])
-        table = ScoreTable("sys", (0.4, 0.6))
+        table = ScoreTable((0.4, 0.6))
         guarded, report = apply_empty_guard(es, table)
         assert guarded == table
         assert report.guarded_count == 0
@@ -112,31 +112,31 @@ class TestEmptyGuard:
 
     def test_empty_hypothesis_zeroed(self):
         es = evalset_from_hyps([""])
-        guarded, report = apply_empty_guard(es, ScoreTable("sys", (0.353,)))
+        guarded, report = apply_empty_guard(es, ScoreTable((0.353,)))
         assert guarded.scores == (0.0,)
         assert report.per_segment[0].reason == "empty"
 
     def test_two_empties_shift_system_score(self):
         hyps = [""] * 2 + ["text"] * 8
         es = evalset_from_hyps(hyps)
-        guarded, report = apply_empty_guard(es, ScoreTable("sys", (0.5,) * 10))
+        guarded, report = apply_empty_guard(es, ScoreTable((0.5,) * 10))
         assert report.guarded_count == 2
         assert system_score(guarded) == pytest.approx(0.4)
 
     def test_other_scores_bit_identical(self):
         es = evalset_from_hyps(["", "bleibt"])
-        raw = ScoreTable("sys", (0.7, 0.123456789012345))
+        raw = ScoreTable((0.7, 0.123456789012345))
         guarded, _ = apply_empty_guard(es, raw)
         assert guarded.scores[1] == raw.scores[1]
 
     def test_misaligned_rejected(self):
         es = evalset_from_hyps(["a", "b"])
         with pytest.raises(ValueError, match="2 segments"):
-            apply_empty_guard(es, ScoreTable("sys", (0.5,)))
+            apply_empty_guard(es, ScoreTable((0.5,)))
 
     def test_idempotent(self):
         es = evalset_from_hyps(["", "x", "  "])
-        once, _ = apply_empty_guard(es, ScoreTable("sys", (0.3, 0.4, 0.5)))
+        once, _ = apply_empty_guard(es, ScoreTable((0.3, 0.4, 0.5)))
         twice, _ = apply_empty_guard(es, once)
         assert twice == once
 
@@ -164,8 +164,13 @@ class TestProfiles:
 
     def test_zero_ngrams_rejected(self):
         # such a profile would serialize as `de<TAB>0`, which parse_profile rejects
-        with pytest.raises(ValueError, match="a profile must hold at least one n-gram"):
+        with pytest.raises(ValueError, match="profile size must be at least 1, got 0"):
             build_language_profile(load_seed_lines("de"), "de", k=0)
+
+    def test_negative_size_rejected(self):
+        # a slice [:-1] would keep every n-gram but the last
+        with pytest.raises(ValueError, match="profile size must be at least 1, got -1"):
+            build_language_profile(["ab cd ef"], "de", k=-1)
 
     def test_serialization_roundtrip(self):
         profile = build_language_profile(load_seed_lines("uk"), "uk", k=120)
@@ -365,7 +370,7 @@ class TestLangGuard:
     def test_identity_when_language_matches(self, profiles):
         hyps = load_seed_lines("de")[:4]
         es = evalset_from_hyps(hyps)
-        table = ScoreTable("sys", (0.1, 0.2, 0.3, 0.4))
+        table = ScoreTable((0.1, 0.2, 0.3, 0.4))
         guarded, report = apply_lang_guard(es, table, profiles, "de")
         assert guarded == table
         assert report.guarded_count == 0
@@ -373,7 +378,7 @@ class TestLangGuard:
     def test_wrong_language_zeroed(self, profiles):
         hyps = load_seed_lines("zh")[:5]
         es = evalset_from_hyps(hyps, direction=("en", "ru"))
-        table = ScoreTable("sys", (0.536,) * 5)
+        table = ScoreTable((0.536,) * 5)
         guarded, report = apply_lang_guard(es, table, profiles, "ru")
         assert guarded.scores == (0.0,) * 5
         assert report.guarded_count == 5
@@ -384,7 +389,7 @@ class TestLangGuard:
         # threshold against ru, so it must stay unguarded yet be noted.
         hyp = "Це речення написане українською мовою і достатньо довге."
         es = evalset_from_hyps([hyp], direction=("en", "ru"))
-        table = ScoreTable("sys", (0.77,))
+        table = ScoreTable((0.77,))
         guarded, report = apply_lang_guard(es, table, profiles, "ru")
         assert guarded == table
         assert report.guarded_count == 0
@@ -394,7 +399,7 @@ class TestLangGuard:
 
     def test_empty_and_short_untouched(self, profiles):
         es = evalset_from_hyps(["", "kurz", load_seed_lines("de")[0]])
-        table = ScoreTable("sys", (0.5, 0.5, 0.5))
+        table = ScoreTable((0.5, 0.5, 0.5))
         guarded, report = apply_lang_guard(es, table, profiles, "en")
         # only the long German hypothesis can be guarded under expected en
         assert guarded.scores[:2] == (0.5, 0.5)
@@ -403,31 +408,31 @@ class TestLangGuard:
 
     def test_empty_untouched_without_a_length_floor(self, profiles):
         es = evalset_from_hyps(["", " \t", "zu kurz"])
-        guarded, report = apply_lang_guard(es, ScoreTable("sys", (0.5,) * 3), profiles, "en", min_len=0)
+        guarded, report = apply_lang_guard(es, ScoreTable((0.5,) * 3), profiles, "en", min_len=0)
         assert [entry.index for entry in report.per_segment + report.unreliable] == [2]
         assert guarded.scores[:2] == (0.5, 0.5)
 
     def test_misaligned_rejected(self, profiles):
         es = evalset_from_hyps(["a", "b"])
         with pytest.raises(ValueError, match="score table has 1 rows for 2 segments"):
-            apply_lang_guard(es, ScoreTable("sys", (0.5,)), profiles, "de")
+            apply_lang_guard(es, ScoreTable((0.5,)), profiles, "de")
 
     def test_expected_lang_needs_profile(self, profiles):
         es = evalset_from_hyps(["whatever"])
         with pytest.raises(ValueError, match="no profile"):
-            apply_lang_guard(es, ScoreTable("sys", (0.5,)), profiles, "fr")
+            apply_lang_guard(es, ScoreTable((0.5,)), profiles, "fr")
 
     def test_idempotent(self, profiles):
         hyps = [load_seed_lines("zh")[0], load_seed_lines("ru")[0]]
         es = evalset_from_hyps(hyps, direction=("en", "ru"))
-        once, _ = apply_lang_guard(es, ScoreTable("sys", (0.6, 0.7)), profiles, "ru")
+        once, _ = apply_lang_guard(es, ScoreTable((0.6, 0.7)), profiles, "ru")
         twice, _ = apply_lang_guard(es, once, profiles, "ru")
         assert twice == once
 
     def test_composition_commutes(self, profiles):
         hyps = ["", load_seed_lines("zh")[0], load_seed_lines("ru")[0]]
         es = evalset_from_hyps(hyps, direction=("en", "ru"))
-        table = ScoreTable("sys", (0.3, 0.6, 0.9))
+        table = ScoreTable((0.3, 0.6, 0.9))
         a, _ = apply_empty_guard(es, table)
         a, _ = apply_lang_guard(es, a, profiles, "ru")
         b, _ = apply_lang_guard(es, table, profiles, "ru")
@@ -437,7 +442,7 @@ class TestLangGuard:
     def test_guards_never_raise_scores(self, profiles):
         hyps = ["", "kurz", load_seed_lines("zh")[0], load_seed_lines("ru")[1]]
         es = evalset_from_hyps(hyps, direction=("en", "ru"))
-        table = ScoreTable("sys", (0.1, 0.2, 0.3, 0.4))
+        table = ScoreTable((0.1, 0.2, 0.3, 0.4))
         guarded, empty_report = apply_empty_guard(es, table)
         guarded, lang_report = apply_lang_guard(es, guarded, profiles, "ru")
         zeroed = {entry.index for entry in empty_report.per_segment + lang_report.per_segment}
@@ -460,7 +465,7 @@ class TestChunkedLangGuard:
     @given(st.lists(GUARD_HYPS, max_size=12), st.integers(1, 8), st.sampled_from(["de", "ru"]))
     def test_equals_serial_for_any_cpu_count(self, profiles, hyps, cpus, expected):
         es = evalset_from_hyps(hyps, direction=("en", expected))
-        table = ScoreTable("sys", tuple(0.5 + i / 100 for i in range(len(hyps))))
+        table = ScoreTable(tuple(0.5 + i / 100 for i in range(len(hyps))))
         with chunking(1):
             serial = apply_lang_guard(es, table, profiles, expected)
         with chunking(cpus) as forked:
@@ -483,14 +488,14 @@ class TestChunkedLangGuard:
         german = "ein deutscher Satz, lang genug"
         es = evalset_from_hyps([german, "the second hypothesis fails here", german])
         with chunking(2) as forked, pytest.raises(ValueError, match="^identification failed$"):
-            apply_lang_guard(es, ScoreTable("sys", (0.5,) * 3), profiles, "de")
+            apply_lang_guard(es, ScoreTable((0.5,) * 3), profiles, "de")
         assert len(forked) == 1 and reaped(forked[0])
 
 
 class TestGuardReportFormat:
     def test_tsv_with_comment_header(self):
         es = evalset_from_hyps(["", "ok"])
-        _, report = apply_empty_guard(es, ScoreTable("sys", (0.1, 0.2)))
+        _, report = apply_empty_guard(es, ScoreTable((0.1, 0.2)))
         lines = format_guard_report(report)
         assert lines[0].startswith("# guarded 1 of 2")
         assert lines[1].startswith("# index")

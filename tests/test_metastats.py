@@ -319,7 +319,7 @@ class TestHistogram:
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError, match="invalid histogram range"):
             histogram([0.5], 3, 1.0, 1.0)
-        with pytest.raises(ValueError, match="bin_count"):
+        with pytest.raises(ValueError, match="histogram bin count must be at least 1, got 0"):
             histogram([0.5], 0, 0.0, 1.0)
 
     @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308)])

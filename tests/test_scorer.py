@@ -23,11 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtharness import scorer
-from mtharness.evalset import Direction, EvalSet, ScoreTable, Segment, read_score_table
+from mtharness.evalset import Direction, EvalSet, Segment, read_score_table
 from mtharness.guards import load_seed_lines
 from mtharness.scorer import (
     ExternalBackend,
-    PrecomputedBackend,
     ScoreRequest,
     ScorerError,
     SurrogateBackend,
@@ -294,29 +293,6 @@ class TestSurrogateOracle:
         assert peak < 16 * 2**20
 
 
-class TestPrecomputed:
-    def test_lookup_by_index(self):
-        backend = PrecomputedBackend(ScoreTable("stored", (0.837,)))
-        assert backend.score_batch([ScoreRequest("s", "h", "r")]) == [0.837]
-
-    def test_missing_index_is_error(self):
-        backend = PrecomputedBackend(ScoreTable("stored", (0.5, 0.6)))
-        reqs = [ScoreRequest("s", "h", "r")] * 3
-        with pytest.raises(ScorerError, match="index 2"):
-            backend.score_batch(reqs)
-
-    def test_extra_scores_are_error(self):
-        backend = PrecomputedBackend(ScoreTable("stored.tsv", (0.5, 0.6, 0.7, 0.8)))
-        with pytest.raises(ScorerError, match=r"stored\.tsv has 4 scores but only 2 were requested"):
-            backend.score_batch([ScoreRequest("s", "h", "r")] * 2)
-
-    def test_loads_from_tsv(self, tmp_path):
-        p = tmp_path / "scores.tsv"
-        p.write_text("0\t0.25\n1\t0.75\n# trailer\n")
-        backend = PrecomputedBackend(read_score_table(p))
-        assert backend.score_batch([ScoreRequest("s", "h")] * 2) == [0.25, 0.75]
-
-
 class TestExternal:
     def test_echo_half(self, tmp_path):
         backend = ExternalBackend(child(tmp_path, ECHO_HALF_CHILD))
@@ -428,7 +404,7 @@ class TestExternal:
 
     @pytest.mark.parametrize("command, shard_size, message", [
         ([], None, "external backend needs a non-empty command"),
-        (["scorer"], 0, "shard_size must be at least 1"),
+        (["scorer"], 0, "shard size must be at least 1, got 0"),
     ], ids=["empty-command", "shard-size-zero"])
     def test_constructor_rejects(self, command, shard_size, message):
         with pytest.raises(ValueError, match=message):
@@ -912,7 +888,6 @@ class TestScoreEvalset:
         es = EvalSet(Direction("en", "de"), "sys", segs)
         table = score_evalset(SurrogateBackend(), es)
         assert table.scores == (1.0, 0.0)
-        assert table.system_name == "sys"
 
     def test_qe_mode(self):
         segs = (Segment(0, "aa", "aa"),)
