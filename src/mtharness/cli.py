@@ -23,6 +23,7 @@ from typing import Sequence
 # constants it shows; tests check them against the library.
 from .evalset import (
     Direction,
+    EvalSet,
     check_language_code,
     format_score_rows,
     load_evalset,
@@ -202,6 +203,15 @@ def _emit(lines: Sequence[str], out: str | None) -> None:
 # --- subcommands -----------------------------------------------------------
 
 
+def _load(ns: argparse.Namespace) -> EvalSet:
+    """The evalset that score and multiref read: input files with no
+    line to score are an error that names them."""
+    evalset = load_evalset(ns.src, ns.hyp, ns.ref, ns.direction, ns.system)
+    if not evalset.segments:
+        raise ValueError(f"no segments to score: {', '.join(map(str, [ns.src, ns.hyp, *ns.ref]))} are empty")
+    return evalset
+
+
 def run_score(ns: argparse.Namespace) -> int:
     if ns.guard_empty or ns.guard_lang:
         from . import guards
@@ -213,7 +223,7 @@ def run_score(ns: argparse.Namespace) -> int:
         profiles = guards.bundled_profiles() + [guards.read_profile(path) for path in ns.profile]
         if expected not in {p.lang for p in profiles}:
             raise ConfigError(f"no language profile for expected language {expected!r}; pass --profile files")
-    evalset = load_evalset(ns.src, ns.hyp, ns.ref, ns.direction, ns.system)
+    evalset = _load(ns)
     if isinstance(ns.scorer, Path):
         table = read_score_table(ns.scorer)
         if len(table) != len(evalset):
@@ -241,11 +251,10 @@ def run_score(ns: argparse.Namespace) -> int:
 def run_multiref(ns: argparse.Namespace) -> int:
     from . import multiref
 
-    evalset = load_evalset(ns.src, ns.hyp, ns.ref, ns.direction, ns.system)
-    table = multiref.evaluate_system_multiref(ns.strategy, evalset, ns.scorer)
+    table = multiref.evaluate_system_multiref(ns.strategy, _load(ns), ns.scorer)
     extra = [
         f"# system-score {system_score(table)!r}",
-        f"# multiref {ns.strategy} over {evalset.n_references} references",
+        f"# multiref {ns.strategy} over {len(ns.ref)} references",
     ]
     _emit(format_score_rows(table) + _trailer(ns, model=ns.backend, extra=extra), ns.out)
     return EXIT_OK
@@ -259,11 +268,15 @@ def run_meta(ns: argparse.Namespace) -> int:
     b = read_score_table(path_b).scores
     if len(a) != len(b):
         raise ValueError(f"score tables are not paired: {path_a} has {len(a)} rows but {path_b} has {len(b)}")
+    if not a:
+        raise ValueError(f"score tables {path_a} and {path_b} have no rows to compare")
     pairwise = None
     if ns.ranking_metric is not None:
-        pairwise = metastats.pairwise_accuracy(
-            metastats.read_ranking(ns.ranking_metric), metastats.read_ranking(ns.ranking_human)
-        )
+        metric, human = metastats.read_ranking(ns.ranking_metric), metastats.read_ranking(ns.ranking_human)
+        try:
+            pairwise = metastats.pairwise_accuracy(metric, human)
+        except ValueError as exc:  # its message cannot name the files
+            raise ValueError(f"{ns.ranking_metric} and {ns.ranking_human}: {exc}") from None
     tau_a, tau_c = metastats.kendall_taus(a, b) if len(a) >= 2 else (None, None)
     report = metastats.MetaReport(n=len(a), mae=metastats.mae(a, b), tau_a=tau_a, tau_c=tau_c, pairwise_acc=pairwise)
     _emit(metastats.format_meta_report(report, tsv=ns.tsv).splitlines() + _trailer(ns, model="meta"), ns.out)

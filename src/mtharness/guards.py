@@ -14,8 +14,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .evalset import EvalSet, Record, ScoreTable, check_language_code, read_lines, split_lines
-from .scorer import map_chunks
+from .evalset import EvalSet, Record, ScoreTable, check_language_code, read_lines
+from .scorer import char_ngrams, map_chunks
 
 NGRAM_ORDERS = (1, 2, 3, 4)
 DEFAULT_PROFILE_SIZE = 300
@@ -145,7 +145,7 @@ def _count_ngrams(lines: Iterable[str]) -> Counter:
     for line in lines:
         text = "\n".join(f" {token} " for token in line.split())
         for n in NGRAM_ORDERS:
-            counts.update(text if n == 1 else map("".join, zip(*(text[i:] for i in range(n)))))
+            counts.update(char_ngrams(text, n))
     for gram in [gram for gram in counts if "\n" in gram]:
         counts.pop(gram)
     return counts
@@ -181,10 +181,6 @@ def serialize_profile(profile: LanguageProfile) -> str:
     lines = [f"{profile.lang}\t{len(profile)}"]
     lines.extend(profile.ranked_ngrams)
     return "".join(line + "\n" for line in lines)
-
-
-def parse_profile(text: str) -> LanguageProfile:
-    return _profile_from_lines(split_lines(text))  # grams come from str.split() tokens, so none ends in CR
 
 
 def _profile_from_lines(lines: Sequence[str]) -> LanguageProfile:
@@ -242,15 +238,6 @@ def bundled_profiles() -> list[LanguageProfile]:
 # --- language identification ---------------------------------------------
 
 
-def _out_of_place_distance(text_grams: Sequence[str], profile: LanguageProfile, penalty: int) -> int:
-    # The reference _RankTable.distances is tested against, one profile at a time.
-    # penalty must be shared across the whole profile set: charging
-    # absent grams len(profile) would make smaller profiles win on
-    # mismatches alone when profile sizes differ.
-    ranks = {gram: i for i, gram in enumerate(profile.ranked_ngrams)}
-    return sum(abs(i - ranks[gram]) if gram in ranks else penalty for i, gram in enumerate(text_grams))
-
-
 class _RankTable:
     """The ranks of every profile, for distances to all profiles at once.
 
@@ -258,7 +245,9 @@ class _RankTable:
     in profile order, with None where a profile lacks it. So a text gram
     costs one dict lookup, whatever the number of profiles, and a text
     gram that no profile has adds ``penalty`` to every distance. Each
-    distance equals ``_out_of_place_distance`` for its profile.
+    distance equals the out-of-place distance to that profile alone, as
+    the tests' reference ``_out_of_place_distance`` in tests/helpers.py
+    computes it one profile at a time.
     """
 
     def __init__(self, profiles: Sequence[LanguageProfile]) -> None:
@@ -267,6 +256,9 @@ class _RankTable:
         if len({p.lang for p in profiles}) < 2:
             raise ValueError("profiles cover fewer than two distinct languages")
         self.langs = tuple(p.lang for p in profiles)
+        # shared across the whole profile set: charging absent grams
+        # len(profile) would make smaller profiles win on mismatches alone
+        # when profile sizes differ
         self.penalty = max(len(p) for p in profiles)
         ranks: dict[str, list[int | None]] = {}
         for column, profile in enumerate(profiles):

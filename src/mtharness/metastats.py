@@ -44,6 +44,8 @@ def read_ranking(path: str | Path) -> SystemRanking:
     entries = []
     first_line: dict[str, int] = {}
     for lineno, name, score in read_score_rows(path, "system"):
+        if not name:
+            raise ValueError(f"{path}: line {lineno}: empty system name")
         if first_line.setdefault(name, lineno) != lineno:
             raise ValueError(
                 f"{path}: line {lineno}: system {name!r} repeats line {first_line[name]};"
@@ -184,8 +186,10 @@ def pairwise_accuracy(metric: SystemRanking, human: SystemRanking) -> float:
     """
     metric_scores = dict(metric.entries)
     human_scores = dict(human.entries)
-    if set(metric_scores) != set(human_scores):
-        raise ValueError("rankings cover different system sets")
+    if metric_scores.keys() != human_scores.keys():
+        name = min(metric_scores.keys() ^ human_scores.keys())
+        side = "metric" if name in metric_scores else "human"
+        raise ValueError(f"rankings cover different system sets: system {name!r} is only in the {side} ranking")
     names = sorted(metric_scores)
     if len(names) < 2:
         raise ValueError("pairwise accuracy needs at least two systems")

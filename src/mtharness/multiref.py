@@ -68,10 +68,11 @@ def evaluate_system_multiref(strategy: str, evalset: EvalSet, backend) -> ScoreT
     combine = _COMBINERS.get(strategy)
     if combine is None:
         raise ValueError(f"unknown multi-reference strategy {strategy!r}; pick one of {', '.join(STRATEGIES)}")
-    if strategy == "agg" and evalset.n_references != 2:
-        raise ValueError("agg requires exactly two references")
-    if len(evalset) > 0 and evalset.n_references < 1:
-        raise ValueError("multi-reference scoring needs at least one reference")
+    if len(evalset) > 0:  # an empty evalset has no reference count: its n_references reads 0
+        if strategy == "agg" and evalset.n_references != 2:
+            raise ValueError("agg requires exactly two references")
+        if evalset.n_references < 1:
+            raise ValueError("multi-reference scoring needs at least one reference")
     per_segment = [
         _agg_requests(seg.source, seg.hypothesis, *seg.references)
         if strategy == "agg"

@@ -124,10 +124,6 @@ def _database() -> dict[str, CitationRecord]:
     return table
 
 
-def known_models() -> list[str]:
-    return sorted(_database())
-
-
 def _edit_distance(a: str, b: str) -> int:
     previous = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 import signal
 import threading
 import time
@@ -20,7 +19,7 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import cache, lru_cache
 from itertools import repeat
-from typing import TYPE_CHECKING, BinaryIO, Callable, NoReturn, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, NoReturn, Sequence
 
 from .evalset import EvalSet, Record, ScoreTable, parse_score, split_lines
 
@@ -58,23 +57,6 @@ def escape_field(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
-_UNESCAPES = {"\\\\": "\\", "\\t": "\t", "\\n": "\n"}
-
-
-def _unescape(match: re.Match) -> str:
-    escape = match.group()
-    if escape in _UNESCAPES:
-        return _UNESCAPES[escape]
-    if escape == "\\":
-        raise ScorerError("dangling backslash at end of wire field")
-    raise ScorerError(f"invalid wire escape {escape}")
-
-
-def unescape_field(text: str) -> str:
-    """Invert escape_field: each backslash and the character after it."""
-    return re.sub(r"\\.?", _unescape, text, flags=re.DOTALL)
-
-
 def format_request_line(request: ScoreRequest) -> str:
     fields = [request.source, request.hypothesis]
     if request.reference is not None:
@@ -96,12 +78,16 @@ NGRAM_ORDERS = (1, 2, 3, 4)
 Profile = list[tuple[Counter, int]]
 
 
+def char_ngrams(text: str, n: int) -> Iterable[str]:
+    """The character n-grams of ``text`` in order, made lazily at C level."""
+    return text if n == 1 else map("".join, zip(*(text[i:] for i in range(n))))
+
+
 def _ngram_profile(text: str) -> Profile:
-    """Character n-gram counts for n = 1..4, counted at C level."""
+    """Character n-gram counts for n = 1..4."""
     profile = []
     for n in NGRAM_ORDERS:
-        grams = text if n == 1 else map("".join, zip(*(text[i:] for i in range(n))))
-        profile.append((Counter(grams), max(len(text) - n + 1, 0)))
+        profile.append((Counter(char_ngrams(text, n)), max(len(text) - n + 1, 0)))
     return profile
 
 
@@ -131,7 +117,9 @@ def _profile_similarity(a: Profile, b: Profile) -> float:
     return math.fsum(values) / len(values)
 
 
-# Reference-mode weights of hypothesis↔reference and hypothesis↔source.
+# Reference-mode weights of hypothesis↔reference and hypothesis↔source
+# similarity; the source term makes a swap of reference and source
+# visibly change the score. QE mode is hypothesis↔source only.
 W_REF = 0.9
 W_SRC = 0.1
 
@@ -140,16 +128,6 @@ def _blend(request: ScoreRequest, similarity: Callable[[str, str], float]) -> fl
     if request.reference is None:
         return similarity(request.hypothesis, request.source)
     return W_REF * similarity(request.hypothesis, request.reference) + W_SRC * similarity(request.hypothesis, request.source)
-
-
-def surrogate_score(request: ScoreRequest) -> float:
-    """Deterministic lexical stand-in score in [0, 1].
-
-    Reference mode blends hypothesis↔reference with hypothesis↔source
-    similarity (the source term makes reference/source swaps visibly
-    change the score); QE mode is hypothesis↔source only.
-    """
-    return _score_chunk([request])[0]
 
 
 class SurrogateBackend:

@@ -1,17 +1,66 @@
-"""Helpers that only the tests need: writers that turn in-memory objects
-back into the files the library reads, process checks for the external
+"""Helpers that only the tests need: reference versions of what the
+package computes another way, writers that turn in-memory objects back
+into the files the library reads, process checks for the external
 backend, and control over how in-process work is split into chunks."""
 
 import os
+import re
 import signal
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
-from mtharness import scorer
-from mtharness.evalset import format_score_rows
+from mtharness import guards, provenance, scorer
+from mtharness.evalset import format_score_rows, split_lines
 from mtharness.guards import serialize_profile
+from mtharness.scorer import ScorerError
+
+# --- references: what the package does in bulk, one item at a time -----------
+
+
+def surrogate_score(request):
+    """The surrogate's score of one request, scored in a batch of its own."""
+    return scorer._score_chunk([request])[0]
+
+
+_UNESCAPES = {"\\\\": "\\", "\\t": "\t", "\\n": "\n"}
+
+
+def _unescape(match):
+    escape = match.group()
+    if escape in _UNESCAPES:
+        return _UNESCAPES[escape]
+    if escape == "\\":
+        raise ScorerError("dangling backslash at end of wire field")
+    raise ScorerError(f"invalid wire escape {escape}")
+
+
+def unescape_field(text):
+    """Invert escape_field: each backslash and the character after it."""
+    return re.sub(r"\\.?", _unescape, text, flags=re.DOTALL)
+
+
+def parse_profile(text):
+    """The profile that ``text``, a profile file's contents, holds; a
+    malformed one raises the ValueError ``read_profile`` gives, without the
+    file name."""
+    return guards._profile_from_lines(split_lines(text))  # grams come from str.split() tokens, so none ends in CR
+
+
+def _out_of_place_distance(text_grams, profile, penalty):
+    """The reference _RankTable.distances is tested against, one profile
+    at a time."""
+    ranks = {gram: i for i, gram in enumerate(profile.ranked_ngrams)}
+    return sum(abs(i - ranks[gram]) if gram in ranks else penalty for i, gram in enumerate(text_grams))
+
+
+def known_models():
+    """Every name the citation database answers, sorted."""
+    return sorted(provenance._database())
+
+
+# --- writers, process checks and chunking ---------------------------------------
 
 
 def _write_column(path, lines):

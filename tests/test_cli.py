@@ -21,9 +21,9 @@ from mtharness.cli import EXIT_CONFIG, EXIT_NO_MATCH, EXIT_OK, EXIT_RUNTIME, bui
 from mtharness.evalset import Direction, read_score_table
 from mtharness.guards import build_language_profile, load_seed_lines, read_profile
 from mtharness.multiref import evaluate_system_multiref
-from mtharness.scorer import ScoreRequest, SurrogateBackend, surrogate_score
+from mtharness.scorer import ScoreRequest, SurrogateBackend
 
-from helpers import chunking, hard_timeout, kill_quietly, process_gone, write_profile
+from helpers import chunking, hard_timeout, kill_quietly, process_gone, surrogate_score, write_profile
 
 SRC_LINES = ["the cat sat on the mat", "a quick brown fox", "rain falls in autumn"]
 HYP_LINES = ["die katze sass auf der matte", "ein schneller brauner fuchs", "regen faellt im herbst"]
@@ -423,6 +423,32 @@ class TestRuntimeErrors:
         assert capsys.readouterr().err == (
             "mtharness: error: human.tsv: line 4: system 'A' repeats line 1;"
             " system names in a ranking must be unique\n"
+        )
+
+    @pytest.mark.parametrize("args, files", [
+        (["score", "--src", "s.txt", "--hyp", "h.txt", "--ref", "r1.txt", "--direction", "en-de"],
+         "no segments to score: s.txt, h.txt, r1.txt are empty"),
+        (["multiref", "--src", "s.txt", "--hyp", "h.txt", "--ref", "r1.txt", "--ref", "r2.txt",
+          "--direction", "en-de", "--multiref", "agg"],
+         "no segments to score: s.txt, h.txt, r1.txt, r2.txt are empty"),
+        (["meta", "a.tsv", "b.tsv"], "score tables a.tsv and b.tsv have no rows to compare"),
+    ], ids=["score", "multiref-agg", "meta"])
+    def test_empty_inputs_name_their_files(self, corpus, capsys, args, files):
+        for name in ("s.txt", "h.txt", "r1.txt", "r2.txt", "a.tsv", "b.tsv"):
+            (corpus / name).write_text("", encoding="utf-8")
+        assert main([*args, "--out", "out.txt"]) == EXIT_RUNTIME
+        assert not (corpus / "out.txt").exists()
+        assert capsys.readouterr().err == f"mtharness: error: {files}\n"
+
+    def test_rankings_of_different_systems_name_both_files_and_a_system(self, corpus, capsys):
+        (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
+        (corpus / "metric.tsv").write_text("A\t0.9\nB\t0.5\nC\t0.1\n", encoding="utf-8")
+        (corpus / "human.tsv").write_text("A\t0.9\nC\t0.1\nD\t0.3\n", encoding="utf-8")
+        assert main(["meta", "a.tsv", "a.tsv", "--ranking-metric", "metric.tsv",
+                     "--ranking-human", "human.tsv"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "mtharness: error: metric.tsv and human.tsv: rankings cover different system sets:"
+            " system 'B' is only in the metric ranking\n"
         )
 
     def test_short_precomputed_table_exits_1(self, corpus, capsys):

@@ -22,7 +22,6 @@ from mtharness.guards import (
     DEFAULT_PROFILE_SIZE,
     LanguageProfile,
     _count_ngrams,
-    _out_of_place_distance,
     _ranked,
     _rank_table,
     _RankTable,
@@ -34,12 +33,11 @@ from mtharness.guards import (
     identify_language,
     is_empty_hypothesis,
     load_seed_lines,
-    parse_profile,
     read_profile,
     serialize_profile,
 )
 
-from helpers import chunking, reaped
+from helpers import _out_of_place_distance, chunking, parse_profile, reaped
 
 
 def oracle_count_ngrams(lines):

@@ -266,6 +266,14 @@ class TestPairwiseAccuracy:
         with pytest.raises(ValueError, match="different system sets"):
             pairwise_accuracy(m, h)
 
+    def test_mismatched_sets_name_a_system_only_one_lists(self):
+        m = SystemRanking((("a", 0.5), ("c", 0.4), ("d", 0.1)))
+        h = SystemRanking((("a", 0.5), ("b", 0.4), ("d", 0.1)))
+        with pytest.raises(ValueError, match="^rankings cover different system sets: system 'b' is only in the human ranking$"):
+            pairwise_accuracy(m, h)
+        with pytest.raises(ValueError, match="system 'b' is only in the metric ranking$"):
+            pairwise_accuracy(h, m)
+
     def test_one_system_rejected(self):
         r = SystemRanking((("a", 0.5),))
         with pytest.raises(ValueError, match="needs at least two systems"):
@@ -376,4 +384,10 @@ class TestReadRanking:
             read_ranking(path)
         path.write_text("alpha\t0.5\nalpha\t0.6\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unique"):
+            read_ranking(path)
+
+    def test_rejects_an_empty_system_name(self, tmp_path):
+        path = tmp_path / "ranking.tsv"
+        path.write_text("alpha\t0.5\n# comment\n\t0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: empty system name$"):
             read_ranking(path)

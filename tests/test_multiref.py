@@ -7,7 +7,9 @@ import pytest
 
 from mtharness.evalset import Direction, EvalSet, Segment, system_score
 from mtharness.multiref import STRATEGIES, evaluate_system_multiref, multiref_agg
-from mtharness.scorer import ScoreRequest, SurrogateBackend, score_evalset, surrogate_score
+from mtharness.scorer import ScoreRequest, SurrogateBackend, score_evalset
+
+from helpers import surrogate_score
 
 
 class QueueBackend:
@@ -147,6 +149,12 @@ class TestEvaluateSystem:
         es = EvalSet(Direction("en", "de"), "sys", segs)
         with pytest.raises(ValueError, match="exactly two references"):
             evaluate_system_multiref("agg", es, SurrogateBackend())
+
+    def test_empty_evalset_gives_an_empty_table(self):
+        # an evalset with no segments says nothing about its references
+        es = EvalSet(Direction("en", "de"), "sys", ())
+        for strategy in STRATEGIES:
+            assert evaluate_system_multiref(strategy, es, SurrogateBackend()).scores == ()
 
     def test_unknown_strategy_rejected(self):
         es = EvalSet(Direction("en", "de"), "sys", ())

@@ -10,10 +10,11 @@ from mtharness.provenance import (
     Signature,
     check_reporting,
     cite,
-    known_models,
     make_signature,
     parse_signature,
 )
+
+from helpers import known_models
 
 
 class TestSignature:

@@ -34,11 +34,9 @@ from mtharness.scorer import (
     format_request_line,
     map_chunks,
     score_evalset,
-    surrogate_score,
-    unescape_field,
 )
 
-from helpers import chunking, hard_timeout, kill_quietly, process_gone, reaped
+from helpers import chunking, hard_timeout, kill_quietly, process_gone, reaped, surrogate_score, unescape_field
 
 # A child scorer with its own unescaping logic (independent of the
 # library), answering each request with a checksum over the decoded
