@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -61,13 +62,18 @@ def _existing_file(path: str, what: str) -> Path:
 
 
 def _check_outputs(inputs: Sequence[Path | None], *outputs: tuple[str, str | None]) -> None:
-    """An output given must name a file (an omitted one is stdout), and no output may name a file the
-    run reads, or another output: writing it would destroy the file."""
+    """An output given must name a file that can be created (an omitted one is stdout): not a
+    directory, and in a directory that exists. No output may name a file the run reads, or another
+    output: writing it would destroy the file."""
     taken = {path.resolve(): "a file this run reads" for path in inputs if path}
     for flag, path in outputs:
         if path == "":
             raise ConfigError(f"{flag} must name a file")
         if path is not None:
+            if os.path.isdir(path):
+                raise ConfigError(f"{flag} {path} is a directory")
+            if not os.path.isdir(Path(path).parent):
+                raise ConfigError(f"{flag} {path} is not in a directory that exists")
             resolved = Path(path).resolve()
             if resolved in taken:
                 raise ConfigError(f"{flag} {path} names {taken[resolved]}")
@@ -184,16 +190,18 @@ def _check_profiles(ns: argparse.Namespace) -> None:
         raise ConfigError("--size must be at least 1")
 
 
-# --- output helpers --------------------------------------------------------
+# --- output ----------------------------------------------------------------
 
 
-def _trailer(ns: argparse.Namespace, model: str, extra: Sequence[str] = ()) -> list[str]:
+def _write(
+    ns: argparse.Namespace, model: str, rows: Sequence[str], notes: Sequence[str] = (), out: str | None = None
+) -> None:
+    """Writes the rows, then the trailer: each note, the signature and the
+    command, each as a `# ` line; to ``out``, or to stdout if it is None.
+    The only code that renders a trailer line."""
     signature = make_signature(model=model, interpreter_version=_PYTHON_VERSION)
-    return [*extra, f"# signature {signature}", f"# command {shlex.join(['mtharness', *ns.argv])}"]
-
-
-def _emit(lines: Sequence[str], out: str | None) -> None:
-    text = "".join(line + "\n" for line in lines)
+    trailer = [*notes, f"signature {signature}", f"command {shlex.join(['mtharness', *ns.argv])}"]
+    text = "".join([*(row + "\n" for row in rows), *(f"# {note}\n" for note in trailer)])
     if out is None:
         sys.stdout.write(text)
     else:
@@ -232,19 +240,19 @@ def run_score(ns: argparse.Namespace) -> int:
         from .scorer import score_evalset
 
         table = score_evalset(ns.scorer, evalset)
-    guard_lines: list[str] = []
+    guard_notes: list[str] = []
     if ns.guard_empty:
         table, report = guards.apply_empty_guard(evalset, table)
-        guard_lines += ["# guard empty", *guards.format_guard_report(report)]
+        guard_notes += ["guard empty", *guards.format_guard_report(report)]
     if ns.guard_lang:
         min_len = guards.DEFAULT_MIN_LEN if ns.min_len is None else ns.min_len
         min_margin = guards.DEFAULT_MIN_MARGIN if ns.min_margin is None else ns.min_margin
         table, report = guards.apply_lang_guard(
             evalset, table, profiles, expected, min_len=min_len, min_margin=min_margin
         )
-        guard_lines += ["# guard lang", *guards.format_guard_report(report)]
-    extra = [f"# system-score {system_score(table)!r}", *guard_lines]
-    _emit(format_score_rows(table) + _trailer(ns, model=ns.backend, extra=extra), ns.out)
+        guard_notes += ["guard lang", *guards.format_guard_report(report)]
+    notes = [f"system-score {system_score(table)!r}", *guard_notes]
+    _write(ns, ns.backend, format_score_rows(table), notes, ns.out)
     return EXIT_OK
 
 
@@ -252,11 +260,8 @@ def run_multiref(ns: argparse.Namespace) -> int:
     from . import multiref
 
     table = multiref.evaluate_system_multiref(ns.strategy, _load(ns), ns.scorer)
-    extra = [
-        f"# system-score {system_score(table)!r}",
-        f"# multiref {ns.strategy} over {len(ns.ref)} references",
-    ]
-    _emit(format_score_rows(table) + _trailer(ns, model=ns.backend, extra=extra), ns.out)
+    notes = [f"system-score {system_score(table)!r}", f"multiref {ns.strategy} over {len(ns.ref)} references"]
+    _write(ns, ns.backend, format_score_rows(table), notes, ns.out)
     return EXIT_OK
 
 
@@ -278,12 +283,12 @@ def run_meta(ns: argparse.Namespace) -> int:
         except ValueError as exc:  # its message cannot name the files
             raise ValueError(f"{ns.ranking_metric} and {ns.ranking_human}: {exc}") from None
     tau_a, tau_c = metastats.kendall_taus(a, b) if len(a) >= 2 else (None, None)
-    report = metastats.MetaReport(n=len(a), mae=metastats.mae(a, b), tau_a=tau_a, tau_c=tau_c, pairwise_acc=pairwise)
-    _emit(metastats.format_meta_report(report, tsv=ns.tsv).splitlines() + _trailer(ns, model="meta"), ns.out)
+    stats = {"n": len(a), "mae": metastats.mae(a, b), "tau_a": tau_a, "tau_c": tau_c, "pairwise_acc": pairwise}
+    _write(ns, "meta", metastats.format_meta_report(stats, tsv=ns.tsv), out=ns.out)
     if ns.hist_bins is not None:
         bins = metastats.histogram(a, ns.hist_bins, *ns.hist_range)
         hist_rows = [f"{center!r}\t{count}" for center, count in bins]
-        _emit(hist_rows + _trailer(ns, model="meta", extra=["# histogram of first score file"]), ns.hist_out)
+        _write(ns, "meta", hist_rows, ["histogram of first score file"], ns.hist_out)
     return EXIT_OK
 
 
@@ -319,7 +324,7 @@ def run_biaslab(ns: argparse.Namespace) -> int:
     knobs = {name: value for name, value in given.items() if value is not None}
     seeds = [ns.seed + i for i in range(ns.seeds)]
     rows, summary = biaslab.experiment_rows(ns.mode, seeds, **knobs)
-    _emit(rows + _trailer(ns, model=f"biaslab-{ns.mode}", extra=[f"# {s}" for s in summary]), ns.out)
+    _write(ns, f"biaslab-{ns.mode}", rows, summary, ns.out)
     if ns.out:
         for line in summary:
             print(line)
@@ -331,7 +336,7 @@ def run_profiles(ns: argparse.Namespace) -> int:
 
     size = guards.DEFAULT_PROFILE_SIZE if ns.size is None else ns.size
     profile = guards.build_language_profile(read_lines(ns.input), ns.lang, k=size)
-    _emit(guards.serialize_profile(profile).splitlines() + _trailer(ns, model="profiles-build"), ns.out)
+    _write(ns, "profiles-build", guards.serialize_profile(profile).splitlines(), out=ns.out)
     return EXIT_OK
 
 
@@ -461,6 +466,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     for arg in raw_args:
         if not _TRAILER_BREAKERS.isdisjoint(arg):
             print(f"mtharness: error: argument {arg!r} contains a control character", file=sys.stderr)
+            return EXIT_CONFIG
+        # an undecodable byte of sys.argv arrives as a lone surrogate, which UTF-8 cannot encode
+        if any("\ud800" <= char <= "\udfff" for char in arg):
+            print(f"mtharness: error: argument {arg!r} is not valid UTF-8", file=sys.stderr)
             return EXIT_CONFIG
     ns = build_parser().parse_args(raw_args)
     ns.argv = raw_args  # reproduced verbatim in trailers

@@ -259,9 +259,9 @@ def read_score_rows(path: str | Path, key: str) -> Iterator[tuple[int, str, floa
     """Yield ``(lineno, key, score)`` for each ``KEY<TAB>score`` row.
 
     Blank lines and ``#`` lines (e.g. trailers) are skipped. Every row
-    has exactly two TAB-separated fields and a finite score, or a
-    ValueError names the file and the line; ``key`` names the first
-    field in that message.
+    has exactly two TAB-separated fields with no whitespace around
+    either, and a finite score, or a ValueError names the file and the
+    line; ``key`` names the first field in that message.
     """
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line or line.startswith("#"):
@@ -269,6 +269,8 @@ def read_score_rows(path: str | Path, key: str) -> Iterator[tuple[int, str, floa
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{path}: line {lineno}: expected {key}<TAB>score, got {line!r}")
+        if parts[0] != parts[0].strip() or parts[1] != parts[1].strip():
+            raise ValueError(f"{path}: line {lineno}: whitespace around a field in {line!r}")
         try:
             score = parse_score(parts[1])
         except ValueError as exc:

@@ -73,16 +73,13 @@ class GuardReport(Record):
 
 
 def format_guard_report(report: GuardReport) -> list[str]:
-    """Render a report as trailer lines: a count, then a TSV header and
-    rows, every line prefixed by `# `."""
-    lines = [
-        f"# guarded {report.guarded_count} of {report.total} segments",
-        "# index\treason\tdetected_lang\tconfidence",
-    ]
+    """Render a report as trailer notes: a count, then a TSV header and
+    rows."""
+    notes = [f"guarded {report.guarded_count} of {report.total} segments", "index\treason\tdetected_lang\tconfidence"]
     for entry in report.per_segment + report.unreliable:
         detected = entry.detected_lang if entry.detected_lang is not None else "-"
-        lines.append(f"# {entry.index}\t{entry.reason}\t{detected}\t{entry.confidence:.4f}")
-    return lines
+        notes.append(f"{entry.index}\t{entry.reason}\t{detected}\t{entry.confidence:.4f}")
+    return notes
 
 
 def _zero_guarded(scores: ScoreTable, report: GuardReport) -> ScoreTable:

@@ -55,25 +55,6 @@ def read_ranking(path: str | Path) -> SystemRanking:
     return SystemRanking(tuple(entries))
 
 
-class MetaReport(Record):
-    __slots__ = ("n", "mae", "tau_a", "tau_c", "pairwise_acc")
-    n: int
-    mae: float
-    tau_a: float | None
-    tau_c: float | None
-    pairwise_acc: float | None
-
-    def __init__(
-        self,
-        n: int,
-        mae: float,
-        tau_a: float | None = None,
-        tau_c: float | None = None,
-        pairwise_acc: float | None = None,
-    ) -> None:
-        super().__init__(n, mae, tau_a, tau_c, pairwise_acc)
-
-
 def _check_paired(a: Sequence[float], b: Sequence[float], what: str) -> None:
     if len(a) != len(b):
         raise ValueError(f"{what}: length mismatch ({len(a)} vs {len(b)})")
@@ -223,11 +204,9 @@ def histogram(scores: Sequence[float], bin_count: int, lo: float, hi: float) -> 
     return [(lo + (k + 0.5) * width, counts[k]) for k in range(bin_count)]
 
 
-def format_meta_report(report: MetaReport, tsv: bool = False) -> str:
+def format_meta_report(stats: dict[str, float | None], tsv: bool = False) -> list[str]:
     """Aligned ``key  value`` lines, or ``key<TAB>value`` rows with
-    ``tsv``; absent statistics are omitted."""
-    rows = [(name, repr(value)) for name in report._fields if (value := getattr(report, name)) is not None]
-    if tsv:
-        return "".join(f"{key}\t{value}\n" for key, value in rows)
+    ``tsv``, in the order of ``stats``; a None statistic is omitted."""
+    rows = [(name, repr(value)) for name, value in stats.items() if value is not None]
     width = max(len(key) for key, _ in rows)
-    return "".join(f"{key.ljust(width)}  {value}\n" for key, value in rows)
+    return [f"{key}\t{value}" if tsv else f"{key.ljust(width)}  {value}" for key, value in rows]

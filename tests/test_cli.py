@@ -189,6 +189,26 @@ class TestConfigErrors:
         assert not (corpus / "scores.tsv").exists()
         assert "control character" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", [["--out", "scores.tsv"], []], ids=["out", "stdout"])
+    def test_undecodable_argument_exits_2_without_output(self, corpus, capsys, out):
+        name = os.fsdecode(b"\xff.txt")  # how sys.argv holds the file name b"\xff.txt"
+        shutil.copy(corpus / "src.txt", corpus / name)
+        before = sorted(corpus.iterdir())
+        assert main(["score", "--src", name, "--hyp", "hyp.txt", "--ref", "ref.txt", "--direction", "en-de", *out]) == (
+            EXIT_CONFIG
+        )
+        assert sorted(corpus.iterdir()) == before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mtharness: error: argument '\\udcff.txt' is not valid UTF-8\n"
+
+    def test_undecodable_argument_of_a_launched_run_exits_2(self, run_module, corpus):
+        shutil.copy(corpus / "src.txt", corpus / os.fsdecode(b"\xff.txt"))
+        proc = run_module(["score", "--src", os.fsdecode(b"\xff.txt"), "--hyp", "hyp.txt", "--direction", "en-de"],
+                          cwd=corpus)
+        assert (proc.returncode, proc.stdout) == (EXIT_CONFIG, "")
+        assert proc.stderr == "mtharness: error: argument '\\udcff.txt' is not valid UTF-8\n"
+
     def test_printable_unicode_argument_is_accepted(self, corpus):
         args = ["score", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
                 "--direction", "en-de", "--system", "système\x7f", "--out", "scores.tsv"]
@@ -379,6 +399,34 @@ class TestConfigErrors:
         assert captured.err == f"mtharness: error: {flag} must name a file\n"
 
 
+    @pytest.mark.parametrize("args, message", [
+        (["score", *SCORE_ARGS, "--backend", f"external:{sys.executable} child.py", "--out", "outdir"],
+         "--out outdir is a directory"),
+        (["multiref", *SCORE_ARGS, "--multiref", "max", "--out", "a.tsv/scores.tsv"],
+         "--out a.tsv/scores.tsv is not in a directory that exists"),
+        (["meta", "a.tsv", "a.tsv", "--out", "missing/m.txt"], "--out missing/m.txt is not in a directory that exists"),
+        (["meta", "a.tsv", "a.tsv", "--out", "m.txt", "--hist-bins", "2", "--hist-out", "missing/h.tsv"],
+         "--hist-out missing/h.tsv is not in a directory that exists"),
+        (["meta", "a.tsv", "a.tsv", "--out", "m.txt", "--hist-bins", "2", "--hist-out", "outdir"],
+         "--hist-out outdir is a directory"),
+        (["profiles", "build", "--lang", "de", "--input", "ref.txt", "--out", "outdir/"], "--out outdir/ is a directory"),
+        (["biaslab", "dist", "--seeds", "1", "--n-per-group", "1", "--n-test", "1", "--epochs", "1",
+          "--out", "missing/b.tsv"], "--out missing/b.tsv is not in a directory that exists"),
+    ], ids=["score-external-directory", "multiref-under-a-file", "meta-missing-directory",
+            "meta-hist-out-missing-directory", "meta-hist-out-directory", "profiles-directory",
+            "biaslab-missing-directory"])
+    def test_unwritable_output_exits_2_before_any_work(self, corpus, capsys, args, message):
+        (corpus / "outdir").mkdir()
+        (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
+        (corpus / "child.py").write_text(RECORDING_CHILD, encoding="utf-8")
+        before = sorted(corpus.rglob("*"))
+        assert main(args) == EXIT_CONFIG
+        assert sorted(corpus.rglob("*")) == before  # no output, and no child ran
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mtharness: error: {message}\n"
+
+
 class TestRuntimeErrors:
     def test_unparseable_score_table_exits_1(self, corpus, capsys):
         (corpus / "bad.tsv").write_text("0\tnot-a-float\n", encoding="utf-8")
@@ -408,6 +456,21 @@ class TestRuntimeErrors:
             assert capsys.readouterr().err == (
                 f"mtharness: error: bad.tsv: line 2: could not parse '1\\t{bad_score}': '{bad_score}' is not a number\n"
             )
+
+    @pytest.mark.parametrize("args, rows", [
+        (["meta", "bad.tsv", "a.tsv"], ["0\t0.5", "1\t0.25 "]),
+        (["meta", "a.tsv", "a.tsv", "--ranking-metric", "bad.tsv", "--ranking-human", "human.tsv"],
+         ["B\t0.5", " \t0.9"]),
+        (["score", *SCORE_ARGS, "--backend", "precomputed:bad.tsv"], ["0\t0.5", "1 \t0.25", "2\t0.5"]),
+    ], ids=["meta-score", "meta-ranking-name", "precomputed-index"])
+    def test_whitespace_around_a_field_exits_1(self, corpus, capsys, args, rows):
+        (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
+        (corpus / "human.tsv").write_text(" \t0.1\nB\t0.5\n", encoding="utf-8")
+        (corpus / "bad.tsv").write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        assert main([*args, "--out", "out.txt"]) == EXIT_RUNTIME
+        assert not (corpus / "out.txt").exists()
+        message = f"bad.tsv: line 2: whitespace around a field in {rows[1]!r}"
+        assert capsys.readouterr().err == f"mtharness: error: {message}\n"
 
     def test_undecodable_document_names_the_file(self, corpus, capsys):
         (corpus / "bad.txt").write_bytes(b"\xff\xfe")
@@ -514,14 +577,16 @@ class TestRuntimeErrors:
         assert captured.out == ""
         assert captured.err == "mtharness: error: intermediate overflow in fsum\n"
 
-    @pytest.mark.parametrize("out, cause", [
-        ("missing/scores.tsv", "No such file or directory"),
-        ("outdir", "Is a directory"),
-    ], ids=["missing-directory", "directory"])
-    def test_unwritable_out_names_path_and_cause(self, corpus, capsys, out, cause):
+    @pytest.mark.parametrize("out, code, message", [
+        ("missing/scores.tsv", EXIT_CONFIG, "--out missing/scores.tsv is not in a directory that exists"),
+        ("outdir", EXIT_CONFIG, "--out outdir is a directory"),
+        ("x" * 300, EXIT_RUNTIME, f"{'x' * 300}: File name too long"),
+    ], ids=["missing-directory", "directory", "name-too-long"])
+    def test_unwritable_out_names_path_and_cause(self, corpus, capsys, out, code, message):
+        # validation catches a directory; a name the file system refuses fails only when written
         (corpus / "outdir").mkdir()
-        assert main(["score", *SCORE_ARGS, "--out", out]) == EXIT_RUNTIME
-        assert capsys.readouterr().err == f"mtharness: error: {out}: {cause}\n"
+        assert main(["score", *SCORE_ARGS, "--out", out]) == code
+        assert capsys.readouterr().err == f"mtharness: error: {message}\n"
 
 
 class TestMultiref:

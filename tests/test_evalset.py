@@ -23,7 +23,7 @@ from mtharness.evalset import (
 
 from mtharness.biaslab import DistBiasReport, SynthExample, TagBiasReport
 from mtharness.guards import GuardEntry, GuardReport, LanguageProfile
-from mtharness.metastats import MetaReport, SystemRanking
+from mtharness.metastats import SystemRanking
 from mtharness.provenance import CitationRecord, Signature
 from mtharness.scorer import ScoreRequest
 
@@ -245,10 +245,23 @@ class TestScoreTableIO:
     def test_index_must_be_plain_decimal(self, tmp_path, index):
         expected = int(index)  # int() reads each as the next index
         p = tmp_path / "scores.tsv"
-        p.write_text("".join(f"{i}\t0.5\n" for i in range(expected)) + f"{index}\t0.25\n", encoding="utf-8")
+        row = f"{index}\t0.25"
+        p.write_text("".join(f"{i}\t0.5\n" for i in range(expected)) + row + "\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:
             read_score_table(p)
-        assert str(info.value) == f"{p}: line {expected + 1}: expected index {expected}, got {index!r}"
+        if index != index.strip():  # read_score_rows rejects it before the index is read
+            problem = f"whitespace around a field in {row!r}"
+        else:
+            problem = f"expected index {expected}, got {index!r}"
+        assert str(info.value) == f"{p}: line {expected + 1}: {problem}"
+
+    @pytest.mark.parametrize("row", ["1\t0.25 ", "1\t 0.25", "1 \t0.25", "1\t0.25\u3000", "1\t0.25\x0b"])
+    def test_whitespace_around_a_field_rejected(self, tmp_path, row):
+        p = tmp_path / "scores.tsv"
+        p.write_text(f"0\t0.5\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_score_table(p)
+        assert str(info.value) == f"{p}: line 2: whitespace around a field in {row!r}"
 
     def test_malformed_row_rejected(self, tmp_path):
         p = tmp_path / "scores.tsv"
@@ -303,11 +316,6 @@ RECORDS = [
     pytest.param(
         SystemRanking, {"entries": (("a", 1.0), ("b", 0.5))}, "SystemRanking(entries=(('a', 1.0), ('b', 0.5)))",
         {"entries": ()}, None, id="SystemRanking",
-    ),
-    pytest.param(
-        MetaReport, {"n": 3, "mae": 0.5, "tau_a": 0.25, "tau_c": 0.125, "pairwise_acc": 1.0},
-        "MetaReport(n=3, mae=0.5, tau_a=0.25, tau_c=0.125, pairwise_acc=1.0)",
-        {"n": 4}, {"tau_a": None, "tau_c": None, "pairwise_acc": None}, id="MetaReport",
     ),
     pytest.param(
         GuardEntry, {"index": 2, "reason": "lang_mismatch", "detected_lang": "en", "confidence": 0.5},

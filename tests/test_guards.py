@@ -494,8 +494,8 @@ class TestGuardReportFormat:
     def test_tsv_with_comment_header(self):
         es = evalset_from_hyps(["", "ok"])
         _, report = apply_empty_guard(es, ScoreTable((0.1, 0.2)))
-        lines = format_guard_report(report)
-        assert lines[0].startswith("# guarded 1 of 2")
-        assert lines[1].startswith("# index")
-        assert lines[2].split("\t")[0:2] == ["# 0", "empty"]
-        assert len(lines) == 3
+        notes = format_guard_report(report)  # cli._write prefixes each with `# `
+        assert notes[0].startswith("guarded 1 of 2")
+        assert notes[1].startswith("index")
+        assert notes[2].split("\t")[0:2] == ["0", "empty"]
+        assert len(notes) == 3

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtharness.metastats import (
-    MetaReport,
     SystemRanking,
     format_meta_report,
     histogram,
@@ -338,34 +337,33 @@ class TestHistogram:
 
 class TestMetaReportFormat:
     def test_aligned_and_skips_absent(self):
-        text = format_meta_report(MetaReport(n=4, mae=0.25))
-        lines = text.splitlines()
+        lines = format_meta_report({"n": 4, "mae": 0.25, "tau_a": None, "tau_c": None, "pairwise_acc": None})
         assert lines[0].startswith("n ")
         assert any(line.startswith("mae") for line in lines)
         assert not any("tau" in line for line in lines)
 
     def test_full_report_tsv(self):
-        report = MetaReport(n=4, mae=0.25, tau_a=0.5, tau_c=0.4, pairwise_acc=0.75)
-        rows = format_meta_report(report, tsv=True).splitlines()
+        stats = {"n": 4, "mae": 0.25, "tau_a": 0.5, "tau_c": 0.4, "pairwise_acc": 0.75}
+        rows = format_meta_report(stats, tsv=True)
         assert rows[0] == "n\t4"
         assert "tau_a\t0.5" in rows
         assert "pairwise_acc\t0.75" in rows
 
     def test_both_formats_exact_bytes(self):
-        report = MetaReport(n=4, mae=0.25, tau_a=0.5, tau_c=-0.4, pairwise_acc=0.75)
-        assert format_meta_report(report) == (
-            "n             4\n"
-            "mae           0.25\n"
-            "tau_a         0.5\n"
-            "tau_c         -0.4\n"
-            "pairwise_acc  0.75\n"
-        )
-        assert format_meta_report(report, tsv=True) == (
-            "n\t4\nmae\t0.25\ntau_a\t0.5\ntau_c\t-0.4\npairwise_acc\t0.75\n"
-        )
-        short = MetaReport(n=2, mae=0.5)
-        assert format_meta_report(short) == "n    2\nmae  0.5\n"
-        assert format_meta_report(short, tsv=True) == "n\t2\nmae\t0.5\n"
+        stats = {"n": 4, "mae": 0.25, "tau_a": 0.5, "tau_c": -0.4, "pairwise_acc": 0.75}
+        assert format_meta_report(stats) == [
+            "n             4",
+            "mae           0.25",
+            "tau_a         0.5",
+            "tau_c         -0.4",
+            "pairwise_acc  0.75",
+        ]
+        assert format_meta_report(stats, tsv=True) == [
+            "n\t4", "mae\t0.25", "tau_a\t0.5", "tau_c\t-0.4", "pairwise_acc\t0.75",
+        ]
+        short = {"n": 2, "mae": 0.5, "tau_a": None, "tau_c": None, "pairwise_acc": None}
+        assert format_meta_report(short) == ["n    2", "mae  0.5"]
+        assert format_meta_report(short, tsv=True) == ["n\t2", "mae\t0.5"]
 
 
 class TestReadRanking:

@@ -373,14 +373,19 @@ class TestExternal:
         ("nan", "is not finite"), ("inf", "is not finite"), ("junk", "is not a number"),
     ])
     def test_score_table_and_child_read_a_number_alike(self, tmp_path, spelling, problem):
+        # a table also rejects whitespace around a field; a child's answer line may carry it
         table = tmp_path / "scores.tsv"
         table.write_text(f"0\t{spelling}\n", encoding="utf-8")
         backend = ExternalBackend(child(tmp_path, f"print({spelling!r})\n"))
-        for read in (lambda: list(read_score_table(table).scores), lambda: backend.score_batch([ScoreRequest("s", "h")])):
-            if problem is None:
+        table_problem = "whitespace around a field" if spelling != spelling.strip() else problem
+        for read, expected in (
+            (lambda: list(read_score_table(table).scores), table_problem),
+            (lambda: backend.score_batch([ScoreRequest("s", "h")]), problem),
+        ):
+            if expected is None:
                 assert read() == [float(spelling)]
             else:
-                with pytest.raises(ValueError, match=problem):  # a ScorerError is a ValueError
+                with pytest.raises(ValueError, match=expected):  # a ScorerError is a ValueError
                     read()
 
     def test_timeout_names_the_hung_shard(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests of the source tree itself: no name in ``src/mtharness`` is dead
-code, and ``tools/code_lines.py`` counts what it says it counts."""
+code, one function renders every trailer line, and
+``tools/code_lines.py`` counts what it says it counts."""
 
 import ast
 import importlib.util
@@ -140,6 +141,68 @@ def test_dead_code_check_sees_what_only_the_tests_would_call(tmp_path):
         ''')
     # live is called by dead, which nothing calls: only dead itself is found
     assert unused_definitions(package, [caller]) == ["a.UNUSED", "a.recursive", "a.dead"]
+
+
+# --- trailer lines ------------------------------------------------------------
+
+
+def _trailer_literals(node, scope):
+    """Yields (scope, text) for each string literal under ``node`` that
+    starts with `# `: a plain constant, or the first part of an f-string
+    (a later part cannot start a line). ``scope`` names the innermost
+    enclosing function or class, as ``module.name``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope.split('.')[0]}.{node.name}"
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("# "):
+        yield scope, node.value
+    children = ast.iter_child_nodes(node)
+    if isinstance(node, ast.JoinedStr):
+        children = [part for i, part in enumerate(node.values) if i == 0 or not isinstance(part, ast.Constant)]
+    for child in children:
+        yield from _trailer_literals(child, scope)
+
+
+def trailer_literals(package):
+    """``module.name: text`` for each literal in ``package`` that starts a
+    `# ` line, outside ``cli._write``, which alone renders trailer lines."""
+    return [
+        f"{scope}: {text!r}"
+        for path in sorted(package.glob("*.py"))
+        for scope, text in _trailer_literals(_parse(path), path.stem)
+        if scope != "cli._write"
+    ]
+
+
+def test_only_the_writer_renders_trailer_lines():
+    assert trailer_literals(PACKAGE) == []
+
+
+def test_trailer_check_sees_constants_and_f_string_heads(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    _write(package, "cli.py", '''\
+        """# a docstring is a constant too."""
+        # a comment is no literal
+
+
+        def _write(notes):
+            return [f"# {note}" for note in notes]
+
+
+        def handler(table):
+            return ["# guard empty", f"# system-score {table}", f"score {table}# not at the start"]
+
+
+        class Report:
+            def lines(self, n):
+                return [f"{n}", "#no-space", f"{'# nested'}"]
+        ''')
+    assert trailer_literals(package) == [
+        "cli: '# a docstring is a constant too.'",
+        "cli.handler: '# guard empty'",
+        "cli.handler: '# system-score '",
+        "cli.lines: '# nested'",
+    ]
 
 
 # --- tools/code_lines.py ------------------------------------------------------
