@@ -263,19 +263,21 @@ class DistBiasReport(Record):
 
 def distribution_bias_experiment(
     seed: int | str,
-    n_per_direction: int = 250,
+    n_per_group: int = 250,
     n_test: int = 200,
     epochs: int = 30,
     learning_rate: float = 5e-4,
 ) -> DistBiasReport:
     """Train on {all, top/bottom-75% of each direction}, score one test set.
 
-    The priors 0.841 and 0.775 are per-direction mean human scores;
-    filtering shifts the filtered direction's training mean and the
-    scorer follows it, while the untouched direction should barely move.
+    Each direction is a group of ``n_per_group`` training examples (and
+    ``n_test`` test examples) before filtering. The priors 0.841 and
+    0.775 are per-direction mean human scores; filtering shifts the
+    filtered direction's training mean and the scorer follows it, while
+    the untouched direction should barely move.
     """
     (dir_a, mean_a), (dir_b, mean_b) = DIST_DIRECTIONS
-    train_set = generate_synth(DIST_DIRECTIONS, n_per_direction, seed=f"{seed}/train")
+    train_set = generate_synth(DIST_DIRECTIONS, n_per_group, seed=f"{seed}/train")
     test_set = generate_synth(DIST_DIRECTIONS, n_test, seed=f"{seed}/test")
     test_a = [ex for ex in test_set if ex.direction == dir_a]
     test_b = [ex for ex in test_set if ex.direction == dir_b]
@@ -306,7 +308,7 @@ class TagBiasReport(Record):
 
 def tag_bias_experiment(
     seed: int | str,
-    n_per_tag: int = 400,
+    n_per_group: int = 400,
     n_test: int = 200,
     epochs: int = 150,
     learning_rate: float = 1e-3,
@@ -314,7 +316,8 @@ def tag_bias_experiment(
     """Train with year tags 2019-2021 whose gold means rise with the year,
     then score one fixed test set once per tag 2018-2025.
 
-    A same-sized untagged portion trains alongside the tagged groups.
+    Each tag is a group of ``n_per_group`` training examples, and a
+    same-sized untagged portion trains alongside the tagged groups.
     It anchors the intercept at the overall mean so each tag weight
     converges to that year's offset (2019's below zero, 2021's above);
     without the anchor the intercept/tag split is underdetermined and
@@ -329,9 +332,9 @@ def tag_bias_experiment(
     train_set: list[SynthExample] = []
     for tag, mean_da in TAG_TRAIN_MEANS.items():
         train_set.extend(
-            generate_synth([(TAG_DIRECTION, mean_da)], n_per_tag, seed=f"{seed}/tag{tag}", tag=tag)
+            generate_synth([(TAG_DIRECTION, mean_da)], n_per_group, seed=f"{seed}/tag{tag}", tag=tag)
         )
-    train_set.extend(generate_synth([(TAG_DIRECTION, base_mean)], n_per_tag, seed=f"{seed}/anchor"))
+    train_set.extend(generate_synth([(TAG_DIRECTION, base_mean)], n_per_group, seed=f"{seed}/anchor"))
     scorer = train(train_set, epochs=epochs, learning_rate=learning_rate, seed=seed)
     test_set = generate_synth([(TAG_DIRECTION, base_mean)], n_test, seed=f"{seed}/test")
     rows = []

@@ -62,22 +62,27 @@ def _existing_file(path: str, what: str) -> Path:
 
 
 def _check_outputs(inputs: Sequence[Path | None], *outputs: tuple[str, str | None]) -> None:
-    """An output given must name a file that can be created (an omitted one is stdout): not a
-    directory, and in a directory that exists. No output may name a file the run reads, or another
-    output: writing it would destroy the file."""
+    """No output given (an omitted one is stdout) may name a file the run reads, or another output:
+    writing it would destroy the file. Each must be a file the file system lets this run open for
+    append, which is asked before any work; a file the probe created is removed again, through any
+    link, so the link stays. A named pipe is not opened: closing it would end its reader's input."""
     taken = {path.resolve(): "a file this run reads" for path in inputs if path}
     for flag, path in outputs:
         if path == "":
             raise ConfigError(f"{flag} must name a file")
         if path is not None:
-            if os.path.isdir(path):
-                raise ConfigError(f"{flag} {path} is a directory")
-            if not os.path.isdir(Path(path).parent):
-                raise ConfigError(f"{flag} {path} is not in a directory that exists")
             resolved = Path(path).resolve()
             if resolved in taken:
                 raise ConfigError(f"{flag} {path} names {taken[resolved]}")
             taken[resolved] = f"the same file as {flag}"
+            existed = os.path.exists(path)  # follows links as open does: /dev/stdout on a pipe exists
+            try:
+                if not Path(path).is_fifo():
+                    open(path, "a").close()
+            except OSError as exc:
+                raise ConfigError(f"{flag} {path}: {exc.strerror}") from None
+            if not existed:
+                Path(path).resolve().unlink()
 
 
 def _check_scoring(ns: argparse.Namespace) -> list[Path]:
@@ -186,7 +191,7 @@ def _check_profiles(ns: argparse.Namespace) -> None:
     check_language_code(ns.lang)
     ns.input = _existing_file(ns.input, "corpus")
     _check_outputs([ns.input], ("--out", ns.out))
-    if ns.size is not None and ns.size < 1:
+    if ns.k is not None and ns.k < 1:
         raise ConfigError("--size must be at least 1")
 
 
@@ -209,6 +214,12 @@ def _write(
 
 
 # --- subcommands -----------------------------------------------------------
+
+
+def _given(ns: argparse.Namespace, *names: str) -> dict[str, object]:
+    """The knobs among ``names`` that the command line gave, by name: the
+    library functions they go to own every default."""
+    return {name: getattr(ns, name) for name in names if getattr(ns, name) is not None}
 
 
 def _load(ns: argparse.Namespace) -> EvalSet:
@@ -245,11 +256,7 @@ def run_score(ns: argparse.Namespace) -> int:
         table, report = guards.apply_empty_guard(evalset, table)
         guard_notes += ["guard empty", *guards.format_guard_report(report)]
     if ns.guard_lang:
-        min_len = guards.DEFAULT_MIN_LEN if ns.min_len is None else ns.min_len
-        min_margin = guards.DEFAULT_MIN_MARGIN if ns.min_margin is None else ns.min_margin
-        table, report = guards.apply_lang_guard(
-            evalset, table, profiles, expected, min_len=min_len, min_margin=min_margin
-        )
+        table, report = guards.apply_lang_guard(evalset, table, profiles, expected, **_given(ns, "min_len", "min_margin"))
         guard_notes += ["guard lang", *guards.format_guard_report(report)]
     notes = [f"system-score {system_score(table)!r}", *guard_notes]
     _write(ns, ns.backend, format_score_rows(table), notes, ns.out)
@@ -314,16 +321,8 @@ def run_check_reporting(ns: argparse.Namespace) -> int:
 def run_biaslab(ns: argparse.Namespace) -> int:
     from . import biaslab
 
-    # only the knobs given on the command line; the experiments own the defaults
-    given = {
-        "n_per_direction" if ns.mode == "dist" else "n_per_tag": ns.n_per_group,
-        "n_test": ns.n_test,
-        "epochs": ns.epochs,
-        "learning_rate": ns.learning_rate,
-    }
-    knobs = {name: value for name, value in given.items() if value is not None}
     seeds = [ns.seed + i for i in range(ns.seeds)]
-    rows, summary = biaslab.experiment_rows(ns.mode, seeds, **knobs)
+    rows, summary = biaslab.experiment_rows(ns.mode, seeds, **_given(ns, "n_per_group", "n_test", "epochs", "learning_rate"))
     _write(ns, f"biaslab-{ns.mode}", rows, summary, ns.out)
     if ns.out:
         for line in summary:
@@ -334,8 +333,7 @@ def run_biaslab(ns: argparse.Namespace) -> int:
 def run_profiles(ns: argparse.Namespace) -> int:
     from . import guards
 
-    size = guards.DEFAULT_PROFILE_SIZE if ns.size is None else ns.size
-    profile = guards.build_language_profile(read_lines(ns.input), ns.lang, k=size)
+    profile = guards.build_language_profile(read_lines(ns.input), ns.lang, **_given(ns, "k"))
     _write(ns, "profiles-build", guards.serialize_profile(profile).splitlines(), out=ns.out)
     return EXIT_OK
 
@@ -450,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     profiles.add_argument("action", choices=("build",))
     profiles.add_argument("--lang", required=True, help="language code the corpus is in")
     profiles.add_argument("--input", required=True, help="corpus file, one line per sentence")
-    profiles.add_argument("--size", type=int)
+    profiles.add_argument("--size", type=int, dest="k")
     profiles.add_argument("--out", required=True, help="profile output file")
 
     return parser
@@ -491,7 +489,3 @@ def main(argv: Sequence[str] | None = None) -> int:
             message = exc.args[0] if exc.args else str(exc)
         print(f"mtharness: error: {message}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-if __name__ == "__main__":
-    sys.exit(main())

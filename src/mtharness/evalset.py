@@ -237,9 +237,6 @@ def format_score_rows(table: ScoreTable) -> list[str]:
     return [f"{i}\t{score!r}" for i, score in enumerate(table.scores)]
 
 
-_NOT_FINITE = "is not finite"
-
-
 def parse_score(text: str) -> float:
     """The score that ``text`` spells: what ``float()`` reads, except digit
     groups such as ``0_5``, and finite. Otherwise a ValueError says the
@@ -251,7 +248,7 @@ def parse_score(text: str) -> float:
     if score is None or "_" in text:
         raise ValueError("is not a number")
     if not math.isfinite(score):
-        raise ValueError(_NOT_FINITE)
+        raise ValueError("is not finite")
     return score
 
 
@@ -273,10 +270,8 @@ def read_score_rows(path: str | Path, key: str) -> Iterator[tuple[int, str, floa
             raise ValueError(f"{path}: line {lineno}: whitespace around a field in {line!r}")
         try:
             score = parse_score(parts[1])
-        except ValueError as exc:
-            if exc.args[0] == _NOT_FINITE:
-                raise ValueError(f"{path}: line {lineno}: score {_NOT_FINITE}") from None
-            raise ValueError(f"{path}: line {lineno}: could not parse {line!r}: {parts[1]!r} {exc}") from None
+        except ValueError as exc:  # parse_score says why: not a number, or not finite
+            raise ValueError(f"{path}: line {lineno}: score {parts[1]!r} {exc}") from None
         yield lineno, parts[0], score
 
 

@@ -84,7 +84,9 @@ def format_guard_report(report: GuardReport) -> list[str]:
 
 def _zero_guarded(scores: ScoreTable, report: GuardReport) -> ScoreTable:
     """The table with the score of each segment in report.per_segment
-    set to exactly 0.0."""
+    set to exactly 0.0; it must hold one score per segment of the report."""
+    if len(scores) != report.total:
+        raise ValueError(f"score table has {len(scores)} rows for {report.total} segments")
     new_scores = list(scores.scores)
     for entry in report.per_segment:
         new_scores[entry.index] = 0.0
@@ -101,8 +103,6 @@ def is_empty_hypothesis(text: str) -> bool:
 
 def apply_empty_guard(evalset: EvalSet, scores: ScoreTable) -> tuple[ScoreTable, GuardReport]:
     """Zero the score of every whitespace-only hypothesis."""
-    if len(scores) != len(evalset):
-        raise ValueError(f"score table has {len(scores)} rows for {len(evalset)} segments")
     entries = [GuardEntry(seg.index, REASON_EMPTY) for seg in evalset.segments if is_empty_hypothesis(seg.hypothesis)]
     report = GuardReport(total=len(evalset), per_segment=entries)
     return _zero_guarded(scores, report), report
@@ -326,8 +326,6 @@ def apply_lang_guard(
     like another language but miss the margin threshold stay unguarded
     and appear in the report's unreliable list.
     """
-    if len(scores) != len(evalset):
-        raise ValueError(f"score table has {len(scores)} rows for {len(evalset)} segments")
     if expected_lang not in {p.lang for p in profiles}:
         raise ValueError(f"no profile for expected language {expected_lang!r}")
     table = _rank_table(tuple(profiles))

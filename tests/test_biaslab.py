@@ -314,7 +314,7 @@ def test_experiment_rows_rejects_unknown_mode():
 
 
 def test_distribution_report_shape():
-    report = distribution_bias_experiment("shape", n_per_direction=40, n_test=20, epochs=2)
+    report = distribution_bias_experiment("shape", n_per_group=40, n_test=20, epochs=2)
     assert report.directions == ("en-de", "en-zh")
     assert len(report.rows) == 5
     configs = [row[0] for row in report.rows]
@@ -323,19 +323,19 @@ def test_distribution_report_shape():
 
 
 def test_distribution_experiment_deterministic():
-    a = distribution_bias_experiment("rep", n_per_direction=30, n_test=15, epochs=2)
-    b = distribution_bias_experiment("rep", n_per_direction=30, n_test=15, epochs=2)
+    a = distribution_bias_experiment("rep", n_per_group=30, n_test=15, epochs=2)
+    b = distribution_bias_experiment("rep", n_per_group=30, n_test=15, epochs=2)
     assert a == b
 
 
 def test_tag_report_shape_and_seen_flags():
-    report = tag_bias_experiment("shape", n_per_tag=40, n_test=30, epochs=3)
+    report = tag_bias_experiment("shape", n_per_group=40, n_test=30, epochs=3)
     assert [row[0] for row in report.rows] == list(TEST_TAGS)
     assert {row[0] for row in report.rows if row[2]} == set(TAG_TRAIN_MEANS)
 
 
 def test_tag_changes_score_and_unseen_tags_tie():
-    report = tag_bias_experiment("tiny", n_per_tag=40, n_test=30, epochs=3)
+    report = tag_bias_experiment("tiny", n_per_group=40, n_test=30, epochs=3)
     means = {tag: m for tag, m, _ in report.rows}
     assert len({means[tag] for tag in TAG_TRAIN_MEANS}) == 3
     # an unseen tag's slot carries zero weight, so they all tie exactly
@@ -345,6 +345,6 @@ def test_tag_changes_score_and_unseen_tags_tie():
 
 
 def test_tag_experiment_deterministic():
-    a = tag_bias_experiment("rep", n_per_tag=30, n_test=20, epochs=2)
-    b = tag_bias_experiment("rep", n_per_tag=30, n_test=20, epochs=2)
+    a = tag_bias_experiment("rep", n_per_group=30, n_test=20, epochs=2)
+    b = tag_bias_experiment("rep", n_per_group=30, n_test=20, epochs=2)
     assert a == b

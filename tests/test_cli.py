@@ -3,6 +3,7 @@ trailers, exit codes, and rerun determinism."""
 
 import argparse
 import importlib.metadata
+import inspect
 import os
 import platform
 import shlex
@@ -11,12 +12,13 @@ import signal
 import subprocess
 import sys
 import sysconfig
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from mtharness import guards, multiref, scorer
+from mtharness import biaslab, guards, multiref, scorer
 from mtharness.cli import EXIT_CONFIG, EXIT_NO_MATCH, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from mtharness.evalset import Direction, read_score_table
 from mtharness.guards import build_language_profile, load_seed_lines, read_profile
@@ -401,21 +403,24 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("args, message", [
         (["score", *SCORE_ARGS, "--backend", f"external:{sys.executable} child.py", "--out", "outdir"],
-         "--out outdir is a directory"),
+         "--out outdir: Is a directory"),
+        (["score", *SCORE_ARGS, "--backend", f"external:{sys.executable} child.py", "--out", "x" * 300],
+         f"--out {'x' * 300}: File name too long"),
         (["multiref", *SCORE_ARGS, "--multiref", "max", "--out", "a.tsv/scores.tsv"],
-         "--out a.tsv/scores.tsv is not in a directory that exists"),
-        (["meta", "a.tsv", "a.tsv", "--out", "missing/m.txt"], "--out missing/m.txt is not in a directory that exists"),
+         "--out a.tsv/scores.tsv: Not a directory"),
+        (["meta", "a.tsv", "a.tsv", "--out", "missing/m.txt"], "--out missing/m.txt: No such file or directory"),
         (["meta", "a.tsv", "a.tsv", "--out", "m.txt", "--hist-bins", "2", "--hist-out", "missing/h.tsv"],
-         "--hist-out missing/h.tsv is not in a directory that exists"),
+         "--hist-out missing/h.tsv: No such file or directory"),
         (["meta", "a.tsv", "a.tsv", "--out", "m.txt", "--hist-bins", "2", "--hist-out", "outdir"],
-         "--hist-out outdir is a directory"),
-        (["profiles", "build", "--lang", "de", "--input", "ref.txt", "--out", "outdir/"], "--out outdir/ is a directory"),
+         "--hist-out outdir: Is a directory"),
+        (["profiles", "build", "--lang", "de", "--input", "ref.txt", "--out", "outdir/"], "--out outdir/: Is a directory"),
         (["biaslab", "dist", "--seeds", "1", "--n-per-group", "1", "--n-test", "1", "--epochs", "1",
-          "--out", "missing/b.tsv"], "--out missing/b.tsv is not in a directory that exists"),
-    ], ids=["score-external-directory", "multiref-under-a-file", "meta-missing-directory",
-            "meta-hist-out-missing-directory", "meta-hist-out-directory", "profiles-directory",
-            "biaslab-missing-directory"])
+          "--out", "missing/b.tsv"], "--out missing/b.tsv: No such file or directory"),
+    ], ids=["score-external-directory", "name-too-long", "multiref-under-a-file",
+            "meta-missing-directory", "meta-hist-out-missing-directory", "meta-hist-out-directory",
+            "profiles-directory", "biaslab-missing-directory"])
     def test_unwritable_output_exits_2_before_any_work(self, corpus, capsys, args, message):
+        # the file system is asked, by opening the output for append, before any work
         (corpus / "outdir").mkdir()
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
         (corpus / "child.py").write_text(RECORDING_CHILD, encoding="utf-8")
@@ -431,7 +436,7 @@ class TestRuntimeErrors:
     def test_unparseable_score_table_exits_1(self, corpus, capsys):
         (corpus / "bad.tsv").write_text("0\tnot-a-float\n", encoding="utf-8")
         assert main(["meta", "bad.tsv", "bad.tsv"]) == EXIT_RUNTIME
-        assert "could not parse" in capsys.readouterr().err
+        assert capsys.readouterr().err == "mtharness: error: bad.tsv: line 1: score 'not-a-float' is not a number\n"
 
     @pytest.mark.parametrize("bad_score", ["nan", "inf"])
     def test_non_finite_ranking_score_exits_1(self, corpus, capsys, bad_score):
@@ -441,7 +446,7 @@ class TestRuntimeErrors:
         assert main(["meta", "a.tsv", "a.tsv", "--ranking-metric", "metric.tsv",
                      "--ranking-human", "human.tsv", "--out", "out.txt"]) == EXIT_RUNTIME
         assert not (corpus / "out.txt").exists()
-        assert capsys.readouterr().err == "mtharness: error: metric.tsv: line 2: score is not finite\n"
+        assert capsys.readouterr().err == f"mtharness: error: metric.tsv: line 2: score '{bad_score}' is not finite\n"
 
     @pytest.mark.parametrize("bad_score", ["0_5", "1_0.0", "0.2_5", "1e1_0"])
     def test_digit_group_score_exits_1(self, corpus, capsys, bad_score):
@@ -454,7 +459,7 @@ class TestRuntimeErrors:
             assert main(["meta", *args, "--out", "out.txt"]) == EXIT_RUNTIME
             assert not (corpus / "out.txt").exists()
             assert capsys.readouterr().err == (
-                f"mtharness: error: bad.tsv: line 2: could not parse '1\\t{bad_score}': '{bad_score}' is not a number\n"
+                f"mtharness: error: bad.tsv: line 2: score '{bad_score}' is not a number\n"
             )
 
     @pytest.mark.parametrize("args, rows", [
@@ -577,16 +582,35 @@ class TestRuntimeErrors:
         assert captured.out == ""
         assert captured.err == "mtharness: error: intermediate overflow in fsum\n"
 
-    @pytest.mark.parametrize("out, code, message", [
-        ("missing/scores.tsv", EXIT_CONFIG, "--out missing/scores.tsv is not in a directory that exists"),
-        ("outdir", EXIT_CONFIG, "--out outdir is a directory"),
-        ("x" * 300, EXIT_RUNTIME, f"{'x' * 300}: File name too long"),
-    ], ids=["missing-directory", "directory", "name-too-long"])
-    def test_unwritable_out_names_path_and_cause(self, corpus, capsys, out, code, message):
-        # validation catches a directory; a name the file system refuses fails only when written
+    @pytest.mark.parametrize("out, cause", [
+        ("missing/scores.tsv", "No such file or directory"),
+        ("outdir", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_out_names_path_and_cause(self, corpus, capsys, out, cause):
+        # the file system's own refusal, asked before any work (a name too long for it is
+        # test_unwritable_output_exits_2_before_any_work[name-too-long])
         (corpus / "outdir").mkdir()
-        assert main(["score", *SCORE_ARGS, "--out", out]) == code
-        assert capsys.readouterr().err == f"mtharness: error: {message}\n"
+        assert main(["score", *SCORE_ARGS, "--out", out]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"mtharness: error: --out {out}: {cause}\n"
+
+    @pytest.mark.parametrize("out", ["new", "existing", "dangling-link"])
+    def test_runtime_failure_leaves_the_output_as_it_was(self, corpus, capsys, out):
+        # the probe before any work removes a file it created, through a link to it
+        (corpus / "bad.profile").write_text("not a profile\n", encoding="utf-8")
+        if out == "existing":
+            (corpus / "scores.tsv").write_bytes(b"0\t0.5\n# earlier run\n")
+            os.utime(corpus / "scores.tsv", ns=(10**18, 10**18))
+        elif out == "dangling-link":
+            (corpus / "scores.tsv").symlink_to("target.tsv")
+
+        def files():
+            return {path.name: (os.readlink(path) if path.is_symlink() else path.read_bytes(), path.lstat().st_mtime_ns)
+                    for path in corpus.iterdir()}
+
+        before = files()
+        assert main(["score", *SCORE_ARGS, "--guard-lang", "--profile", "bad.profile", "--out", "scores.tsv"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("mtharness: error: bad.profile: ")
+        assert files() == before
 
 
 class TestMultiref:
@@ -761,6 +785,58 @@ def test_parser_names_the_library_constants():
     assert parser_option("multiref", "--multiref").choices == multiref.STRATEGIES
 
 
+def test_knobs_reach_the_library_under_its_parameter_names():
+    # the CLI passes a knob only when it is given, under its dest: the library owns the default
+    experiments = [biaslab.distribution_bias_experiment, biaslab.tag_bias_experiment]
+    routes = [
+        ("score", "--min-len", [guards.apply_lang_guard]),
+        ("score", "--min-margin", [guards.apply_lang_guard]),
+        ("profiles", "--size", [guards.build_language_profile]),
+        *[("biaslab", flag, experiments) for flag in ("--n-per-group", "--n-test", "--epochs", "--learning-rate")],
+    ]
+    unrouted = []
+    for subcommand, flag, functions in routes:
+        dest = parser_option(subcommand, flag).dest
+        for function in functions:
+            parameter = inspect.signature(function).parameters.get(dest)
+            if parameter is None or parameter.default is inspect.Parameter.empty:
+                unrouted.append(f"{flag}: {function.__name__} has no parameter {dest!r} with a default")
+    assert unrouted == []
+
+
+# One argv, and the value it must parse to, for each flag that no cell of
+# tests/test_golden.py passes and for each knob the library takes by name
+# (--n-test, --epochs, --size): a `# command` trailer may hold any of them,
+# and rerunning an old trailer must still work.
+TRAILER_FLAGS = [
+    ("--system", ["score", *SCORE_ARGS, "--system", "sys-a"], "sys-a"),
+    ("--timeout", ["score", *SCORE_ARGS, "--backend", "external:child", "--timeout", "2.5"], 2.5),
+    ("--min-len", ["score", *SCORE_ARGS, "--guard-lang", "--min-len", "7"], 7),
+    ("--min-margin", ["score", *SCORE_ARGS, "--guard-lang", "--min-margin", "0.25"], 0.25),
+    ("--profile", ["score", *SCORE_ARGS, "--guard-lang", "--profile", "a.profile", "--profile", "b.profile"],
+     ["a.profile", "b.profile"]),
+    ("--hist-range", ["meta", "a.tsv", "b.tsv", "--hist-bins", "3", "--hist-out", "h.tsv", "--hist-range", "-1", "2"],
+     [-1.0, 2.0]),
+    ("--ranking-metric", ["meta", "a.tsv", "b.tsv", "--ranking-metric", "m.tsv", "--ranking-human", "h.tsv"], "m.tsv"),
+    ("--ranking-human", ["meta", "a.tsv", "b.tsv", "--ranking-metric", "m.tsv", "--ranking-human", "h.tsv"], "h.tsv"),
+    ("--prec", ["signature", "--prec", "fp16"], "fp16"),
+    ("--interp", ["signature", "--interp", "3.12.1"], "3.12.1"),
+    ("--framework", ["signature", "--framework", "2.2.2"], "2.2.2"),
+    ("--model", ["signature", "--model", "unite-mup"], "unite-mup"),
+    ("--seed", ["biaslab", "dist", "--seed", "7"], 7),
+    ("--n-test", ["biaslab", "tags", "--n-test", "11"], 11),
+    ("--epochs", ["biaslab", "tags", "--epochs", "13"], 13),
+    ("--learning-rate", ["biaslab", "dist", "--learning-rate", "0.003"], 0.003),
+    ("--size", ["profiles", "build", "--lang", "de", "--input", "c.txt", "--size", "17", "--out", "p"], 17),
+]
+
+
+@pytest.mark.parametrize("flag, args, value", TRAILER_FLAGS, ids=[flag for flag, _, _ in TRAILER_FLAGS])
+def test_flag_an_old_trailer_may_hold_still_parses(flag, args, value):
+    assert flag in args
+    assert value in vars(build_parser().parse_args(args)).values()
+
+
 SIGNATURE_ARGS = ["signature", "--model", "unite-mup", "--prec", "fp32",
                   "--interp", "3.11.8", "--framework", "2.2.2"]
 SIGNATURE_LINE = "Python3.11.8|Comet2.2.2|fp32|unite-mup\n"
@@ -816,6 +892,32 @@ def test_module_launcher_writes_same_bytes_as_main(run_module, corpus):
     launched = (corpus / "launched.tsv").read_text(encoding="utf-8")
     assert launched == in_process.replace("in_process.tsv", "launched.tsv")
     assert launched.splitlines()[-1].startswith("# command mtharness score ")
+
+
+def test_out_dev_stdout_into_a_pipe_writes_the_rows_there(run_module, corpus):
+    assert main(["score", *SCORE_ARGS, "--out", "scores.tsv"]) == EXIT_OK
+    proc = run_module(["score", *SCORE_ARGS, "--out", "/dev/stdout"], cwd=corpus)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == (corpus / "scores.tsv").read_text(encoding="utf-8").replace("scores.tsv", "/dev/stdout")
+
+
+def test_out_named_pipe_gets_every_row(run_module, corpus):
+    # the output probe does not open a named pipe: closing it would end the reader's input before any row
+    pipe = corpus / "scores.pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text(encoding="utf-8")))
+    reader.start()
+    try:
+        proc = run_module(["score", *SCORE_ARGS, "--out", "scores.pipe"], cwd=corpus, timeout=30)
+    finally:
+        reader.join(timeout=5)
+        if reader.is_alive():  # the run never opened the pipe: let the reader go
+            os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join()
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main(["score", *SCORE_ARGS, "--out", "scores.tsv"]) == EXIT_OK
+    assert received == [(corpus / "scores.tsv").read_text(encoding="utf-8").replace("scores.tsv", "scores.pipe")]
 
 
 # writes its pid, then sleeps far longer than any timeout below

@@ -129,7 +129,7 @@ class TestEmptyGuard:
 
     def test_misaligned_rejected(self):
         es = evalset_from_hyps(["a", "b"])
-        with pytest.raises(ValueError, match="2 segments"):
+        with pytest.raises(ValueError, match="^score table has 1 rows for 2 segments$"):
             apply_empty_guard(es, ScoreTable((0.5,)))
 
     def test_idempotent(self):
@@ -411,9 +411,11 @@ class TestLangGuard:
         assert guarded.scores[:2] == (0.5, 0.5)
 
     def test_misaligned_rejected(self, profiles):
+        # both guards, through the one row-count check they share
         es = evalset_from_hyps(["a", "b"])
-        with pytest.raises(ValueError, match="score table has 1 rows for 2 segments"):
-            apply_lang_guard(es, ScoreTable((0.5,)), profiles, "de")
+        for guard in (lambda table: apply_lang_guard(es, table, profiles, "de"), lambda table: apply_empty_guard(es, table)):
+            with pytest.raises(ValueError, match="^score table has 1 rows for 2 segments$"):
+                guard(ScoreTable((0.5,)))
 
     def test_expected_lang_needs_profile(self, profiles):
         es = evalset_from_hyps(["whatever"])

@@ -1,6 +1,7 @@
 """Tests of the source tree itself: no name in ``src/mtharness`` is dead
-code, one function renders every trailer line, and
-``tools/code_lines.py`` counts what it says it counts."""
+code, one function renders every trailer line, the CLI restates no
+library default, and ``tools/code_lines.py`` counts what it says it
+counts."""
 
 import ast
 import importlib.util
@@ -202,6 +203,44 @@ def test_trailer_check_sees_constants_and_f_string_heads(tmp_path):
         "cli.handler: '# guard empty'",
         "cli.handler: '# system-score '",
         "cli.lines: '# nested'",
+    ]
+
+
+# --- library defaults -------------------------------------------------------------
+
+
+def default_reads(path):
+    """``module.name: DEFAULT_X`` for each read of a ``DEFAULT_*`` name in
+    the module at ``path``; ``name`` is the top-level function or class
+    that reads it, or is left out for a read at module level."""
+    reads = []
+    for node in _parse(path).body:
+        scope = f"{path.stem}.{node.name}" if hasattr(node, "name") else path.stem
+        reads += [f"{scope}: {name}" for name, _ in _references(node) if name.startswith("DEFAULT_")]
+    return reads
+
+
+def test_the_cli_reads_no_library_default():
+    # a knob left out on the command line is left out of the call (cli._given),
+    # so the library function states its default alone
+    assert default_reads(PACKAGE / "cli.py") == []
+
+
+def test_default_check_sees_each_read(tmp_path):
+    module = _write(tmp_path, "cli.py", '''\
+        """DEFAULT_DOC in a docstring is no read."""
+        from .guards import DEFAULT_A
+        from . import guards
+
+        LIMIT = guards.DEFAULT_B
+
+
+        def run(ns, DEFAULT_ARG=None):
+            # DEFAULT_COMMENT is no read either
+            return DEFAULT_A if ns.a is None else guards.DEFAULT_C
+        ''')
+    assert default_reads(module) == [
+        "cli: DEFAULT_A", "cli: DEFAULT_B", "cli.run: DEFAULT_A", "cli.run: DEFAULT_C",
     ]
 
 
