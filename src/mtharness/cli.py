@@ -82,7 +82,7 @@ def _check_outputs(inputs: Sequence[Path | None], *outputs: tuple[str, str | Non
             except OSError as exc:
                 raise ConfigError(f"{flag} {path}: {exc.strerror}") from None
             if not existed:
-                Path(path).resolve().unlink()
+                resolved.unlink()  # the file the probe created, not a link to it
 
 
 def _check_scoring(ns: argparse.Namespace) -> list[Path]:
