@@ -141,8 +141,7 @@ def _count_ngrams(lines: Iterable[str]) -> Counter:
     counts: Counter = Counter()
     for line in lines:
         text = "\n".join(f" {token} " for token in line.split())
-        for n in NGRAM_ORDERS:
-            counts.update(char_ngrams(text, n))
+        counts.update(char_ngrams(text, NGRAM_ORDERS))
     for gram in [gram for gram in counts if "\n" in gram]:
         counts.pop(gram)
     return counts

@@ -11,15 +11,16 @@ score table, read and checked by the CLI.)
 from __future__ import annotations
 
 import math
+import operator
 import os
 import signal
 import threading
 import time
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from functools import cache, lru_cache
-from itertools import repeat
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, NoReturn, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, NoReturn, Sequence
 
 from .evalset import EvalSet, Record, ScoreTable, parse_score, split_lines
 
@@ -74,44 +75,43 @@ def _check_homogeneous(requests: Sequence[ScoreRequest]) -> None:
 
 NGRAM_ORDERS = (1, 2, 3, 4)
 
-# Per n: the character n-gram counts of a text and their total.
-Profile = list[tuple[Counter, int]]
 
+def char_ngrams(text: str, orders: Sequence[int]) -> list[str]:
+    """The character n-grams of ``text`` for each n in the ascending
+    ``orders``, order by order, each order's in text order.
 
-def char_ngrams(text: str, n: int) -> Iterable[str]:
-    """The character n-grams of ``text`` in order, made lazily at C level."""
-    return text if n == 1 else map("".join, zip(*(text[i:] for i in range(n))))
-
-
-def _ngram_profile(text: str) -> Profile:
-    """Character n-gram counts for n = 1..4."""
-    profile = []
-    for n in NGRAM_ORDERS:
-        profile.append((Counter(char_ngrams(text, n)), max(len(text) - n + 1, 0)))
-    return profile
-
-
-def _overlap(a: Counter, b: Counter) -> int:
-    """Multiset intersection size, iterating over the smaller side."""
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(map(min, a.values(), map(b.get, a, repeat(0))))
-
-
-def _profile_similarity(a: Profile, b: Profile) -> float:
-    """Mean char n-gram F1 for n = 1..4, skipping orders absent on both sides.
-
-    All counting is integer; the division and fsum are the only float
-    steps, in order n = 1..4, so equal inputs give bit-identical scores.
+    Each n-gram is one of order n - 1 with the next character added, so
+    no n-gram is joined from its characters one by one.
     """
+    grams: Sequence[str] = text
+    found: list[str] = []
+    for n in range(1, orders[-1] + 1):
+        if n > 1:
+            grams = list(map(operator.add, grams, text[n - 1 :]))
+        if n in orders:
+            found += grams
+    return found
+
+
+def _similarity(hyp: str, hyp_grams: Counter, other: str) -> float:
+    """Mean char n-gram F1 of ``hyp`` and ``other`` over NGRAM_ORDERS,
+    skipping orders absent on both sides; ``hyp_grams`` counts hyp's n-grams.
+
+    Only the n-grams of ``other`` that ``hyp`` has too are counted, as no
+    other one can add to an overlap. They arrive order by order, so the
+    shared n-grams of each length form one run of keys. All counting is
+    integer; the division and fsum are the only float steps, in order
+    n = 1..4, so equal inputs give bit-identical scores.
+    """
+    shared = Counter(filter(hyp_grams.__contains__, char_ngrams(other, NGRAM_ORDERS)))
+    keys, counts = list(shared), list(shared.values())
     values = []
-    for (grams_a, total_a), (grams_b, total_b) in zip(a, b):
-        if not total_a and not total_b:
-            continue
-        if not total_a or not total_b:
-            values.append(0.0)
-        else:
-            values.append(2.0 * _overlap(grams_a, grams_b) / (total_a + total_b))
+    hi = 0
+    for n in NGRAM_ORDERS:
+        total = max(len(hyp) - n + 1, 0) + max(len(other) - n + 1, 0)
+        lo, hi = hi, bisect_right(keys, n, hi, key=len)
+        if total:
+            values.append(2.0 * sum(map(min, counts[lo:hi], map(hyp_grams.__getitem__, keys[lo:hi]))) / total)
     if not values:
         return 0.0
     return math.fsum(values) / len(values)
@@ -145,11 +145,11 @@ class SurrogateBackend:
 
 def _score_chunk(requests: Sequence[ScoreRequest]) -> list[float]:
     # Each (hypothesis, other text) similarity is computed once per chunk and
-    # kept as a float. The only n-gram profile kept across requests is the
+    # kept as a float. The only n-gram counts kept across requests are the
     # latest hypothesis's, since a segment's requests arrive together, so
     # memory grows with the distinct pairs, not with every text's n-grams.
-    hyp_profile = lru_cache(maxsize=1)(_ngram_profile)
-    similarity = cache(lambda hyp, other: _profile_similarity(hyp_profile(hyp), _ngram_profile(other)))
+    hyp_grams = lru_cache(maxsize=1)(lambda hyp: Counter(char_ngrams(hyp, NGRAM_ORDERS)))
+    similarity = cache(lambda hyp, other: _similarity(hyp, hyp_grams(hyp), other))
     return [_blend(req, similarity) for req in requests]
 
 
@@ -235,8 +235,10 @@ def _unwind_on_termination():
 
 
 # Fewest items worth a chunk of their own. Forking, feeding and reaping a
-# worker takes 3-5 ms; two chunks first beat one at 80-100 surrogate
-# requests or language IDs of 70-character segments on a 2-core host.
+# worker takes 3-5 ms; two chunks first beat one at 40-60 surrogate
+# requests or language IDs of 70-character segments on a 2-core host in
+# a 16 MB process, and at 50-80 in a 39 MB one, so the smallest batch
+# that forks (100 items) gains at both sizes.
 _MIN_CHUNK = 50
 # Chunks per process. Past its first chunk each process takes the next
 # unclaimed one, so a process that gets less CPU time than the others (a

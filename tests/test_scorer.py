@@ -1,8 +1,9 @@
 """Tests for the scorer backends and the external wire protocol.
 
 The surrogate is checked against an oracle that rebuilds every n-gram
-Counter per pair with plain Python loops, independently of the shared
-profiles and the per-batch pair memo, and must equal it exactly.
+Counter per pair with plain Python loops, independently of the
+hypothesis counts a segment's pairs share, the counting of shared
+n-grams only and the per-batch pair memo, and must equal it exactly.
 """
 
 import errno
@@ -16,6 +17,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -252,6 +254,25 @@ class TestSurrogateOracle:
             requests += agg_requests(src, hyp, ref, alt)
         assert SurrogateBackend().score_batch(requests) == [oracle_score(req) for req in requests]
 
+    @pytest.mark.parametrize("orders", [(1, 2, 3, 4), (1, 2, 3), (2, 4), (3,)])
+    @pytest.mark.parametrize("text", ["", "a", "ab", "abc", "abcd", "aaaa", "😀", "😀𝔸😀", "e\u0301", "e\u0301e\u0301", "雨が降る"])
+    def test_char_ngrams_equal_slices_order_by_order(self, text, orders):
+        assert scorer.char_ngrams(text, orders) == [text[i : i + n] for n in orders for i in range(len(text) - n + 1)]
+
+    def test_every_pair_of_short_lengths_equals_oracle_exactly(self):
+        # lengths 0..5 over a repeating alphabet: "aaaa" against "aa" shares
+        # grams of orders 1-2 and only one side has orders 3-4
+        texts = {text[:length] for length in range(6) for text in ("aaaaa", "ababa", "aabab", "abcab")}
+        for hyp, other in product(sorted(texts), repeat=2):
+            req = ScoreRequest(other, hyp)
+            assert surrogate_score(req) == oracle_score(req), (hyp, other)
+
+    @settings(deadline=None)
+    @given(TEXTS.filter(bool))
+    def test_identical_texts_score_exactly_one(self, text):
+        assert surrogate_score(ScoreRequest(text, text, text)) == 1.0
+        assert surrogate_score(ScoreRequest(text, text)) == 1.0
+
     def test_agg_shares_three_similarities_per_segment(self):
         # each segment pairs its hypothesis with its source and two references
         n = 25
@@ -259,12 +280,14 @@ class TestSurrogateOracle:
             req for i in range(n) for req in agg_requests(f"source {i}", f"hypothesis {i}", f"reference {i}", f"other {i}")
         ]
         with chunking(1, min_chunk=None), \
-                mock.patch.object(scorer, "_profile_similarity", wraps=scorer._profile_similarity) as similarity, \
-                mock.patch.object(scorer, "_ngram_profile", wraps=scorer._ngram_profile) as profile:
+                mock.patch.object(scorer, "_similarity", wraps=scorer._similarity) as similarity, \
+                mock.patch.object(scorer, "char_ngrams", wraps=scorer.char_ngrams) as ngrams:
             scores = SurrogateBackend().score_batch(requests)
         assert scores == [oracle_score(req) for req in requests]
         assert similarity.call_count == 3 * n
-        assert profile.call_count == 4 * n
+        # n-grams are made once per hypothesis and once per other text
+        counted = Counter(call.args[0] for call in ngrams.call_args_list)
+        assert len(counted) == 4 * n and set(counted.values()) == {1}
 
     def test_memory_stays_bounded(self):
         # 4000 distinct ~70-character requests; holding every text's n-gram
