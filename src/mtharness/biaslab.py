@@ -15,7 +15,7 @@ import random
 import string
 import zlib
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .evalset import Direction, Record
 
@@ -132,16 +132,6 @@ def featurize(example: SynthExample, dim: int = DIM) -> Counter[int]:
     if example.tag is not None:
         features[_slot("tag", example.tag, dim)] += 1
     return features
-
-
-def assert_no_token_collisions(tokens: Iterable[tuple[str, str]], dim: int = DIM) -> None:
-    """Fail fast if any two categorical tokens hash to one slot."""
-    seen: dict[int, tuple[str, str]] = {}
-    for namespace, token in tokens:
-        idx = _slot(namespace, token, dim)
-        if idx in seen and seen[idx] != (namespace, token):
-            raise ValueError(f"hash collision between {seen[idx]} and {(namespace, token)} at slot {idx}")
-        seen[idx] = (namespace, token)
 
 
 class ToyScorer:
@@ -327,7 +317,6 @@ def tag_bias_experiment(
     cannot memorize individual examples, and training long enough that
     the slowly-moving tag-vs-intercept direction actually settles.
     """
-    assert_no_token_collisions([("tag", tag) for tag in TEST_TAGS] + [("dir", str(TAG_DIRECTION))])
     base_mean = math.fsum(TAG_TRAIN_MEANS.values()) / len(TAG_TRAIN_MEANS)
     train_set: list[SynthExample] = []
     for tag, mean_da in TAG_TRAIN_MEANS.items():

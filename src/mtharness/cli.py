@@ -61,28 +61,39 @@ def _existing_file(path: str, what: str) -> Path:
 # backend spec by what scores the run (see _check_scoring).
 
 
+def _file_identity(path: str | Path) -> tuple[int, int] | Path:
+    """What tells files apart: an existing file's device and inode, so a
+    hard or symbolic link is the file it leads to (as ``os.path.samestat``
+    compares them), else the path it would be created at."""
+    try:
+        stat = os.stat(path)  # follows links as open does: /dev/stdout on a pipe exists
+    except OSError:
+        return Path(path).resolve()
+    return stat.st_dev, stat.st_ino
+
+
 def _check_outputs(inputs: Sequence[Path | None], *outputs: tuple[str, str | None]) -> None:
-    """No output given (an omitted one is stdout) may name a file the run reads, or another output:
-    writing it would destroy the file. Each must be a file the file system lets this run open for
-    append, which is asked before any work; a file the probe created is removed again, through any
-    link, so the link stays. A named pipe is not opened: closing it would end its reader's input."""
-    taken = {path.resolve(): "a file this run reads" for path in inputs if path}
+    """No output given (an omitted one is stdout) may be a file the run reads, or another output,
+    by any link: writing it would destroy the file. Each must be a file the file system lets this
+    run open for append, which is asked before any work; a file the probe created is removed again,
+    through any link, so the link stays. A named pipe is not opened: closing it would end its
+    reader's input."""
+    taken = {_file_identity(path): "a file this run reads" for path in inputs if path}
     for flag, path in outputs:
         if path == "":
             raise ConfigError(f"{flag} must name a file")
         if path is not None:
-            resolved = Path(path).resolve()
-            if resolved in taken:
-                raise ConfigError(f"{flag} {path} names {taken[resolved]}")
-            taken[resolved] = f"the same file as {flag}"
-            existed = os.path.exists(path)  # follows links as open does: /dev/stdout on a pipe exists
+            identity = _file_identity(path)
+            if identity in taken:
+                raise ConfigError(f"{flag} {path} names {taken[identity]}")
+            taken[identity] = f"the same file as {flag}"
             try:
                 if not Path(path).is_fifo():
                     open(path, "a").close()
             except OSError as exc:
                 raise ConfigError(f"{flag} {path}: {exc.strerror}") from None
-            if not existed:
-                resolved.unlink()  # the file the probe created, not a link to it
+            if isinstance(identity, Path):  # it did not exist: the probe created it
+                identity.unlink()  # the file, not a link to it
 
 
 def _check_scoring(ns: argparse.Namespace) -> list[Path]:

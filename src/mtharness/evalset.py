@@ -187,16 +187,15 @@ def read_lines(path: str | Path) -> list[str]:
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        first = raw.rfind(b"\n", 0, exc.start) + 1
-        end = raw.find(b"\n", exc.start)
-        lineno = raw.count(b"\n", 0, first) + 1
-        reason = exc.reason
-        try:
-            raw[first : end if end >= 0 else len(raw)].removesuffix(b"\r").decode("utf-8")
-        except UnicodeDecodeError as line_exc:
-            reason = line_exc.reason
-        raise ValueError(f"{path}: line {lineno} is not valid UTF-8 ({reason})") from None
+    except UnicodeDecodeError:
+        # LF and CR are never part of a character, so the first line that
+        # does not decode alone holds the file's first undecodable byte
+        for lineno, line in enumerate(raw.split(b"\n"), start=1):
+            try:
+                line.removesuffix(b"\r").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno} is not valid UTF-8 ({exc.reason})") from None
+        raise
     return split_lines(text)
 
 

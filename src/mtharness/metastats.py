@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from itertools import repeat
+from itertools import pairwise, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .evalset import Record, read_score_rows
 
@@ -65,7 +65,10 @@ def mae(pred: Sequence[float], gold: Sequence[float]) -> float:
     _check_paired(pred, gold, "mae")
     if not pred:
         raise ValueError("mae: empty input")
-    return math.fsum(abs(p - g) for p, g in zip(pred, gold)) / len(pred)
+    error = math.fsum(abs(p - g) for p, g in zip(pred, gold)) / len(pred)
+    if not math.isfinite(error):
+        raise OverflowError(f"mae: the mean absolute error {error!r} is not finite")
+    return error
 
 
 def _tied_pairs(groups: Counter) -> int:
@@ -184,13 +187,22 @@ def pairwise_accuracy(metric: SystemRanking, human: SystemRanking) -> float:
     return agree / total
 
 
+def _centres(bin_count: int, lo: float, width: float) -> Iterator[float]:
+    """The centres of ``bin_count`` bins of ``width`` from ``lo``, in order."""
+    return (lo + (k + 0.5) * width for k in range(bin_count))
+
+
 def check_histogram(bin_count: int, lo: float, hi: float) -> None:
     """Raise a ValueError unless ``histogram`` can make ``bin_count`` bins
-    on [lo, hi]: at least one bin, and lo < hi with a finite width."""
+    on [lo, hi]: at least one bin, lo < hi with a finite width, and bin
+    centres that are all distinct floats."""
     if bin_count < 1:
         raise ValueError(f"histogram bin count must be at least 1, got {bin_count}")
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"invalid histogram range [{lo}, {hi}]")
+    # the centres never decrease, so they are distinct if each is above the one before
+    if not all(a < b for a, b in pairwise(_centres(bin_count, lo, (hi - lo) / bin_count))):
+        raise ValueError(f"invalid histogram range [{lo}, {hi}]: too narrow for {bin_count} distinct bin centres")
 
 
 def histogram(scores: Sequence[float], bin_count: int, lo: float, hi: float) -> list[tuple[float, int]]:
@@ -201,7 +213,7 @@ def histogram(scores: Sequence[float], bin_count: int, lo: float, hi: float) -> 
     counts = [0] * bin_count
     for score in scores:  # clamped into [lo, hi] first, so a huge score cannot overflow to inf
         counts[min(int((min(max(score, lo), hi) - lo) // width), bin_count - 1)] += 1
-    return [(lo + (k + 0.5) * width, counts[k]) for k in range(bin_count)]
+    return list(zip(_centres(bin_count, lo, width), counts))
 
 
 def format_meta_report(stats: dict[str, float | None], tsv: bool = False) -> list[str]:

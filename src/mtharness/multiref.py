@@ -12,7 +12,7 @@ import math
 from typing import Sequence
 
 from .evalset import EvalSet, ScoreTable
-from .scorer import ScoreRequest
+from .scorer import ScoreRequest, _score_each
 
 
 def _agg_requests(src: str, hyp: str, ref: str, altref: str) -> list[ScoreRequest]:
@@ -55,7 +55,7 @@ def multiref_agg(backend, src: str, hyp: str, ref: str, altref: str | None) -> f
     """
     if altref is None:
         raise ValueError("agg requires exactly two references")
-    return _combine_agg(backend.score_batch(_agg_requests(src, hyp, ref, altref)))
+    return _combine_agg(_score_each(backend, _agg_requests(src, hyp, ref, altref)))
 
 
 def evaluate_system_multiref(strategy: str, evalset: EvalSet, backend) -> ScoreTable:
@@ -79,6 +79,6 @@ def evaluate_system_multiref(strategy: str, evalset: EvalSet, backend) -> ScoreT
         else [ScoreRequest(seg.source, seg.hypothesis, ref) for ref in seg.references]
         for seg in evalset.segments
     ]
-    flat = iter(backend.score_batch([req for requests in per_segment for req in requests]))
+    flat = iter(_score_each(backend, [req for requests in per_segment for req in requests]))
     scores = [combine([next(flat) for _ in requests]) for requests in per_segment]
     return ScoreTable(scores)

@@ -18,7 +18,7 @@ import threading
 import time
 from bisect import bisect_right
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import cache, lru_cache
 from typing import TYPE_CHECKING, BinaryIO, Callable, NoReturn, Sequence
 
@@ -161,21 +161,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _kill_group(proc: subprocess.Popen) -> None:
-    """SIGKILL a child's whole process group, so its own children die with it."""
-    if not hasattr(os, "killpg"):  # no process groups on this platform
-        proc.kill()
-        return
-    try:
-        os.killpg(proc.pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass  # every member has already exited
-
-
 # While a running child has no pidfd to wait on, the longest the calling
 # thread waits between two checks of its running children; each check is
 # one non-blocking wait per child.
 _POLL_S = 0.002
+# The longest single wait select.poll accepts, in ms (about 24.8 days); a
+# longer timeout is waited out in several.
+_POLL_MAX_MS = 2**31 - 1
 
 
 class _Child(Record):
@@ -207,9 +199,10 @@ def _unwind_on_termination():
     again and ends the process as it would have without this handler.
     Only signals left at their default action are taken over (one ignored
     under nohup stays ignored), and only from the main thread, the one
-    place where handlers can be set.
+    place where handlers can be set. Both signals exist wherever a caller
+    gets here: on a platform with ``os.fork`` or with process groups.
     """
-    signums = [getattr(signal, name) for name in ("SIGTERM", "SIGHUP") if hasattr(signal, name)]
+    signums = [signal.SIGTERM, signal.SIGHUP]
     if threading.current_thread() is not threading.main_thread():
         signums = []
     received: list[int] = []
@@ -410,10 +403,16 @@ class ExternalBackend:
     failed earlier shard, any exception leaving ``score_batch`` such as
     ``KeyboardInterrupt``, or SIGTERM or SIGHUP to this process) goes to
     the whole group, so grandchildren of a wrapper such as ``sh -c`` die
-    too. Every child is reaped before ``score_batch`` returns.
+    too. Every child is reaped before ``score_batch`` returns. A platform
+    without process groups or ``select.poll`` is refused by the
+    constructor, before any child starts.
     """
 
     def __init__(self, command: Sequence[str], shard_size: int | None = None, timeout: float | None = None) -> None:
+        import select  # here and in score_batch: only a run with an external scorer needs it
+
+        if not (hasattr(os, "killpg") and hasattr(select, "poll")):
+            raise ValueError("an external backend needs process groups (os.killpg) and select.poll, which this platform lacks")
         if not command:
             raise ValueError("external backend needs a non-empty command")
         if shard_size is not None and shard_size < 1:
@@ -466,11 +465,13 @@ class ExternalBackend:
         failures: dict[int, ScorerError] = {}
 
         def end(start: int) -> None:
-            """Kills the shard's child's group if the child still runs, reaps
-            the child, and closes its files and its pidfd."""
+            """Kills the shard's child's whole process group if the child still
+            runs, so its own children die with it; reaps the child, and closes
+            its files and its pidfd."""
             child = running[start]
             if child.proc.returncode is None:
-                _kill_group(child.proc)
+                with suppress(ProcessLookupError):  # every member has already exited
+                    os.killpg(child.proc.pid, signal.SIGKILL)
             child.proc.wait()
             del running[start]
             child.stdout.close()
@@ -504,7 +505,7 @@ class ExternalBackend:
                     # until a child with a pidfd exits or its deadline comes; one without is checked every _POLL_S
                     now = time.monotonic()
                     wait = min(child.deadline - now if child.pidfd is not None else _POLL_S for child in running.values())
-                    exits.poll(None if wait == math.inf else max(wait, 0.0) * 1000)
+                    exits.poll(None if wait == math.inf else min(max(wait, 0.0) * 1000, _POLL_MAX_MS))
                     for start, child in list(running.items()):
                         count = min(size, len(lines) - start)
                         if child.proc.poll() is not None:
@@ -534,4 +535,12 @@ def score_evalset(backend, evalset: EvalSet) -> ScoreTable:
     if evalset.n_references > 1:
         raise ValueError("evalset has multiple references; pick a multi-reference strategy instead of plain scoring")
     requests = [ScoreRequest(seg.source, seg.hypothesis, *seg.references) for seg in evalset.segments]
-    return ScoreTable(backend.score_batch(requests))
+    return ScoreTable(_score_each(backend, requests))
+
+
+def _score_each(backend, requests: Sequence[ScoreRequest]) -> list[float]:
+    """``backend.score_batch(requests)``, which must hold one score per request."""
+    scores = backend.score_batch(requests)
+    if len(scores) != len(requests):
+        raise ScorerError(f"backend answered {len(scores)} scores for {len(requests)} requests")
+    return scores

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
-from mtharness import guards, provenance, scorer
+from mtharness import biaslab, guards, provenance, scorer
 from mtharness.evalset import format_score_rows, split_lines
 from mtharness.guards import serialize_profile
 from mtharness.scorer import ScorerError
@@ -53,6 +53,17 @@ def _out_of_place_distance(text_grams, profile, penalty):
     at a time."""
     ranks = {gram: i for i, gram in enumerate(profile.ranked_ngrams)}
     return sum(abs(i - ranks[gram]) if gram in ranks else penalty for i, gram in enumerate(text_grams))
+
+
+def assert_no_token_collisions(tokens, dim=biaslab.DIM):
+    """Raise a ValueError if any two categorical (namespace, token) pairs
+    hash to one feature slot."""
+    seen = {}
+    for namespace, token in tokens:
+        idx = biaslab._slot(namespace, token, dim)
+        if idx in seen and seen[idx] != (namespace, token):
+            raise ValueError(f"hash collision between {seen[idx]} and {(namespace, token)} at slot {idx}")
+        seen[idx] = (namespace, token)
 
 
 def known_models():

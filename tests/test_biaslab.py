@@ -8,11 +8,11 @@ import pytest
 
 from mtharness.biaslab import (
     DIM,
+    TAG_DIRECTION,
     TAG_TRAIN_MEANS,
     TEST_TAGS,
     SynthExample,
     ToyScorer,
-    assert_no_token_collisions,
     corrupt_text,
     distribution_bias_experiment,
     experiment_rows,
@@ -24,6 +24,8 @@ from mtharness.biaslab import (
     train,
 )
 from mtharness.evalset import Direction
+
+from helpers import assert_no_token_collisions
 
 EN_DE = Direction("en", "de")
 EN_ZH = Direction("en", "zh")
@@ -130,8 +132,8 @@ def test_changing_tag_changes_exactly_one_active_index():
 
 
 def test_token_collision_check():
-    tokens = [("tag", tag) for tag in TEST_TAGS] + [("dir", "en-de")]
-    assert_no_token_collisions(tokens)  # must not raise at the real dimension
+    # the tokens tag_bias_experiment uses must not collide at the real dimension
+    assert_no_token_collisions([("tag", tag) for tag in TEST_TAGS] + [("dir", str(TAG_DIRECTION))])
     assert_no_token_collisions([("tag", "2019"), ("tag", "2019")], dim=1)
     with pytest.raises(ValueError, match="hash collision"):
         assert_no_token_collisions([("tag", "2019"), ("tag", "2020")], dim=1)

@@ -112,6 +112,17 @@ class TestScore:
         assert (corpus / "scores.tsv").read_bytes() == first
         assert list(read_score_table(corpus / "scores.tsv").scores) == [0.25] * 3
 
+    def test_a_timeout_longer_than_one_poll_scores_as_without_one(self, corpus):
+        # 3000000 s is past the longest single wait select.poll takes (2**31 - 1 ms, about 24.8 days)
+        (corpus / "child.py").write_text(ECHO_CHILD, encoding="utf-8")
+        args = ["score", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
+                "--direction", "en-de", "--backend", f"external:{sys.executable} child.py"]
+        assert main([*args, "--out", "plain.tsv"]) == EXIT_OK
+        with hard_timeout(60):
+            assert main([*args, "--timeout", "3000000", "--out", "timed.tsv"]) == EXIT_OK
+        rows = [(corpus / name).read_text(encoding="utf-8").split("\n# ")[0] for name in ("plain.tsv", "timed.tsv")]
+        assert rows[0] == rows[1] == "0\t0.25\n1\t0.25\n2\t0.25"
+
     def test_guard_empty_reports_guarded_count(self, corpus):
         (corpus / "hyp.txt").write_text("die katze sass\n\nregen faellt\n", encoding="utf-8")
         assert main(["score", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt",
@@ -332,6 +343,10 @@ class TestConfigErrors:
          "--hist-out out.txt names the same file as --out"),
         (["meta", "a.tsv", "a.tsv", "--hist-bins", "2", "--hist-range", " -1e308", "1e308", "--hist-out", "h.tsv"],
          "invalid histogram range [-1e+308, 1e+308]"),
+        (["meta", "a.tsv", "a.tsv", "--hist-bins", "2", "--hist-range", "0", "5e-324", "--hist-out", "h.tsv"],
+         "invalid histogram range [0.0, 5e-324]: too narrow for 2 distinct bin centres"),
+        (["meta", "a.tsv", "a.tsv", "--hist-bins", "3", "--hist-range", "0", "1e-323", "--hist-out", "h.tsv"],
+         "invalid histogram range [0.0, 1e-323]: too narrow for 3 distinct bin centres"),
     ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
             "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
             "missing-profile", "missing-ranking", "missing-document", "timeout-surrogate",
@@ -340,7 +355,8 @@ class TestConfigErrors:
             "min-margin-without-guard-lang", "hist-range-nan", "hist-range-inf", "learning-rate-nan",
             "learning-rate-inf", "hist-range-without-hist-bins", "empty-system", "multiref-empty-system",
             "signature-empty-interp", "signature-empty-framework", "profile-upper-case-lang",
-            "external-pipe", "external-blank-command", "hist-out-is-out", "hist-range-overflows"])
+            "external-pipe", "external-blank-command", "hist-out-is-out", "hist-range-overflows",
+            "hist-range-zero-width", "hist-range-equal-centres"])
     def test_config_error_exits_2_without_output(self, corpus, capsys, args, message):
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
         before = sorted(corpus.iterdir())
@@ -364,8 +380,11 @@ class TestConfigErrors:
         (["meta", "a.tsv", "b.tsv", "--ranking-metric", "r.tsv", "--ranking-human", "r.tsv", "--out", "r.tsv"], "r.tsv"),
         (["profiles", "build", "--lang", "de", "--input", "ref.txt", "--out", "ref.txt"], "ref.txt"),
         (["score", *SCORE_ARGS, "--out", "link.txt"], "hyp.txt"),
+        (["score", *SCORE_ARGS, "--out", "hardlink.txt"], "src.txt"),
+        (["meta", "a.tsv", "b.tsv", "--out", "b-hardlink.tsv"], "b.tsv"),
     ], ids=["score-hyp", "score-src", "score-ref", "score-profile", "score-precomputed", "multiref-ref",
-            "meta-out", "meta-hist-out", "meta-ranking", "profiles-input", "symlink-to-input"])
+            "meta-out", "meta-hist-out", "meta-ranking", "profiles-input", "symlink-to-input",
+            "hard-link-to-input", "meta-hard-link-to-input"])
     def test_output_naming_an_input_exits_2_without_output(self, corpus, capsys, args, victim):
         (corpus / "sub").mkdir()
         (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n2\t0.75\n", encoding="utf-8")
@@ -373,6 +392,8 @@ class TestConfigErrors:
         (corpus / "r.tsv").write_text("A\t0.5\nB\t0.25\n", encoding="utf-8")
         write_profile(build_language_profile(REF_LINES, "de"), corpus / "de.profile")
         (corpus / "link.txt").symlink_to("hyp.txt")
+        os.link(corpus / "src.txt", corpus / "hardlink.txt")
+        os.link(corpus / "b.tsv", corpus / "b-hardlink.tsv")
         before = {path: path.read_bytes() for path in corpus.iterdir() if path.is_file()}
         assert main(args) == EXIT_CONFIG
         assert {path: path.read_bytes() for path in corpus.iterdir() if path.is_file()} == before
@@ -381,6 +402,17 @@ class TestConfigErrors:
         assert captured.err.startswith("mtharness: error: --")
         assert captured.err.endswith(" names a file this run reads\n")
         assert (corpus / victim).read_bytes() == before[corpus / victim]
+
+    def test_outputs_hard_linked_to_each_other_exit_2_without_output(self, corpus, capsys):
+        (corpus / "a.tsv").write_text("0\t0.5\n1\t0.25\n", encoding="utf-8")
+        (corpus / "o1.txt").write_text("an earlier report\n", encoding="utf-8")
+        os.link(corpus / "o1.txt", corpus / "o2.txt")
+        before = {path: path.read_bytes() for path in corpus.iterdir()}
+        assert main(["meta", "a.tsv", "a.tsv", "--hist-bins", "2", "--out", "o1.txt", "--hist-out", "o2.txt"]) == EXIT_CONFIG
+        assert {path: path.read_bytes() for path in corpus.iterdir()} == before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mtharness: error: --hist-out o2.txt names the same file as --out\n"
 
     @pytest.mark.parametrize("args, flag", [
         (["score", *SCORE_ARGS, "--out", ""], "--out"),
@@ -669,6 +701,15 @@ class TestMeta:
         assert main(args) == EXIT_OK
         rows = [line.split("\t") for line in (corpus / "h.tsv").read_text(encoding="utf-8").splitlines()]
         assert [int(row[1]) for row in rows if not row[0].startswith("#")] == [0, 0, 0, 1, 0, 0, 1]
+
+    def test_overflowing_mae_exits_1_with_one_line(self, corpus, capsys):
+        (corpus / "big.tsv").write_text("0\t1e308\n", encoding="utf-8")
+        (corpus / "small.tsv").write_text("0\t-1e308\n", encoding="utf-8")
+        assert main(["meta", "big.tsv", "small.tsv", "--out", "m.txt"]) == EXIT_RUNTIME
+        assert not (corpus / "m.txt").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mtharness: error: mae: the mean absolute error inf is not finite\n"
 
     def test_unpaired_tables_name_both_files(self, corpus, capsys):
         (corpus / "a.tsv").write_text("0\t0.1\n1\t0.9\n", encoding="utf-8")

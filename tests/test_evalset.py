@@ -426,8 +426,8 @@ class TestRecords:
     (Signature, ("m", ""), "signature field interpreter_version must not be empty"),
     (Signature, ("m", "unk", "unk", "fp64"), "precision must be one of fp32, fp16, qint8, unk, got 'fp64'"),
     (Signature, ("m", "unk", "2|2"), "signature field framework_version must not contain '|'"),
-    (CitationRecord, ("k", "", "@misc{k}"), "citation 'k' has an empty url"),
-    (CitationRecord, ("k", "https://x", "misc"), "citation 'k' bibtex must start with '@'"),
+    (Signature, ("m", "unk", ""), "signature field framework_version must not be empty"),
+    (Signature, ("m|n",), "signature field model must not contain '|'"),
     (SystemRanking, ((("a", 1.0), ("a", 0.5)),), "system names in a ranking must be unique"),
     (GuardReport, (0, [GuardEntry(0, "empty")]), "more guarded segments than segments"),
     (LanguageProfile, ("de", ["e", "e"]), "profile contains duplicate n-grams"),

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from mtharness.metastats import (
     SystemRanking,
+    check_histogram,
     format_meta_report,
     histogram,
     kendall_tau_a,
@@ -110,6 +111,12 @@ class TestMae:
             mae([0.1], [0.1, 0.2])
         with pytest.raises(ValueError, match="empty"):
             mae([], [])
+
+    def test_overflow_raises(self):
+        # each difference is 2e308, past the largest float
+        with pytest.raises(OverflowError, match=re.escape("mae: the mean absolute error inf is not finite")):
+            mae([1e308, -1e308], [-1e308, 1e308])
+        assert mae([1e308], [0.0]) == 1e308
 
 
 class TestKendall:
@@ -333,6 +340,27 @@ class TestHistogram:
     def test_non_finite_range_rejected(self, lo, hi):
         with pytest.raises(ValueError, match=re.escape(f"invalid histogram range [{lo}, {hi}]")):
             histogram([0.5], 3, lo, hi)
+
+    @pytest.mark.parametrize("bins, lo, hi", [
+        (2, 0.0, 5e-324),  # the width rounds to 0
+        (3, 0.0, 1e-323),  # centres 0.0, 1e-323, 1e-323
+        (3, 1.0, 1.0000000000000002),  # one float apart: three centres on two floats
+        (4, 1e16, 1e16 + 2),
+    ])
+    def test_range_too_narrow_for_distinct_centres_rejected(self, bins, lo, hi):
+        message = f"invalid histogram range [{lo}, {hi}]: too narrow for {bins} distinct bin centres"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_histogram(bins, lo, hi)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            histogram([lo], bins, lo, hi)
+
+    @pytest.mark.parametrize("bins, lo, hi", [
+        (1, 0.0, 5e-324), (2, 0.0, 2e-323), (2, 1.0, 1.0000000000000002), (1000, 0.0, 1.0), (20, -1e300, 1e300),
+    ])
+    def test_narrow_ranges_with_distinct_centres_accepted(self, bins, lo, hi):
+        check_histogram(bins, lo, hi)
+        centres = [centre for centre, _ in histogram([lo, hi], bins, lo, hi)]
+        assert len(set(centres)) == bins
 
 
 class TestMetaReportFormat:

@@ -7,7 +7,7 @@ import pytest
 
 from mtharness.evalset import Direction, EvalSet, Segment, system_score
 from mtharness.multiref import STRATEGIES, evaluate_system_multiref, multiref_agg
-from mtharness.scorer import ScoreRequest, SurrogateBackend, score_evalset
+from mtharness.scorer import ScoreRequest, ScorerError, SurrogateBackend, score_evalset
 
 from helpers import surrogate_score
 
@@ -25,6 +25,16 @@ class QueueBackend:
         self.requests.extend(requests)
         out, self.scores = self.scores[: len(requests)], self.scores[len(requests) :]
         return out
+
+
+class MiscountingBackend:
+    """Answers ``extra`` scores more than it was asked for (fewer when negative)."""
+
+    def __init__(self, extra):
+        self.extra = extra
+
+    def score_batch(self, requests):
+        return [0.5] * (len(requests) + self.extra)
 
 
 def agg_oracle(scores):
@@ -185,6 +195,19 @@ class TestEvaluateSystem:
         backend = QueueBackend([0.5] * (7 * 6))
         evaluate_system_multiref("agg", es, backend)
         assert backend.batches == 1
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_wrong_answer_count_is_an_error(self, strategy, extra):
+        es = two_ref_evalset(random.Random(29), 3)
+        asked = 3 * (6 if strategy == "agg" else 2)
+        with pytest.raises(ScorerError, match=f"^backend answered {asked + extra} scores for {asked} requests$"):
+            evaluate_system_multiref(strategy, es, MiscountingBackend(extra))
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_a_wrong_answer_count_is_an_error_for_one_agg_segment(self, extra):
+        with pytest.raises(ScorerError, match=f"^backend answered {6 + extra} scores for 6 requests$"):
+            multiref_agg(MiscountingBackend(extra), "s", "h", "r1", "r2")
 
     def test_refless_evalset_rejected_for_max(self):
         segs = (Segment(0, "s", "h"),)

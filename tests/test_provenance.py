@@ -6,7 +6,6 @@ import pytest
 
 from mtharness.provenance import (
     PRECISIONS,
-    CitationRecord,
     Signature,
     check_reporting,
     cite,
@@ -106,12 +105,6 @@ class TestCite:
             record = cite(name)
             assert record.url.startswith("https://")
             assert record.bibtex.startswith("@")
-
-    def test_record_validation(self):
-        with pytest.raises(ValueError, match="bibtex"):
-            CitationRecord("x", "https://example.com", "not-bibtex")
-        with pytest.raises(ValueError, match="url"):
-            CitationRecord("x", "", "@misc{x}")
 
 
 class TestCheckReporting:

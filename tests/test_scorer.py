@@ -10,6 +10,8 @@ import errno
 import math
 import os
 import random
+import select
+import shlex
 import signal
 import subprocess
 import sys
@@ -25,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtharness import scorer
+from mtharness.cli import EXIT_CONFIG, main
 from mtharness.evalset import Direction, EvalSet, Segment, read_score_table
 from mtharness.guards import load_seed_lines
 from mtharness.scorer import (
@@ -660,16 +663,22 @@ class TestExternalPool:
         finally:
             kill_quietly(int((tmp_path / "pid0").read_text()))
 
-    def test_timeout_kills_the_child_where_there_are_no_process_groups(self, tmp_path, cpus, monkeypatch):
-        cpus(1)
-        monkeypatch.delattr(os, "killpg", raising=False)
-        try:
-            with hard_timeout(30), pytest.raises(ScorerError, match=r"requests 0\.\.0 did not finish within 1 s"):
-                pool_backend(tmp_path, SLEEPING_CHILD, timeout=1).score_batch(shard_requests(1))
-            with pytest.raises(ProcessLookupError):  # killed and reaped
-                os.kill(int((tmp_path / "pid0").read_text()), 0)
-        finally:
-            kill_quietly(int((tmp_path / "pid0").read_text()))
+    def test_no_process_groups_or_poll_exits_2_before_any_child(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "hyp.txt").write_text("h0\n", encoding="utf-8")
+        command = [*child(tmp_path, POOL_CHILD_HEAD + 'publish("pid0", str(os.getpid()))\nprint(0.5)\n'), str(tmp_path)]
+        argv = ["score", "--src", str(tmp_path / "hyp.txt"), "--hyp", str(tmp_path / "hyp.txt"), "--direction", "en-de",
+                "--backend", f"external:{shlex.join(command)}"]
+        for module, name in ((os, "killpg"), (select, "poll")):
+            with monkeypatch.context() as platform, hard_timeout(30):
+                platform.delattr(module, name)
+                with pytest.raises(ValueError, match="needs process groups"):
+                    ExternalBackend(command)
+                assert main(argv) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                "mtharness: error: an external backend needs process groups (os.killpg) and select.poll,"
+                " which this platform lacks\n"
+            )
+        assert not (tmp_path / "pid0").exists()  # no child ran
 
     # The escaped grandchild sleeps 60 s: waiting for it to close the pipes
     # would run into the hard timeout.
@@ -925,3 +934,10 @@ class TestScoreEvalset:
         es = EvalSet(Direction("en", "de"), "sys", segs)
         with pytest.raises(ValueError, match="multi-reference"):
             score_evalset(SurrogateBackend(), es)
+
+    @pytest.mark.parametrize("answered", [1, 3], ids=["short", "long"])
+    def test_a_wrong_answer_count_is_an_error(self, answered):
+        es = EvalSet(Direction("en", "de"), "sys", (Segment(0, "a", "a"), Segment(1, "b", "b")))
+        backend = mock.Mock(score_batch=lambda requests: [0.5] * answered)
+        with pytest.raises(ScorerError, match=f"^backend answered {answered} scores for 2 requests$"):
+            score_evalset(backend, es)
