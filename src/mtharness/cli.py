@@ -92,8 +92,8 @@ def _check_outputs(inputs: Sequence[Path | None], *outputs: tuple[str, str | Non
                     open(path, "a").close()
             except OSError as exc:
                 raise ConfigError(f"{flag} {path}: {exc.strerror}") from None
-            if isinstance(identity, Path):  # it did not exist: the probe created it
-                identity.unlink()  # the file, not a link to it
+            if isinstance(identity, Path):  # it did not exist: remove what the probe created, not a link to it
+                identity.unlink()
 
 
 def _check_scoring(ns: argparse.Namespace) -> list[Path]:
