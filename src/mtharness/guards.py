@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -130,21 +131,31 @@ class LanguageProfile(Record):
         return len(self.ranked_ngrams)
 
 
+# Distinct tokens whose n-grams _token_grams keeps. A batch's vocabulary
+# has no bound, so the memo has one: for 20k distinct 7-letter tokens
+# 4096 entries retain 6.6 MB, an unbounded memo 31 MB. The 2000-segment
+# benchmark set has about 1000 distinct tokens; 256 entries miss 39% of
+# its lookups instead of 5%, and lose most of the gain.
+_TOKEN_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_TOKEN_MEMO_SIZE)
+def _token_grams(token: str) -> tuple[str, ...]:
+    """The n-grams of ``token`` padded with one space on each side, of
+    every order in NGRAM_ORDERS; a tuple, so no caller can change the
+    memo's copy."""
+    return tuple(char_ngrams(f" {token} ", NGRAM_ORDERS))
+
+
 def _count_ngrams(lines: Iterable[str]) -> Counter:
     """n-gram counts over space-padded tokens, counted at C level.
 
-    Each line's padded tokens are joined with LF, which str.split()
-    never leaves inside a token, so the n-grams that contain an LF are
-    exactly those that cross a token boundary; they are dropped at the
-    end.
+    A line's n-grams are those of its str.split() tokens, each padded
+    on its own, so no n-gram crosses a token boundary. The n-grams of a
+    token are built once per distinct token while _token_grams holds it:
+    tokens repeat within and across texts.
     """
-    counts: Counter = Counter()
-    for line in lines:
-        text = "\n".join(f" {token} " for token in line.split())
-        counts.update(char_ngrams(text, NGRAM_ORDERS))
-    for gram in [gram for gram in counts if "\n" in gram]:
-        counts.pop(gram)
-    return counts
+    return Counter(chain.from_iterable(map(_token_grams, chain.from_iterable(map(str.split, lines)))))
 
 
 def _ranked(counts: Counter, k: int) -> tuple[str, ...]:
@@ -237,13 +248,15 @@ def bundled_profiles() -> list[LanguageProfile]:
 class _RankTable:
     """The ranks of every profile, for distances to all profiles at once.
 
-    Each gram of any profile maps to a tuple of its rank in each profile,
-    in profile order, with None where a profile lacks it. So a text gram
-    costs one dict lookup, whatever the number of profiles, and a text
-    gram that no profile has adds ``penalty`` to every distance. Each
-    distance equals the out-of-place distance to that profile alone, as
-    the tests' reference ``_out_of_place_distance`` in tests/helpers.py
-    computes it one profile at a time.
+    Each gram of any profile maps to the (profile column, rank) pairs of
+    the profiles that hold it, and to no entry for those that lack it. A
+    distance starts at ``penalty`` for every text gram, as if no profile
+    held any, and each pair of a text gram at position i replaces that
+    charge with ``|i - rank|``. So a text gram costs one dict lookup plus
+    one step per profile that holds it. Each distance equals the
+    out-of-place distance to that profile alone, as the tests' reference
+    ``_out_of_place_distance`` in tests/helpers.py computes it one
+    profile at a time; all arithmetic is on integers, so exactly.
     """
 
     def __init__(self, profiles: Sequence[LanguageProfile]) -> None:
@@ -256,25 +269,21 @@ class _RankTable:
         # len(profile) would make smaller profiles win on mismatches alone
         # when profile sizes differ
         self.penalty = max(len(p) for p in profiles)
-        ranks: dict[str, list[int | None]] = {}
+        ranks: dict[str, list[tuple[int, int]]] = {}
         for column, profile in enumerate(profiles):
             for rank, gram in enumerate(profile.ranked_ngrams):
-                ranks.setdefault(gram, [None] * len(profiles))[column] = rank
-        self._ranks = {gram: tuple(row) for gram, row in ranks.items()}
+                ranks.setdefault(gram, []).append((column, rank))
+        self._ranks = {gram: tuple(pairs) for gram, pairs in ranks.items()}
 
     def distances(self, text_grams: Sequence[str]) -> list[int]:
         """Out-of-place distance of ranked text grams to each profile."""
         penalty = self.penalty
-        known = [(i, row) for i, row in enumerate(map(self._ranks.get, text_grams)) if row is not None]
-        unknown = (len(text_grams) - len(known)) * penalty
-        if not known:
-            return [unknown] * len(self.langs)
-        positions, rows = zip(*known)
-        # a comprehension with no call per gram: faster than abs() or a generator
-        return [
-            unknown + sum([penalty if r is None else (i - r if i > r else r - i) for i, r in zip(positions, column)])
-            for column in zip(*rows)
-        ]
+        totals = [len(text_grams) * penalty] * len(self.langs)
+        for i, pairs in enumerate(map(self._ranks.get, text_grams)):
+            if pairs is not None:
+                for column, r in pairs:
+                    totals[column] += (i - r if i > r else r - i) - penalty
+        return totals
 
     def identify(self, text: str, min_len: int) -> tuple[str | None, float]:
         if len(text.strip()) < min_len:

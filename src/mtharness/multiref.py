@@ -31,8 +31,11 @@ def _combine_agg(scores: Sequence[float]) -> float:
     if max(scores) == min(scores):
         # zero spread: mu * (1 - 0) is the common value, exactly
         return scores[0]
-    mu = math.fsum(scores) / len(scores)
-    variance = math.fsum((s - mu) ** 2 for s in scores) / len(scores)
+    try:
+        mu = math.fsum(scores) / len(scores)
+        variance = math.fsum((s - mu) ** 2 for s in scores) / len(scores)
+    except OverflowError:  # float ** raises one whose message is its errno
+        raise OverflowError(f"agg: the mean or variance of the scores {', '.join(map(repr, scores))} overflows") from None
     return mu * (1.0 - math.sqrt(variance))
 
 

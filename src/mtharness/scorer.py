@@ -228,10 +228,12 @@ def _unwind_on_termination():
 
 
 # Fewest items worth a chunk of their own. Forking, feeding and reaping a
-# worker takes 3-5 ms; two chunks first beat one at 40-60 surrogate
-# requests or language IDs of 70-character segments on a 2-core host in
-# a 16 MB process, and at 50-80 in a 39 MB one, so the smallest batch
-# that forks (100 items) gains at both sizes.
+# worker takes 3-5 ms. On a 2-core host, two chunks first beat one at
+# 40-60 surrogate requests of 70-character segments in a 16 MB process
+# and at 50-80 in a 39 MB one, and at 50-60 language IDs of such
+# segments in an 18 MB process and 80-120 in a 40 MB one. So the
+# smallest batch that forks (100 items) gains, language IDs in a large
+# process least (4 of 6 passes).
 _MIN_CHUNK = 50
 # Chunks per process. Past its first chunk each process takes the next
 # unclaimed one, so a process that gets less CPU time than the others (a

@@ -663,6 +663,20 @@ class TestMultiref:
         assert read_score_table(corpus / "agg.tsv").scores == expected.scores
         assert "# multiref agg over 2 references" in trailer_of(corpus / "agg.tsv")
 
+    def test_overflowing_agg_variance_exits_1_naming_what_overflowed(self, corpus, capsys):
+        # float ** raises OverflowError(34, ...): its first arg is an errno, not a message
+        (corpus / "child.py").write_text(
+            "import sys\nfor i, line in enumerate(sys.stdin):\n    print(1e200 if i % 2 == 0 else -1e200)\n",
+            encoding="utf-8",
+        )
+        assert main(["multiref", *SCORE_ARGS, "--ref", "ref.txt", "--multiref", "agg",
+                     "--backend", f"external:{sys.executable} child.py", "--out", "agg.tsv"]) == EXIT_RUNTIME
+        assert not (corpus / "agg.tsv").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("mtharness: error: agg: the mean or variance of the scores "
+                                "1e+200, -1e+200, 1e+200, -1e+200, 1e+200, -1e+200 overflows\n")
+
 
 class TestMeta:
     def test_identical_files_give_mae_zero(self, corpus, capsys):

@@ -6,20 +6,27 @@ token, ranks with a (-count, gram) sort key and walks the profile ranks
 one gram at a time; the guards must equal it exactly.
 """
 
+import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mtharness import guards
 from mtharness.cli import EXIT_OK, main
 from mtharness.evalset import Direction, EvalSet, ScoreTable, Segment, system_score
 from mtharness.guards import (
     _PROFILE_DIR,
     BUNDLED_SEED_LANGS,
     DEFAULT_MIN_LEN,
+    DEFAULT_MIN_MARGIN,
     DEFAULT_PROFILE_SIZE,
+    REASON_LANG,
+    GuardEntry,
+    GuardReport,
     LanguageProfile,
     _count_ngrams,
     _ranked,
@@ -79,9 +86,9 @@ def oracle_identify(text, profiles, min_len=DEFAULT_MIN_LEN):
     return best_lang, (d2 - d1) / d2 if d2 > 0 else 0.0
 
 
-# Every kind of whitespace str.split() breaks on (LF included, which
-# the counting code uses internally), plus combining, non-BMP and CJK
-# characters, from a small alphabet so that n-grams and counts tie.
+# Every kind of whitespace str.split() breaks on, plus combining,
+# non-BMP and CJK characters, from a small alphabet so that n-grams and
+# counts tie.
 LINES = st.text(alphabet="ab c\t\n\r\x0b\x85\u2028\u3000e\u0301😀𝔸雨я", max_size=30)
 
 
@@ -460,6 +467,12 @@ GUARD_HYPS = st.one_of(
 )
 
 
+# Hypotheses from a few tokens of several scripts, so that tokens repeat.
+REPEATED_TOKEN_HYPS = st.lists(
+    st.sampled_from(["die", "Haus", "the", "house", "дом", "будинок", "雨", "e\u0301"]), max_size=10
+).map(" ".join)
+
+
 class TestChunkedLangGuard:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(GUARD_HYPS, max_size=12), st.integers(1, 8), st.sampled_from(["de", "ru"]))
@@ -473,6 +486,21 @@ class TestChunkedLangGuard:
         assert chunked == serial  # the guarded table and the report
         assert format_guard_report(chunked[1]) == format_guard_report(serial[1])
         assert len(forked) == max(min(cpus, len(hyps)) - 1, 0)
+        assert all(map(reaped, forked))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(REPEATED_TOKEN_HYPS, max_size=12), st.sampled_from([1, 2, 3]), st.sampled_from(["de", "ru"]))
+    def test_repeated_tokens_equal_the_oracle_per_text(self, profiles, hyps, cpus, expected):
+        # tokens repeat within a text, across texts and across chunk boundaries, so the
+        # n-grams of one token memo entry are counted again and again in every process
+        oracle = [(None, 0.0) if is_empty_hypothesis(hyp) else oracle_identify(hyp, profiles, 0) for hyp in hyps]
+        entries = [GuardEntry(i, REASON_LANG, lang, margin) for i, (lang, margin) in enumerate(oracle)
+                   if lang is not None and lang != expected]
+        table = ScoreTable((0.5,) * len(hyps))
+        with chunking(cpus) as forked:
+            _, report = apply_lang_guard(evalset_from_hyps(hyps, ("en", expected)), table, profiles, expected, min_len=0)
+        assert report == GuardReport(len(hyps), [e for e in entries if e.confidence >= DEFAULT_MIN_MARGIN],
+                                     [e for e in entries if e.confidence < DEFAULT_MIN_MARGIN])
         assert all(map(reaped, forked))
 
     def test_worker_error_is_the_serial_error(self, profiles, monkeypatch):
@@ -490,6 +518,27 @@ class TestChunkedLangGuard:
         with chunking(2) as forked, pytest.raises(ValueError, match="^identification failed$"):
             apply_lang_guard(es, ScoreTable((0.5,) * 3), profiles, "de")
         assert len(forked) == 1 and reaped(forked[0])
+
+
+class TestTokenMemo:
+    def test_memory_stays_bounded_across_large_vocabulary_batches(self):
+        # three batches of 5000 distinct tokens each: an unbounded memo would keep
+        # all 15000 tokens' n-grams, and retain three times what it held after one batch
+        rng = random.Random(26)
+        guards._token_grams.cache_clear()
+        retained = []
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                tokens = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyzäöüß", k=7)) for _ in range(5000)]
+                _count_ngrams([" ".join(tokens[i : i + 10]) for i in range(0, len(tokens), 10)])
+                del tokens
+                retained.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert guards._token_grams.cache_info().currsize == guards._TOKEN_MEMO_SIZE
+        assert max(retained) - retained[0] < retained[0] / 20
+        assert retained[0] < 10 * 2**20  # about 1.7 kB per memo entry of a 7-letter token
 
 
 class TestGuardReportFormat:
