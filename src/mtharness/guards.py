@@ -131,29 +131,38 @@ class LanguageProfile(Record):
         return len(self.ranked_ngrams)
 
 
-# Distinct tokens whose n-grams _token_grams keeps. A batch's vocabulary
-# has no bound, so the memo has one: for 20k distinct 7-letter tokens
-# 4096 entries retain 6.6 MB, an unbounded memo 31 MB. The 2000-segment
-# benchmark set has about 1000 distinct tokens; 256 entries miss 39% of
-# its lookups instead of 5%, and lose most of the gain.
-_TOKEN_MEMO_SIZE = 4096
+# The memo keeps at most _TOKEN_MEMO_SIZE tokens of at most _MEMO_TOKEN_LEN
+# characters, so at most 1024 * 66 n-grams (about 6 MB of 16-character CJK
+# tokens) whatever the input. Words repeat; a spaceless zh line is one token
+# that rarely does, and would keep about 4 n-grams per character. The
+# 2000-segment benchmark set has about 1000 distinct tokens: 1024 entries
+# miss 5% of its lookups, as 4096 and an unbounded memo do, and 256 miss 39%.
+_TOKEN_MEMO_SIZE = 1024
+_MEMO_TOKEN_LEN = 16
 
 
 @lru_cache(maxsize=_TOKEN_MEMO_SIZE)
-def _token_grams(token: str) -> tuple[str, ...]:
-    """The n-grams of ``token`` padded with one space on each side, of
-    every order in NGRAM_ORDERS; a tuple, so no caller can change the
-    memo's copy."""
+def _memo_token_grams(token: str) -> tuple[str, ...]:
+    """_token_grams of a short token; a tuple, so no caller can change
+    the memo's copy."""
     return tuple(char_ngrams(f" {token} ", NGRAM_ORDERS))
+
+
+def _token_grams(token: str) -> Sequence[str]:
+    """The n-grams of ``token`` padded with one space on each side, of
+    every order in NGRAM_ORDERS."""
+    if len(token) <= _MEMO_TOKEN_LEN:
+        return _memo_token_grams(token)
+    return char_ngrams(f" {token} ", NGRAM_ORDERS)
 
 
 def _count_ngrams(lines: Iterable[str]) -> Counter:
     """n-gram counts over space-padded tokens, counted at C level.
 
     A line's n-grams are those of its str.split() tokens, each padded
-    on its own, so no n-gram crosses a token boundary. The n-grams of a
-    token are built once per distinct token while _token_grams holds it:
-    tokens repeat within and across texts.
+    on its own, so no n-gram crosses a token boundary. A short token's
+    n-grams are built once while the memo holds it: words repeat within
+    and across texts.
     """
     return Counter(chain.from_iterable(map(_token_grams, chain.from_iterable(map(str.split, lines)))))
 

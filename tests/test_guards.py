@@ -469,7 +469,10 @@ GUARD_HYPS = st.one_of(
 
 # Hypotheses from a few tokens of several scripts, so that tokens repeat.
 REPEATED_TOKEN_HYPS = st.lists(
-    st.sampled_from(["die", "Haus", "the", "house", "дом", "будинок", "雨", "e\u0301"]), max_size=10
+    st.sampled_from(["die", "Haus", "the", "house", "дом", "будинок", "雨", "e\u0301",
+                     # the longest memoised token, and two too long to memoise
+                     "Straßenbahnlinie", "Straßenbahnlinien", "今天清晨街道上覆盖着一层薄薄的白霜"]),
+    max_size=10,
 ).map(" ".join)
 
 
@@ -520,25 +523,47 @@ class TestChunkedLangGuard:
         assert len(forked) == 1 and reaped(forked[0])
 
 
+def _retained_after_batches(batches):
+    """tracemalloc's current size after counting each batch of lines,
+    from an empty memo."""
+    guards._memo_token_grams.cache_clear()
+    retained = []
+    tracemalloc.start()
+    try:
+        for make_lines in batches:
+            _count_ngrams(make_lines())
+            retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    return retained
+
+
+CJK = "".join(map(chr, range(0x4E00, 0x4E00 + 3000)))
+
+
 class TestTokenMemo:
     def test_memory_stays_bounded_across_large_vocabulary_batches(self):
-        # three batches of 5000 distinct tokens each: an unbounded memo would keep
-        # all 15000 tokens' n-grams, and retain three times what it held after one batch
+        # three batches of 3000 distinct tokens of the longest memoised length, in
+        # CJK, whose n-grams take the most bytes: an unbounded memo would retain
+        # three times what it held after one batch
         rng = random.Random(26)
-        guards._token_grams.cache_clear()
-        retained = []
-        tracemalloc.start()
-        try:
-            for _ in range(3):
-                tokens = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyzäöüß", k=7)) for _ in range(5000)]
-                _count_ngrams([" ".join(tokens[i : i + 10]) for i in range(0, len(tokens), 10)])
-                del tokens
-                retained.append(tracemalloc.get_traced_memory()[0])
-        finally:
-            tracemalloc.stop()
-        assert guards._token_grams.cache_info().currsize == guards._TOKEN_MEMO_SIZE
+
+        def batch():
+            tokens = ["".join(rng.choices(CJK, k=guards._MEMO_TOKEN_LEN)) for _ in range(3000)]
+            return [" ".join(tokens[i : i + 10]) for i in range(0, len(tokens), 10)]
+
+        retained = _retained_after_batches([batch] * 3)
+        assert guards._memo_token_grams.cache_info().currsize == guards._TOKEN_MEMO_SIZE
         assert max(retained) - retained[0] < retained[0] / 20
-        assert retained[0] < 10 * 2**20  # about 1.7 kB per memo entry of a 7-letter token
+        assert retained[0] < 8 * 2**20  # about 6 kB per entry of 66 n-grams
+
+    def test_long_spaceless_tokens_are_not_kept(self):
+        # a zh line has no spaces, so each is one token; 1000 distinct lines of 300
+        # characters hold about 1.2 million n-grams, which a memo would keep
+        rng = random.Random(27)
+        retained = _retained_after_batches([lambda: ["".join(rng.choices(CJK, k=300)) for _ in range(1000)]])
+        assert guards._memo_token_grams.cache_info().currsize == 0
+        assert retained[0] < 2**20
 
 
 class TestGuardReportFormat:
