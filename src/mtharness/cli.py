@@ -49,9 +49,12 @@ class ConfigError(ValueError):
 
 def _existing_file(path: str, what: str) -> Path:
     resolved = Path(path)
-    if not resolved.is_file():
+    if resolved.is_file():
+        return resolved
+    if not path or not resolved.exists():  # Path("") is ".", which exists
         raise ConfigError(f"{what} file not found: {path}")
-    return resolved
+    kind = "is a directory" if resolved.is_dir() else "is not a regular file"
+    raise ConfigError(f"{what} file {kind}: {path}")
 
 
 # --- validation: each subparser's `validate` runs before its handler ------

@@ -186,7 +186,14 @@ def build_language_profile(corpus_lines: Sequence[str], lang: str, k: int = DEFA
         raise ValueError(f"profile size must be at least 1, got {k}")
     if not corpus_lines:
         raise ValueError("cannot build a language profile from an empty corpus")
-    counts = _count_ngrams(corpus_lines)
+    tokens = Counter(chain.from_iterable(map(str.split, corpus_lines)))
+    # each distinct token is cut up once: the grams of those that occur once
+    # are counted at C level, and each gram of a repeated token adds its count
+    counts = Counter(chain.from_iterable(char_ngrams(f" {t} ", NGRAM_ORDERS) for t, n in tokens.items() if n == 1))
+    for token, n in tokens.items():
+        if n > 1:
+            for gram in char_ngrams(f" {token} ", NGRAM_ORDERS):
+                counts[gram] += n
     if not counts:
         raise ValueError("corpus contains no tokens")
     return LanguageProfile(lang=lang, ranked_ngrams=_ranked(counts, k))
@@ -269,10 +276,8 @@ class _RankTable:
     """
 
     def __init__(self, profiles: Sequence[LanguageProfile]) -> None:
-        if len(profiles) < 2:
-            raise ValueError("need at least two language profiles to identify against")
         if len({p.lang for p in profiles}) < 2:
-            raise ValueError("profiles cover fewer than two distinct languages")
+            raise ValueError("profiles cover fewer than two distinct languages; identification needs at least two")
         self.langs = tuple(p.lang for p in profiles)
         # shared across the whole profile set: charging absent grams
         # len(profile) would make smaller profiles win on mismatches alone
@@ -297,14 +302,12 @@ class _RankTable:
     def identify(self, text: str, min_len: int) -> tuple[str | None, float]:
         if len(text.strip()) < min_len:
             return None, 0.0
-        best_per_lang: dict[str, int] = {}
-        for lang, d in zip(self.langs, self.distances(_ranked(_count_ngrams([text]), self.penalty))):
-            if lang not in best_per_lang or d < best_per_lang[lang]:
-                best_per_lang[lang] = d
-        ranking = sorted(best_per_lang.items(), key=lambda item: (item[1], item[0]))
-        (best_lang, d1), (_, d2) = ranking[0], ranking[1]
-        margin = (d2 - d1) / d2 if d2 > 0 else 0.0
-        return best_lang, margin
+        # sorted by distance, then language: the best language comes first,
+        # and the runner-up is the first entry of any other language
+        ranking = sorted(zip(self.distances(_ranked(_count_ngrams([text]), self.penalty)), self.langs))
+        d1, best_lang = ranking[0]
+        d2 = next(d for d, lang in ranking if lang != best_lang)
+        return best_lang, (d2 - d1) / d2 if d2 > 0 else 0.0
 
 
 def identify_language(

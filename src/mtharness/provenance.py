@@ -93,16 +93,16 @@ def parse_signature(text: str) -> Signature:
 
 
 class CitationRecord(Record):
-    """One entry of the shipped citation database (its entries are checked
-    by the tests, not on every lookup)."""
+    """The URL and BibTeX of one entry of the shipped citation database,
+    answered for its key and each alias (its entries are checked by the
+    tests, not on every lookup)."""
 
-    __slots__ = ("model_pattern", "url", "bibtex")
-    model_pattern: str
+    __slots__ = ("url", "bibtex")
     url: str
     bibtex: str
 
-    def __init__(self, model_pattern: str, url: str, bibtex: str) -> None:
-        super().__init__(model_pattern, url, bibtex)
+    def __init__(self, url: str, bibtex: str) -> None:
+        super().__init__(url, bibtex)
 
 
 def _normalize(identifier: str) -> str:
@@ -117,7 +117,7 @@ def _database() -> dict[str, CitationRecord]:
     raw = json.loads(_CITATIONS_PATH.read_text(encoding="utf-8"))
     table: dict[str, CitationRecord] = {}
     for entry in raw["entries"]:
-        record = CitationRecord(model_pattern=entry["key"], url=entry["url"], bibtex=entry["bibtex"])
+        record = CitationRecord(url=entry["url"], bibtex=entry["bibtex"])
         for name in [entry["key"], *entry.get("aliases", [])]:
             table[_normalize(name)] = record
     return table

@@ -307,6 +307,9 @@ class TestConfigErrors:
         (["meta", "a.tsv", "a.tsv", "--ranking-metric", "missing.tsv", "--ranking-human", "a.tsv"],
          "ranking file not found: missing.tsv"),
         (["check-reporting", "missing.txt"], "document file not found: missing.txt"),
+        (["score", "--src", ".", "--hyp", "hyp.txt", "--ref", "ref.txt", "--direction", "en-de"],
+         "source file is a directory: ."),
+        (["meta", "/dev/null", "/dev/null"], "score file is not a regular file: /dev/null"),
         (["score", *SCORE_ARGS, "--timeout", "5"], "--timeout only applies to an external backend"),
         (["multiref", *SCORE_ARGS, "--multiref", "max", "--timeout", "5"],
          "--timeout only applies to an external backend"),
@@ -349,7 +352,8 @@ class TestConfigErrors:
          "invalid histogram range [0.0, 1e-323]: too narrow for 3 distinct bin centres"),
     ], ids=["min-len", "min-margin", "unbundled-lang", "multiref-no-ref", "shard-size", "hist-bins-alone",
             "hist-bins-0", "hist-range", "n-per-group", "n-test", "epochs", "learning-rate", "profile-size",
-            "missing-profile", "missing-ranking", "missing-document", "timeout-surrogate",
+            "missing-profile", "missing-ranking", "missing-document", "directory-source", "device-scores",
+            "timeout-surrogate",
             "timeout-multiref-surrogate", "timeout-zero", "timeout-negative", "timeout-nan", "timeout-multiref-inf",
             "empty-ranking-human", "empty-rankings", "profile-without-guard-lang", "min-len-without-guard-lang",
             "min-margin-without-guard-lang", "hist-range-nan", "hist-range-inf", "learning-rate-nan",

@@ -309,8 +309,8 @@ RECORDS = [
         id="Signature",
     ),
     pytest.param(
-        CitationRecord, {"model_pattern": "k", "url": "https://x", "bibtex": "@misc{k}"},
-        "CitationRecord(model_pattern='k', url='https://x', bibtex='@misc{k}')",
+        CitationRecord, {"url": "https://x", "bibtex": "@misc{k}"},
+        "CitationRecord(url='https://x', bibtex='@misc{k}')",
         {"url": "https://y"}, None, id="CitationRecord",
     ),
     pytest.param(

@@ -91,6 +91,22 @@ def oracle_identify(text, profiles, min_len=DEFAULT_MIN_LEN):
 # counts tie.
 LINES = st.text(alphabet="ab c\t\n\r\x0b\x85\u2028\u3000e\u0301😀𝔸雨я", max_size=30)
 
+# Corpora of four kinds: lines of LINES; tokens drawn from a pool of up
+# to four, so they repeat; tokens that are all distinct; and spaceless
+# CJK lines, each one token longer than the 16 characters the token memo
+# keeps.
+TOKEN = st.text(alphabet="abe\u0301😀𝔸雨я中", min_size=1, max_size=24)
+CORPORA = st.one_of(
+    st.lists(LINES, min_size=1, max_size=6),
+    st.lists(TOKEN, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=8).map(" ".join), min_size=1, max_size=6)
+    ),
+    st.lists(TOKEN, min_size=1, max_size=30, unique=True).map(
+        lambda tokens: [" ".join(tokens[i : i + 4]) for i in range(0, len(tokens), 4)]
+    ),
+    st.lists(st.text(alphabet="中文的是雨一了𝔸", min_size=17, max_size=60), min_size=1, max_size=4),
+)
+
 
 @pytest.fixture(scope="module")
 def profiles():
@@ -218,8 +234,8 @@ class TestProfiles:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             read_profile(path)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(LINES, min_size=1, max_size=6), st.integers(1, 60))
+    @settings(max_examples=600, deadline=None)
+    @given(CORPORA, st.integers(1, 60))
     def test_property_equals_oracle_exactly(self, lines, k):
         expected = oracle_profile(lines, k)
         if not expected:
@@ -288,17 +304,26 @@ class TestIdentifyLanguage:
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["p", "q", "r"]), st.lists(LINES, min_size=1, max_size=3)), min_size=2, max_size=4),
-           st.integers(1, 40), LINES)
-    def test_small_profiles_equal_oracle_exactly(self, corpora, k, text):
+           st.integers(1, 40), LINES, st.integers(1, 40))
+    def test_small_profiles_equal_oracle_exactly(self, corpora, k, text, prefix):
         built = [(lang, oracle_profile(lines, k)) for lang, lines in corpora]
         small = [LanguageProfile(lang, grams) for lang, grams in built if grams]
         assume(len({p.lang for p in small}) >= 2)
         assert identify_language(text, small, 0) == oracle_identify(text, small, 0)
+        # a second profile of the best language: a copy ties it, and so ties
+        # or beats every other language; a prefix of it may beat them too
+        best = next(p for p in small if p.lang == oracle_identify(text, small, 0)[0])
+        for extra in (best, LanguageProfile(best.lang, best.ranked_ngrams[:prefix])):
+            assert identify_language(text, [*small, extra], 0) == oracle_identify(text, [*small, extra], 0)
 
     def test_seed_lines_equal_oracle_exactly(self, profiles):
         for lang in BUNDLED_SEED_LANGS:
             for line in load_seed_lines(lang)[:40]:
-                assert identify_language(line, profiles) == oracle_identify(line, profiles)
+                expected = oracle_identify(line, profiles)
+                assert identify_language(line, profiles) == expected
+                if expected[0] is not None:  # a copy of the best profile changes nothing
+                    best = next(p for p in profiles if p.lang == expected[0])
+                    assert identify_language(line, [*profiles, best]) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(LINES)

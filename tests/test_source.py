@@ -296,3 +296,14 @@ def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "notes.txt").write_text("x = 1\n", encoding="utf-8")
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "3\ta.py\n12\tb.py\n15\ttotal\n"
+
+
+def test_code_lines_defs_prints_each_definition_with_its_code_lines(tmp_path, capsys):
+    (tmp_path / "b.py").write_text(FIXTURE, encoding="utf-8")
+    (tmp_path / "a.py").write_text(
+        "import functools\n\n\n@functools.cache  # counted with its function\n"
+        "async def fetch():\n    '''Docstring.'''\n    return 1\n", encoding="utf-8")
+    assert code_lines.main(["--defs", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "3\ta.py:fetch\n6\tb.py:Thing\n5\tb.py:Thing.method\n3\tb.py:function\n"
+    assert code_lines.main([str(tmp_path)]) == 0  # without --defs: the per-module counts
+    assert capsys.readouterr().out == "4\ta.py\n12\tb.py\n16\ttotal\n"
