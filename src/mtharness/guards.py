@@ -167,7 +167,7 @@ def _count_ngrams(lines: Iterable[str]) -> Counter:
     return Counter(chain.from_iterable(map(_token_grams, chain.from_iterable(map(str.split, lines)))))
 
 
-def _ranked(counts: Counter, k: int) -> tuple[str, ...]:
+def _ranked(counts: dict[str, int], k: int) -> tuple[str, ...]:
     """Top k grams by descending count, ties in lexicographic order."""
     grams = sorted(counts)
     grams.sort(key=counts.__getitem__, reverse=True)  # stable: ties keep gram order
@@ -196,7 +196,12 @@ def build_language_profile(corpus_lines: Sequence[str], lang: str, k: int = DEFA
                 counts[gram] += n
     if not counts:
         raise ValueError("corpus contains no tokens")
-    return LanguageProfile(lang=lang, ranked_ngrams=_ranked(counts, k))
+    import heapq  # only profile building needs it
+
+    # only grams that reach the k-th largest count can make the top k, and
+    # a corpus has millions of grams for a few hundred kept
+    floor = heapq.nlargest(k, counts.values())[-1]
+    return LanguageProfile(lang=lang, ranked_ngrams=_ranked({g: n for g, n in counts.items() if n >= floor}, k))
 
 
 def serialize_profile(profile: LanguageProfile) -> str:
@@ -307,7 +312,9 @@ class _RankTable:
         ranking = sorted(zip(self.distances(_ranked(_count_ngrams([text]), self.penalty)), self.langs))
         d1, best_lang = ranking[0]
         d2 = next(d for d, lang in ranking if lang != best_lang)
-        return best_lang, (d2 - d1) / d2 if d2 > 0 else 0.0
+        # a tie names no language: a text that shares no gram with any
+        # profile, an empty one included, is equally far from all of them
+        return (best_lang, (d2 - d1) / d2) if d1 < d2 else (None, 0.0)
 
 
 def identify_language(
@@ -317,10 +324,11 @@ def identify_language(
 ) -> tuple[str | None, float]:
     """Best-matching language and its margin over the runner-up.
 
-    Returns (None, 0.0) for text shorter than min_len after trimming —
-    an unreliable outcome, not an error. The margin is
+    Returns (None, 0.0) for text shorter than min_len after trimming,
+    and for text that is as close to some other language as to the best
+    — an unreliable outcome, not an error. Otherwise the margin is
     (second_best - best) / second_best over distinct languages, in
-    [0, 1]; duplicate profiles for one language do not change it.
+    (0, 1]; duplicate profiles for one language do not change it.
     """
     return _rank_table(tuple(profiles)).identify(text, min_len)
 
@@ -342,16 +350,17 @@ def apply_lang_guard(
 ) -> tuple[ScoreTable, GuardReport]:
     """Zero segments confidently identified as the wrong language.
 
-    Empty and too-short hypotheses are untouched. Segments that look
-    like another language but miss the margin threshold stay unguarded
-    and appear in the report's unreliable list.
+    Hypotheses identification names no language for (too short, or
+    tied between languages, as every empty one is) are untouched.
+    Segments that look like another language but miss the margin
+    threshold stay unguarded and appear in the report's unreliable list.
     """
     if expected_lang not in {p.lang for p in profiles}:
         raise ValueError(f"no profile for expected language {expected_lang!r}")
     table = _rank_table(tuple(profiles))
 
     def identify_chunk(hyps: Sequence[str]) -> list[tuple[str | None, float]]:
-        return [(None, 0.0) if is_empty_hypothesis(hyp) else table.identify(hyp, min_len) for hyp in hyps]
+        return [table.identify(hyp, min_len) for hyp in hyps]
 
     detections = map_chunks(identify_chunk, [seg.hypothesis for seg in evalset.segments])
     entries: list[GuardEntry] = []

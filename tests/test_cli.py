@@ -141,6 +141,22 @@ class TestScore:
         assert table.scores[0] > 0.0 and table.scores[2] > 0.0
         assert any("zh" in line for line in trailer_of(corpus / "scores.tsv"))
 
+    def test_guard_lang_leaves_text_as_close_to_every_language(self, corpus):
+        # neither hypothesis shares an n-gram with a bundled profile, so each
+        # is as close to every language as to any other: no language is named,
+        # whatever the margin, and no score changes
+        (corpus / "hyp.txt").write_text("1234567890 0987654321 12345\n" + "🙂" * 21 + "\n", encoding="utf-8")
+        for name, lines in (("src.txt", ["eins zwei drei", "vier fuenf sechs"]), ("ref.txt", ["one two", "three"])):
+            (corpus / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        args = ["score", "--src", "src.txt", "--hyp", "hyp.txt", "--ref", "ref.txt", "--direction", "de-en"]
+        assert main([*args, "--out", "plain.tsv"]) == EXIT_OK
+        for margin in ([], ["--min-margin", "0"]):
+            assert main([*args, "--guard-lang", *margin, "--out", "guarded.tsv"]) == EXIT_OK
+            assert read_score_table(corpus / "guarded.tsv") == read_score_table(corpus / "plain.tsv")
+            trailer = trailer_of(corpus / "guarded.tsv")
+            assert "# guarded 0 of 2 segments" in trailer
+            assert not any(guards.REASON_LANG in line for line in trailer)
+
     def test_profile_flag_extends_bundled_set(self, corpus):
         # a uk profile alongside the bundled ones must not hide the de one
         profile = build_language_profile(load_seed_lines("uk"), "uk", k=120)

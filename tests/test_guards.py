@@ -83,7 +83,7 @@ def oracle_identify(text, profiles, min_len=DEFAULT_MIN_LEN):
         if profile.lang not in best or d < best[profile.lang]:
             best[profile.lang] = d
     (best_lang, d1), (_, d2) = sorted(best.items(), key=lambda item: (item[1], item[0]))[:2]
-    return best_lang, (d2 - d1) / d2 if d2 > 0 else 0.0
+    return (best_lang, (d2 - d1) / d2) if d1 < d2 else (None, 0.0)
 
 
 # Every kind of whitespace str.split() breaks on, plus combining,
@@ -244,6 +244,18 @@ class TestProfiles:
         else:
             assert build_language_profile(lines, "xx", k).ranked_ngrams == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(CORPORA, st.data())
+    def test_cut_at_a_tied_kth_count_equals_oracle(self, lines, data):
+        # k falls inside a run of equal counts, so the grams kept at the
+        # k-th count are some of those that reach it, in lexicographic order
+        counts = oracle_count_ngrams(lines)
+        ordered = sorted(counts.values(), reverse=True)
+        tied = [k for k in range(1, len(ordered)) if ordered[k - 1] == ordered[k]]
+        assume(tied)
+        k = data.draw(st.sampled_from(tied))
+        assert build_language_profile(lines, "xx", k).ranked_ngrams == oracle_ranked(counts, k)
+
     @pytest.mark.parametrize("lang", BUNDLED_SEED_LANGS)
     def test_seed_profiles_equal_oracle_exactly(self, lang):
         lines = load_seed_lines(lang)
@@ -293,6 +305,22 @@ class TestIdentifyLanguage:
     def test_short_text_unreliable(self, profiles):
         assert identify_language("zu kurz", profiles) == (None, 0.0)
 
+    @pytest.mark.parametrize("text,min_len", [
+        ("", 0), (" \t\u3000", 0),
+        ("1234567890 0987654321 12345", 0), ("1234567890 0987654321 12345", DEFAULT_MIN_LEN),
+        ("🙂" * 21, 0), ("🙂" * 21, DEFAULT_MIN_LEN),
+    ], ids=["empty", "whitespace", "digits", "digits-min-len", "emoji", "emoji-min-len"])
+    def test_text_as_close_to_every_language_names_none(self, profiles, text, min_len):
+        # no gram of these texts is in any bundled profile, so every
+        # distance is the same and no language is closer than another
+        assert identify_language(text, profiles, min_len) == (None, 0.0)
+
+    def test_text_holding_no_profile_gram_names_none(self):
+        one_gram = [LanguageProfile("aa", ["x"]), LanguageProfile("bb", ["y"])]
+        # each text's most frequent gram is its letter, and the only one ranked
+        assert identify_language("zzzz", one_gram, 0) == (None, 0.0)
+        assert identify_language("xxxx", one_gram, 0) == ("aa", 1.0)
+
     def test_duplicate_profiles_do_not_change_result(self, profiles):
         text = "The ferry crosses the strait twice a day in winter."
         assert identify_language(text, profiles) == identify_language(text, list(profiles) * 2)
@@ -309,12 +337,14 @@ class TestIdentifyLanguage:
         built = [(lang, oracle_profile(lines, k)) for lang, lines in corpora]
         small = [LanguageProfile(lang, grams) for lang, grams in built if grams]
         assume(len({p.lang for p in small}) >= 2)
-        assert identify_language(text, small, 0) == oracle_identify(text, small, 0)
-        # a second profile of the best language: a copy ties it, and so ties
-        # or beats every other language; a prefix of it may beat them too
-        best = next(p for p in small if p.lang == oracle_identify(text, small, 0)[0])
-        for extra in (best, LanguageProfile(best.lang, best.ranked_ngrams[:prefix])):
-            assert identify_language(text, [*small, extra], 0) == oracle_identify(text, [*small, extra], 0)
+        expected = oracle_identify(text, small, 0)
+        assert identify_language(text, small, 0) == expected
+        if expected[0] is not None:
+            # a second profile of the best language: a copy ties it, and so ties
+            # or beats every other language; a prefix of it may beat them too
+            best = next(p for p in small if p.lang == expected[0])
+            for extra in (best, LanguageProfile(best.lang, best.ranked_ngrams[:prefix])):
+                assert identify_language(text, [*small, extra], 0) == oracle_identify(text, [*small, extra], 0)
 
     def test_seed_lines_equal_oracle_exactly(self, profiles):
         for lang in BUNDLED_SEED_LANGS:
@@ -382,8 +412,8 @@ class TestIdentifyLanguage:
     def test_margin_in_unit_interval(self, profiles):
         for lang in ("en", "de", "zh", "ru", "uk"):
             for line in load_seed_lines(lang)[:10]:
-                _, margin = identify_language(line, profiles)
-                assert 0.0 <= margin <= 1.0
+                detected, margin = identify_language(line, profiles)
+                assert 0.0 < margin <= 1.0 if detected is not None else margin == 0.0
 
     def test_holdout_accuracy(self, profiles):
         # quick smoke version of the full acceptance measurement
@@ -521,7 +551,7 @@ class TestChunkedLangGuard:
     def test_repeated_tokens_equal_the_oracle_per_text(self, profiles, hyps, cpus, expected):
         # tokens repeat within a text, across texts and across chunk boundaries, so the
         # n-grams of one token memo entry are counted again and again in every process
-        oracle = [(None, 0.0) if is_empty_hypothesis(hyp) else oracle_identify(hyp, profiles, 0) for hyp in hyps]
+        oracle = [oracle_identify(hyp, profiles, 0) for hyp in hyps]
         entries = [GuardEntry(i, REASON_LANG, lang, margin) for i, (lang, margin) in enumerate(oracle)
                    if lang is not None and lang != expected]
         table = ScoreTable((0.5,) * len(hyps))
